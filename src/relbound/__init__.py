@@ -57,7 +57,7 @@ from .priors import (
     build_grid,
     check_feasible,
 )
-from .solver import CbiResult, curve, oracle_solve, solve, solve_bisection
+from .solver import CbiResult, curve, oracle_solve, solve
 from .verification import (
     DiscreteCoverage,
     IntervalCoverage,
@@ -126,7 +126,6 @@ __all__ = [
     "sample_feasible_prior",
     "simulate_demands",
     "solve",
-    "solve_bisection",
     "total_error",
     "validate",
 ]

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# exp() underflows to 0 below ~-745 and overflows above ~709 in float64
+# exp() underflows to 0 below ~-745 in float64
 EXP_UNDERFLOW = -745.0
-EXP_OVERFLOW = 709.0
 
 
 def survive_prob(p, t):

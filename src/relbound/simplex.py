@@ -1,9 +1,16 @@
 """Dense two-phase simplex for small linear programs.
 
 Sized for the problems this package generates: a handful of rows and up
-to a few thousand columns. Bland's rule is used for both the entering
-and the leaving variable, which guarantees termination on degenerate
-bases at the cost of a few extra pivots.
+to a few thousand columns. The entering variable is the one with the
+steepest reduced cost (Dantzig's rule); after ``_STALL_LIMIT`` degenerate
+pivots in a row the choice switches to the smallest improving index
+(Bland's rule), which cannot cycle. Ties in the ratio test go to the row
+whose basic variable has the smallest index.
+
+Phase 1 depends only on the constraints, so one phase 1 serves every
+objective over the same constraints: ``solve_lp`` returns it as
+``LpResult.start`` and takes it back as ``start=``, going straight to
+phase 2.
 """
 
 from __future__ import annotations
@@ -20,11 +27,30 @@ _FEAS_TOL = 1e-7
 _RAY_TOL = 1e-6
 
 
+@dataclass(frozen=True)
+class PhaseOne:
+    """A feasible basis for one constraint set, whatever the objective.
+
+    ``T`` is the canonical tableau over the standard-form columns (the
+    variables, then one slack per ``<=`` row) with the right-hand side
+    last, and ``basis`` names each row's basic column. ``T`` is None
+    unless ``status`` is "feasible". Phase 2 pivots a copy, so one
+    ``PhaseOne`` serves any number of objectives.
+    """
+
+    n_cols: int
+    status: str  # "feasible" | "infeasible" | "unbounded"
+    T: np.ndarray | None = None
+    basis: tuple[int, ...] = ()
+
+
 @dataclass
 class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     value: float | None
+    #: phase 1 of this program's constraints, for ``solve_lp(start=...)``
+    start: PhaseOne | None = None
 
 
 def solve_lp(
@@ -35,17 +61,35 @@ def solve_lp(
     b_eq=None,
     *,
     maximize: bool = False,
+    start: PhaseOne | None = None,
 ) -> LpResult:
-    """Optimise ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @ x == b_eq``, ``x >= 0``."""
+    """Optimise ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @ x == b_eq``, ``x >= 0``.
+
+    ``start`` is the ``start`` of an earlier result over these same
+    constraints. Phase 1 is then skipped rather than run again; it is
+    deterministic in the constraints, so the result is the same.
+    """
     c = np.asarray(c, dtype=float)
     n = c.size
+    if start is None:
+        start = _phase_one(*_standard_form(n, a_ub, b_ub, a_eq, b_eq))
+    elif start.n_cols != n + (0 if b_ub is None else np.size(b_ub)):
+        raise ValueError("start belongs to constraints of another shape")
+    cost = np.concatenate([c * (-1.0 if maximize else 1.0), np.zeros(start.n_cols - n)])
+    x_full, status = _phase_two(start, cost)
+    if status != "optimal":
+        return LpResult(status, None, None, start)
+    x = x_full[:n]
+    return LpResult("optimal", x, float(c @ x), start)
+
+
+def _standard_form(n, a_ub, b_ub, a_eq, b_eq):
+    """``[a_eq 0; a_ub I][x; s] = [b_eq; b_ub]``, rows flipped so that b >= 0."""
     a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float).reshape(-1, n)
     b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, dtype=float))
     a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float).reshape(-1, n)
     b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, dtype=float))
     n_ub = b_ub.size
-
-    # standard form: [a_eq 0; a_ub I][x; s] = [b_eq; b_ub], x, s >= 0
     m = a_eq.shape[0] + n_ub
     A = np.zeros((m, n + n_ub))
     A[: a_eq.shape[0], :n] = a_eq
@@ -55,23 +99,12 @@ def solve_lp(
     flip = b < 0
     A[flip] *= -1.0
     b[flip] *= -1.0
-
-    cost = np.concatenate([c * (-1.0 if maximize else 1.0), np.zeros(n_ub)])
-    x_full, status = _two_phase(A, b, cost)
-    if status != "optimal":
-        return LpResult(status, None, None)
-    x = x_full[:n]
-    return LpResult("optimal", x, float(c @ x))
+    return A, b
 
 
-def _two_phase(A: np.ndarray, b: np.ndarray, cost: np.ndarray):
+def _phase_one(A: np.ndarray, b: np.ndarray) -> PhaseOne:
+    """Artificial basis, minimise the sum of artificials."""
     m, nvar = A.shape
-    if m == 0:
-        if np.any(cost < -_COST_TOL):
-            return None, "unbounded"
-        return np.zeros(nvar), "optimal"
-
-    # phase 1: artificial basis, minimise the sum of artificials
     T = np.zeros((m, nvar + m + 1))
     T[:, :nvar] = A
     T[:, nvar : nvar + m] = np.eye(m)
@@ -85,29 +118,40 @@ def _two_phase(A: np.ndarray, b: np.ndarray, cost: np.ndarray):
     # that point just churns the tableau)
     status = _pivot_loop(T, z, basis, n_cols=nvar + m, stop_value=_FEAS_TOL / 2)
     if status == "unbounded":  # cannot happen: phase-1 objective is bounded below
-        return None, "unbounded"
+        return PhaseOne(nvar, "unbounded")
     if -z[-1] > _FEAS_TOL:
-        return None, "infeasible"
+        return PhaseOne(nvar, "infeasible")
 
     # drive leftover artificials out of the basis; drop redundant rows
-    keep_rows = []
+    in_basis = np.zeros(nvar + m, dtype=bool)
+    in_basis[basis] = True
+    keep = np.ones(m, dtype=bool)
     for i in range(m):
         if basis[i] < nvar:
-            keep_rows.append(i)
             continue
-        pivot_cols = np.nonzero(np.abs(T[i, :nvar]) > _PIVOT_TOL)[0]
-        pivot_cols = [j for j in pivot_cols if j not in basis]
-        if pivot_cols:
-            _pivot(T, z, basis, i, pivot_cols[0])
-            keep_rows.append(i)
-        # else: the row is redundant (zero over the real variables)
-    if len(keep_rows) < m:
-        T = T[keep_rows]
-        basis = [basis[i] for i in keep_rows]
-        m = len(keep_rows)
+        pivot_cols = np.nonzero((np.abs(T[i, :nvar]) > _PIVOT_TOL) & ~in_basis[:nvar])[0]
+        if pivot_cols.size:
+            j = int(pivot_cols[0])
+            _pivot(T, z, basis, i, j)
+            in_basis[j] = True
+        else:
+            keep[i] = False  # redundant: the row is zero over the real variables
+    T = np.hstack([T[keep, :nvar], T[keep, -1:]])
+    T.flags.writeable = False
+    return PhaseOne(nvar, "feasible", T, tuple(var for var, kept in zip(basis, keep) if kept))
 
-    # phase 2: real objective over the real columns only
-    T = np.hstack([T[:, :nvar], T[:, -1:]])
+
+def _phase_two(start: PhaseOne, cost: np.ndarray):
+    """The real objective over the real columns, from phase 1's basis."""
+    if start.status != "feasible":
+        return None, start.status
+    nvar = start.n_cols
+    if start.T.shape[0] == 0:
+        if np.any(cost < -_COST_TOL):
+            return None, "unbounded"
+        return np.zeros(nvar), "optimal"
+    T = start.T.copy()
+    basis = list(start.basis)
     z = np.zeros(nvar + 1)
     cb = cost[basis]
     z[:nvar] = cost - cb @ T[:, :nvar]
@@ -115,10 +159,8 @@ def _two_phase(A: np.ndarray, b: np.ndarray, cost: np.ndarray):
     status = _pivot_loop(T, z, basis, n_cols=nvar)
     if status != "optimal":
         return None, status
-
     x = np.zeros(nvar)
-    for i, var in enumerate(basis):
-        x[var] = T[i, -1]
+    x[basis] = T[:, -1]
     return x, "optimal"
 
 
@@ -166,9 +208,12 @@ def _pivot_loop(T, z, basis, n_cols, max_iter=100_000, stop_value=None):
 
 def _pivot(T, z, basis, i, j):
     T[i] /= T[i, j]
-    for r in range(T.shape[0]):
-        if r != i and T[r, j] != 0.0:
-            T[r] -= T[r, j] * T[i]
+    # one rank-1 update for every other row: row r loses T[r, j] * T[i],
+    # the same product and difference a row-by-row update computes; a row
+    # with a zero in column j subtracts zero and keeps its values
+    col = T[:, j].copy()
+    col[i] = 0.0
+    T -= np.outer(col, T[i])
     if z[j] != 0.0:
         z -= z[j] * T[i]
     basis[i] = j

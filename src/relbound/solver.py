@@ -290,29 +290,6 @@ def _window_ratio_value(window: _Window, maximize: bool) -> float | None:
 _SIGN_TOL = 1e-12
 
 
-def _sign_lp(window: _Window, level: float, maximize: bool):
-    """min (max) of sum x * lik * (gain - level) over the window's priors.
-
-    Every coefficient is O(1): the likelihood multiplies rather than
-    divides, so nothing amplifies simplex roundoff. The optimal x doubles
-    as the witness for an achievable level.
-    """
-    weight = window.lik * (window.gains - level)
-    a_ub, b_ub = _homogeneous_ub(window.rows)
-    n = window.keep.size
-    result = solve_lp(
-        weight,
-        a_ub=a_ub,
-        b_ub=b_ub,
-        a_eq=np.ones((1, n)),
-        b_eq=np.ones(1),
-        maximize=maximize,
-    )
-    if result.status != "optimal":
-        return None, None
-    return result.value, np.maximum(result.x, 0.0)
-
-
 def _window_masses(window: _Window, maximize: bool) -> np.ndarray | None:
     """Worst-case prior masses within one window, or None.
 
@@ -325,13 +302,34 @@ def _window_masses(window: _Window, maximize: bool) -> np.ndarray | None:
     if proposal is None:
         return None
 
+    # every sign test shares the window's constraints, so the first one's
+    # phase 1 serves the rest; only the objective changes with the level
+    a_ub, b_ub = _homogeneous_ub(window.rows)
+    a_eq = np.ones((1, window.keep.size))
+    start = None
+
     def achievable(level: float):
-        value, x = _sign_lp(window, level, maximize)
-        if value is None:
+        """The optimal masses if the sign test beats ``level`` strictly.
+
+        It optimises sum x * lik * (gain - level) over the window's
+        priors. Every coefficient is O(1): the likelihood multiplies
+        rather than divides, so nothing amplifies simplex roundoff.
+        """
+        nonlocal start
+        result = solve_lp(
+            window.lik * (window.gains - level),
+            a_ub=a_ub,
+            b_ub=b_ub,
+            a_eq=a_eq,
+            b_eq=np.ones(1),
+            maximize=maximize,
+            start=start,
+        )
+        start = result.start
+        if result.status != "optimal":
             return None
-        if maximize:
-            return x if value > _SIGN_TOL else None
-        return x if value < -_SIGN_TOL else None
+        beaten = result.value > _SIGN_TOL if maximize else result.value < -_SIGN_TOL
+        return np.maximum(result.x, 0.0) if beaten else None
 
     step = 2e-9
     witness = None
@@ -674,59 +672,3 @@ def curve(constraints, objective, n_values, k: int, *, grid: PfdGrid | None = No
         out.append((n, result.bound))
     return out
 
-
-def solve_bisection(
-    constraints,
-    obs: Observation,
-    objective: ObjectiveSpec,
-    grid: PfdGrid,
-    iterations: int = 80,
-) -> float:
-    """Debug cross-check: bisection on the bound value.
-
-    A candidate bound λ is attainable iff some admissible prior makes the
-    sign of sum(mass * lik * (gain - λ)) favourable, which is a plain
-    linear feasibility question. Runs on the top likelihood shell only,
-    so it is a cross-check for ordinary regimes, not a primary path.
-    """
-    points = grid.as_array()
-    rows = constraint_rows(constraints, points)
-    log_lik = log_likelihood_vector(points, obs)
-    finite = log_lik[np.isfinite(log_lik)]
-    if finite.size == 0:
-        raise ZeroEvidenceError("likelihood vanishes on the whole grid")
-    shifted = np.clip(log_lik - float(finite.max()), EXP_UNDERFLOW, 0.0)
-    lik = np.where(np.isneginf(log_lik), 0.0, np.exp(shifted))
-    gains = objective_gain(objective, points)
-    maximize = objective.direction == CONSERVATIVE_MAX
-
-    from .priors import rows_as_ub
-
-    a_ub, b_ub = rows_as_ub(rows)
-    if a_ub.size == 0:
-        a_ub, b_ub = None, None
-    ones = np.ones((1, points.size))
-
-    def attainable(level: float) -> bool:
-        weight = lik * (gains - level)
-        result = solve_lp(
-            weight, a_ub=a_ub, b_ub=b_ub, a_eq=ones, b_eq=np.ones(1), maximize=maximize
-        )
-        if result.status != "optimal":
-            raise InfeasibleConstraintsError("constraint set is infeasible on the grid")
-        return result.value >= -1e-15 if maximize else result.value <= 1e-15
-
-    lo, hi = 0.0, 1.0
-    for _ in range(iterations):
-        mid = (lo + hi) / 2.0
-        if maximize:
-            if attainable(mid):
-                lo = mid
-            else:
-                hi = mid
-        else:
-            if attainable(mid):
-                hi = mid
-            else:
-                lo = mid
-    return lo if maximize else hi

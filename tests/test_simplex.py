@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relbound import simplex
 from relbound.simplex import solve_lp
 
 
@@ -151,3 +152,98 @@ def test_wide_problem_with_tiny_coefficients():
     assert res.status == "optimal"
     # best ratio of gain achievable: the largest gain with nonzero likelihood
     assert res.value == pytest.approx(1.0, abs=1e-9)
+
+
+def _pivot_by_rows(T, z, basis, i, j):
+    """Reference pivot: one row at a time, skipping rows already zero in column j."""
+    T[i] /= T[i, j]
+    for r in range(T.shape[0]):
+        if r != i and T[r, j] != 0.0:
+            T[r] -= T[r, j] * T[i]
+    if z[j] != 0.0:
+        z -= z[j] * T[i]
+    basis[i] = j
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rank_one_pivot_matches_row_by_row(seed):
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 8)), int(rng.integers(2, 60))
+    T = rng.normal(size=(m, n + 1)) * 10.0 ** rng.integers(-6, 7, size=(m, n + 1))
+    T[rng.random((m, n + 1)) < 0.3] = 0.0
+    z = rng.normal(size=n + 1)
+    z[rng.random(n + 1) < 0.3] = 0.0
+    T_ref, z_ref = T.copy(), z.copy()
+    basis, basis_ref = list(range(m)), list(range(m))
+    for _ in range(5):
+        i, j = int(rng.integers(m)), int(rng.integers(n))
+        if T[i, j] == 0.0:
+            continue
+        simplex._pivot(T, z, basis, i, j)
+        _pivot_by_rows(T_ref, z_ref, basis_ref, i, j)
+        assert np.array_equal(T, T_ref)
+        assert np.array_equal(z, z_ref)
+        assert basis == basis_ref
+
+
+def _assert_same(a, b):
+    assert a.status == b.status
+    assert a.value == b.value
+    if a.x is None:
+        assert b.x is None
+    else:
+        assert np.array_equal(a.x, b.x)
+
+
+@pytest.mark.parametrize(
+    "n,constraints",
+    [
+        # a window-like program: <= rows through the origin, normalised mass
+        (
+            5,
+            dict(
+                a_ub=np.array([[1.0, -2.0, 0.5, 3.0, -1.0], [-1.0, 1.0, 2.0, -0.5, 0.0]]),
+                b_ub=np.zeros(2),
+                a_eq=np.ones((1, 5)),
+                b_eq=np.ones(1),
+            ),
+        ),
+        # infeasible: x0 >= 2 with x0 + x1 = 1
+        (2, dict(a_ub=np.array([[-1.0, 0.0]]), b_ub=np.array([-2.0]), a_eq=np.ones((1, 2)), b_eq=np.ones(1))),
+        # unbounded for any objective that rewards x0
+        (2, dict(a_ub=np.array([[0.0, 1.0]]), b_ub=np.array([1.0]))),
+        # no constraint rows at all
+        (3, dict()),
+        # every row redundant: zero over the variables
+        (3, dict(a_eq=np.zeros((2, 3)), b_eq=np.zeros(2))),
+        # one row redundant, one not
+        (3, dict(a_eq=np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]), b_eq=np.array([1.0, 2.0]))),
+    ],
+    ids=["window", "infeasible", "unbounded", "no-rows", "all-redundant", "one-redundant"],
+)
+def test_reused_phase_one_matches_fresh_solve(n, constraints):
+    rng = np.random.default_rng(7)
+    start = solve_lp(np.zeros(n), **constraints).start
+    objectives = [rng.normal(size=n) for _ in range(6)] + [np.zeros(n), np.eye(n)[0]]
+    for c in objectives:
+        for maximize in (False, True):
+            fresh = solve_lp(c, **constraints, maximize=maximize)
+            reused = solve_lp(c, **constraints, maximize=maximize, start=start)
+            _assert_same(reused, fresh)
+            assert reused.start is start
+
+
+def test_reused_phase_one_reports_each_status():
+    infeasible = dict(a_ub=np.array([[-1.0, 0.0]]), b_ub=np.array([-2.0]), a_eq=np.ones((1, 2)), b_eq=np.ones(1))
+    start = solve_lp(np.zeros(2), **infeasible).start
+    assert solve_lp(np.ones(2), **infeasible, start=start).status == "infeasible"
+    open_ray = dict(a_ub=np.array([[0.0, 1.0]]), b_ub=np.array([1.0]))
+    start = solve_lp(np.zeros(2), **open_ray).start
+    assert solve_lp(np.array([1.0, 0.0]), **open_ray, maximize=True, start=start).status == "unbounded"
+    assert solve_lp(np.array([0.0, 1.0]), **open_ray, maximize=True, start=start).value == 1.0
+
+
+def test_start_from_other_constraints_rejected():
+    start = solve_lp(np.zeros(2), a_ub=np.ones((1, 2)), b_ub=np.ones(1)).start
+    with pytest.raises(ValueError, match="shape"):
+        solve_lp(np.zeros(2), a_ub=np.ones((2, 2)), b_ub=np.ones(2), start=start)

@@ -18,7 +18,7 @@ from relbound.priors import (
     PriorReliability,
     build_grid,
 )
-from relbound.solver import curve, oracle_solve, solve, solve_bisection
+from relbound.solver import curve, oracle_solve, solve
 
 
 def run(constraints, obs, objective, resolution=200):
@@ -143,22 +143,6 @@ class TestOracleAgreement:
             oracle_solve(
                 constraints, Observation(10, 0), PosteriorExpectedPfd(), PfdGrid(pts)
             )
-
-
-class TestBisectionCrossCheck:
-    @pytest.mark.parametrize(
-        "constraints,obs,objective",
-        [
-            ([ConfidenceBound(1e-3, 0.9)], Observation(1000, 0), FutureReliability(100)),
-            ([MeanBound(0.01)], Observation(200, 0), PosteriorExpectedPfd()),
-            ([ConfidenceBound(1e-3, 0.7)], Observation(500, 0), PosteriorConfidence(1e-2)),
-        ],
-    )
-    def test_agrees_with_solve(self, constraints, obs, objective):
-        grid = build_grid(constraints, objective, 150)
-        direct = solve(constraints, obs, objective, grid)
-        iterated = solve_bisection(constraints, obs, objective, grid)
-        assert iterated == pytest.approx(direct.bound, abs=1e-7)
 
 
 class TestSoundness:
