@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -202,7 +203,15 @@ class PfdGrid:
         return len(self.points)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
+        """The points as a float array, built once per grid; the same
+        read-only array is returned on every call."""
+        return self._array
+
+    @cached_property
+    def _array(self) -> np.ndarray:
+        array = np.asarray(self.points, dtype=float)
+        array.flags.writeable = False
+        return array
 
     def refine(self) -> "PfdGrid":
         """Insert a midpoint into every interval (a strict superset grid)."""

@@ -35,6 +35,7 @@ conservative certified candidate wins.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -612,49 +613,65 @@ def _masses_admissible(x: np.ndarray, ineq_rows) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=None)
+def _vertex_selectors(m: int, n_base: int, n_ineq: int) -> np.ndarray:
+    """Row indices of every vertex system over a size-m support, one system
+    per row, in enumeration order: tight inequality count ascending, then
+    the tight combinations, then the zero-mass combinations.
+
+    Rows index the stack ``[1; equalities; inequalities; eye(m)]``, whose
+    first ``n_base`` rows every system keeps. Cached, so read-only.
+    """
+    free = m - n_base
+    systems = [
+        [*range(n_base), *(n_base + t for t in tight), *(n_base + n_ineq + j for j in zeros)]
+        for n_tight in range(min(n_ineq, free) + 1)
+        for tight in itertools.combinations(range(n_ineq), n_tight)
+        for zeros in itertools.combinations(range(m), free - n_tight)
+    ]
+    selectors = np.array(systems, dtype=np.intp)
+    selectors.flags.writeable = False
+    return selectors
+
+
 def feasible_vertices(constraints, points: np.ndarray, support: np.ndarray) -> list[np.ndarray]:
     """All vertices of the constraint polytope restricted to one support.
 
-    Returns mass vectors over ``support`` (not the full grid). Used by the
-    feasible-prior sampler; small and unbatched on purpose.
+    Returns mass vectors over ``support`` (not the full grid), in
+    enumeration order (see ``_vertex_selectors``). Used by the
+    feasible-prior sampler, whose random stream depends on that order.
+    Every vertex system is a row selection from one stacked matrix, so one
+    batched determinant and one batched solve cover them all; the
+    admissibility check stays per vertex.
     """
     sub = np.asarray(points, dtype=float)[np.asarray(support, dtype=np.intp)]
     rows = constraint_rows(constraints, sub)
     eq_rows = [r for r in rows if r.sense == "eq"]
     ineq_rows = [r for r in rows if r.sense != "eq"]
     m = sub.size
-    base_mat = [np.ones(m)] + [r.coeffs for r in eq_rows]
-    base_rhs = [1.0] + [r.rhs for r in eq_rows]
-    vertices: list[np.ndarray] = []
-    free = m - 1 - len(eq_rows)
+    stack = np.vstack([np.ones(m)] + [r.coeffs for r in eq_rows + ineq_rows] + [np.eye(m)])
+    stack_rhs = np.array([1.0] + [r.rhs for r in eq_rows + ineq_rows] + [0.0] * m)
+    n_base = 1 + len(eq_rows)
 
-    if free < 0:
+    if n_base > m:
         # more equalities than mass freedoms: at most one consistent point
-        mat = np.vstack(base_mat)
-        rhs = np.array(base_rhs)
+        mat, rhs = stack[:n_base], stack_rhs[:n_base]
         x, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
         if np.max(np.abs(mat @ x - rhs)) <= 1e-9 and _masses_admissible(x, ineq_rows):
-            vertices.append(np.maximum(x, 0.0))
-        return vertices
+            return [np.maximum(x, 0.0)]
+        return []
 
-    for n_tight in range(min(len(ineq_rows), free) + 1):
-        n_zero = free - n_tight
-        for tight in itertools.combinations(range(len(ineq_rows)), n_tight):
-            for zeros in itertools.combinations(range(m), n_zero):
-                mats = list(base_mat) + [ineq_rows[t].coeffs for t in tight]
-                rhs = list(base_rhs) + [ineq_rows[t].rhs for t in tight]
-                for j in zeros:
-                    unit = np.zeros(m)
-                    unit[j] = 1.0
-                    mats.append(unit)
-                    rhs.append(0.0)
-                mat = np.vstack(mats)
-                if abs(np.linalg.det(mat)) < 1e-12:
-                    continue
-                x = np.linalg.solve(mat, np.array(rhs))
-                if _masses_admissible(x, ineq_rows):
-                    vertices.append(np.maximum(x, 0.0))
-    return vertices
+    selectors = _vertex_selectors(m, n_base, len(ineq_rows))
+    mats = stack[selectors]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dets = np.linalg.det(mats)
+    regular = ~(np.abs(dets) < 1e-12)
+    xs = np.linalg.solve(mats[regular], stack_rhs[selectors[regular]][:, :, None])[:, :, 0]
+    return [
+        np.maximum(x, 0.0)
+        for x in xs[~(xs < -1e-10).any(axis=1)]
+        if _masses_admissible(x, ineq_rows)
+    ]
 
 
 def curve(constraints, objective, n_values, k: int, *, grid: PfdGrid | None = None):

@@ -1,12 +1,17 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relbound.errors import ParseError, SamplingFailureError
-from relbound.inference import FutureReliability, Observation, posterior_value
+from relbound import operational
+from relbound.inference import FutureReliability, Observation, PosteriorExpectedPfd, posterior_value
 from relbound.operational import (
     DemandLog,
+    _seed_support,
     check_conservatism,
     ingest,
     load_demand_log,
@@ -18,9 +23,11 @@ from relbound.priors import (
     ConfidenceBound,
     MeanBound,
     PerfectionConfidence,
+    PriorReliability,
     build_grid,
+    constraint_rows,
 )
-from relbound.solver import solve
+from relbound.solver import _masses_admissible, feasible_vertices, solve
 
 
 class TestIngest:
@@ -177,3 +184,163 @@ class TestConservatism:
         doc = report.to_dict()
         assert doc["trials"] == 3
         assert len(doc["records"]) == 3
+
+
+def _reference_feasible_vertices(constraints, points, support):
+    """The one-system-at-a-time enumeration that ``feasible_vertices``
+    batches; it must return the same list, in the same order, bit for bit."""
+    sub = np.asarray(points, dtype=float)[np.asarray(support, dtype=np.intp)]
+    rows = constraint_rows(constraints, sub)
+    eq_rows = [r for r in rows if r.sense == "eq"]
+    ineq_rows = [r for r in rows if r.sense != "eq"]
+    m = sub.size
+    base_mat = [np.ones(m)] + [r.coeffs for r in eq_rows]
+    base_rhs = [1.0] + [r.rhs for r in eq_rows]
+    vertices = []
+    free = m - 1 - len(eq_rows)
+
+    if free < 0:
+        mat = np.vstack(base_mat)
+        rhs = np.array(base_rhs)
+        x, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+        if np.max(np.abs(mat @ x - rhs)) <= 1e-9 and _masses_admissible(x, ineq_rows):
+            vertices.append(np.maximum(x, 0.0))
+        return vertices
+
+    for n_tight in range(min(len(ineq_rows), free) + 1):
+        n_zero = free - n_tight
+        for tight in itertools.combinations(range(len(ineq_rows)), n_tight):
+            for zeros in itertools.combinations(range(m), n_zero):
+                mats = list(base_mat) + [ineq_rows[t].coeffs for t in tight]
+                rhs = list(base_rhs) + [ineq_rows[t].rhs for t in tight]
+                for j in zeros:
+                    unit = np.zeros(m)
+                    unit[j] = 1.0
+                    mats.append(unit)
+                    rhs.append(0.0)
+                mat = np.vstack(mats)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    det = np.linalg.det(mat)
+                if abs(det) < 1e-12:
+                    continue
+                x = np.linalg.solve(mat, np.array(rhs))
+                if _masses_admissible(x, ineq_rows):
+                    vertices.append(np.maximum(x, 0.0))
+    return vertices
+
+
+def _assert_same_vertices(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def _random_constraints(rng, kinds):
+    """A constraint set of the given kinds that a real prior satisfies."""
+    eps = float(10 ** rng.uniform(-5, -2))
+    theta_zero = float(rng.uniform(0.0, 0.5))
+    out = []
+    for kind in kinds:
+        if kind == "mean":
+            out.append(MeanBound(float(10 ** rng.uniform(-2.5, -0.5))))
+        elif kind == "confidence":
+            out.append(ConfidenceBound(eps, float(rng.uniform(theta_zero, 0.95))))
+        elif kind == "perfection":
+            out.append(PerfectionConfidence(theta_zero))
+        else:
+            out.append(PriorReliability(int(10 ** rng.uniform(1, 4)), float(rng.uniform(0.05, 0.6))))
+    return tuple(out)
+
+
+_KINDS = ("mean", "confidence", "perfection", "reliability")
+_KIND_SETS = [
+    kinds for size in range(1, len(_KINDS) + 1) for kinds in itertools.combinations(_KINDS, size)
+]
+
+
+class TestFeasibleVertices:
+    @pytest.mark.parametrize("kinds", _KIND_SETS, ids="+".join)
+    def test_matches_reference_on_random_supports(self, kinds):
+        rng = np.random.default_rng(_KIND_SETS.index(kinds))
+        found = 0
+        for _ in range(40):
+            constraints = _random_constraints(rng, kinds)
+            points = build_grid(constraints, resolution=150).as_array()
+            size = len(constraints) + 1 + int(rng.integers(0, 3))
+            support = _seed_support(constraints, points, rng, size)
+            got = feasible_vertices(constraints, points, support)
+            _assert_same_vertices(got, _reference_feasible_vertices(constraints, points, support))
+            found += len(got)
+        assert found > 0
+
+    def test_more_equalities_than_freedoms(self):
+        # free < 0: two equalities on a two-point support go through lstsq
+        constraints = (ConfidenceBound(0.01, 0.4), PerfectionConfidence(0.4))
+        points = np.array([0.0, 0.5])
+        for support in (np.arange(2), np.array([1])):
+            got = feasible_vertices(constraints, points, support)
+            _assert_same_vertices(got, _reference_feasible_vertices(constraints, points, support))
+        assert len(feasible_vertices(constraints, points, np.arange(2))) == 1
+
+    def test_no_freedom_left(self):
+        # free == 0: the equalities alone fix the masses
+        constraints = (ConfidenceBound(0.01, 0.3),)
+        points = np.array([0.001, 0.2])
+        got = feasible_vertices(constraints, points, np.arange(2))
+        _assert_same_vertices(got, _reference_feasible_vertices(constraints, points, np.arange(2)))
+        assert len(got) == 1 and got[0] == pytest.approx([0.3, 0.7])
+
+    def test_no_inequality_rows(self):
+        constraints = (PerfectionConfidence(0.2), ConfidenceBound(0.01, 0.5))
+        points = np.array([0.0, 0.001, 0.005, 0.1, 0.4])
+        got = feasible_vertices(constraints, points, np.arange(5))
+        _assert_same_vertices(got, _reference_feasible_vertices(constraints, points, np.arange(5)))
+        assert len(got) == 4
+
+    def test_all_systems_singular(self):
+        # every support point sits below epsilon, so the confidence row
+        # repeats the normalisation row in the only vertex system
+        constraints = (ConfidenceBound(0.5, 0.3),)
+        points = np.array([0.1, 0.2])
+        assert feasible_vertices(constraints, points, np.arange(2)) == []
+        assert _reference_feasible_vertices(constraints, points, np.arange(2)) == []
+
+    def test_small_determinant_still_solved(self):
+        # the last vertex's system has determinant 1e-10, above the 1e-12 cut
+        constraints = (MeanBound(1.5e-10),)
+        points = np.array([1e-10, 2e-10, 0.5])
+        got = feasible_vertices(constraints, points, np.arange(3))
+        _assert_same_vertices(got, _reference_feasible_vertices(constraints, points, np.arange(3)))
+        assert len(got) == 4
+        assert got[-1] == pytest.approx([0.5, 0.5, 0.0])
+
+    def test_singular_determinant_raises_no_warning(self):
+        constraints = (
+            MeanBound(0.009768574983984753),
+            ConfidenceBound(0.000224525093908702, 0.7496192538156361),
+            PriorReliability(6617, 0.4780106661052863),
+        )
+        points = np.array([2.442168083044748e-06, 0.009682153059967075, 0.10603, 0.35848, 0.51589])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = feasible_vertices(constraints, points, np.arange(5))
+        assert len(got) == 4
+        _assert_same_vertices(got, _reference_feasible_vertices(constraints, points, np.arange(5)))
+
+    @pytest.mark.parametrize("seed", [3, 8, 21])
+    def test_audit_report_unchanged_with_reference(self, seed, monkeypatch):
+        constraints = (
+            MeanBound(0.01),
+            ConfidenceBound(1e-3, 0.6),
+            PerfectionConfidence(0.2),
+            PriorReliability(1000, 0.5),
+        )
+        objective = PosteriorExpectedPfd()
+        obs = Observation(2000, 1)
+        grid = build_grid(constraints, objective, resolution=300)
+        args = (constraints, obs, objective, 15, seed, grid)
+        batched = check_conservatism(*args).to_dict()
+        monkeypatch.setattr(operational, "feasible_vertices", _reference_feasible_vertices)
+        assert check_conservatism(*args).to_dict() == batched
+        assert any(r["margin"] is not None for r in batched["records"])

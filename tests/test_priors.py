@@ -109,6 +109,22 @@ class TestBuildGrid:
         assert set(grid.points) <= set(fine.points)
         assert len(fine) == 2 * len(grid) - 1
 
+    def test_as_array_is_cached_and_read_only(self):
+        grid = build_grid([MeanBound(0.01)], resolution=200)
+        array = grid.as_array()
+        assert grid.as_array() is array
+        assert array.dtype == float
+        np.testing.assert_array_equal(array, np.asarray(grid.points, dtype=float))
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+        assert grid.as_array()[0] == 0.0
+
+    def test_as_array_leaves_equality_and_hash_alone(self):
+        grid = build_grid([MeanBound(0.01)], resolution=200)
+        twin = build_grid([MeanBound(0.01)], resolution=200)
+        grid.as_array()
+        assert grid == twin and hash(grid) == hash(twin)
+
 
 class TestConstraintRows:
     def test_confidence_bound_row_closed_boundary(self):
