@@ -10,7 +10,10 @@ whose basic variable has the smallest index.
 Phase 1 depends only on the constraints, so one phase 1 serves every
 objective over the same constraints: ``solve_lp`` returns it as
 ``LpResult.start`` and takes it back as ``start=``, going straight to
-phase 2.
+phase 2. A known basis can stand in for phase 1 altogether:
+``solve_lp(basis=...)`` pivots the named columns in and starts phase 2
+there if that basis is feasible, and runs the artificial phase 1 if it is
+not. ``LpResult.basis`` names the optimal basis, in that form.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ class LpResult:
     value: float | None
     #: phase 1 of this program's constraints, for ``solve_lp(start=...)``
     start: PhaseOne | None = None
+    #: each row's basic column at the optimum, for ``solve_lp(basis=...)``
+    basis: tuple[int, ...] | None = None
 
 
 def solve_lp(
@@ -62,25 +67,42 @@ def solve_lp(
     *,
     maximize: bool = False,
     start: PhaseOne | None = None,
+    basis: tuple[int, ...] | None = None,
 ) -> LpResult:
     """Optimise ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @ x == b_eq``, ``x >= 0``.
 
     ``start`` is the ``start`` of an earlier result over these same
     constraints. Phase 1 is then skipped rather than run again; it is
     deterministic in the constraints, so the result is the same.
+
+    ``basis`` names one standard-form column (the variables, then one
+    slack per ``a_ub`` row) per constraint row, as ``LpResult.basis``
+    does. If pivoting those columns in gives a feasible basis, phase 2
+    starts there; otherwise the result is that of a solve without it.
+    With ``start`` given, ``basis`` is not read.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
     if start is None:
-        start = _phase_one(*_standard_form(n, a_ub, b_ub, a_eq, b_eq))
+        A, b = _standard_form(n, a_ub, b_ub, a_eq, b_eq)
+        # from here on only the tableau holds the constraints: drop the other
+        # references before phase 2 (a matrix passed inline has none left)
+        a_ub = a_eq = None
+        if basis is not None:
+            if len(basis) != b.size:
+                raise ValueError("basis must name one column per constraint row")
+            start = _crash(A, b, basis)
+        if start is None:
+            start = _phase_one(A, b)
+        del A, b
     elif start.n_cols != n + (0 if b_ub is None else np.size(b_ub)):
         raise ValueError("start belongs to constraints of another shape")
     cost = np.concatenate([c * (-1.0 if maximize else 1.0), np.zeros(start.n_cols - n)])
-    x_full, status = _phase_two(start, cost)
+    x_full, optimal_basis, status = _phase_two(start, cost)
     if status != "optimal":
         return LpResult(status, None, None, start)
     x = x_full[:n]
-    return LpResult("optimal", x, float(c @ x), start)
+    return LpResult("optimal", x, float(c @ x), start, optimal_basis)
 
 
 def _standard_form(n, a_ub, b_ub, a_eq, b_eq):
@@ -141,15 +163,44 @@ def _phase_one(A: np.ndarray, b: np.ndarray) -> PhaseOne:
     return PhaseOne(nvar, "feasible", T, tuple(var for var, kept in zip(basis, keep) if kept))
 
 
+def _crash(A: np.ndarray, b: np.ndarray, basis) -> PhaseOne | None:
+    """The canonical tableau of the named basis, or None unless it is feasible.
+
+    Each column in turn is pivoted in on the not yet used row where its
+    entry is largest; the basis is refused if a pivot is not above
+    ``_PIVOT_TOL`` or a basic value comes out negative.
+    """
+    m, nvar = A.shape
+    T = np.empty((m, nvar + 1))
+    T[:, :nvar] = A
+    T[:, -1] = b
+    z = np.zeros(nvar + 1)  # no objective: _pivot leaves it alone
+    rows = [-1] * m
+    free = np.ones(m, dtype=bool)
+    for j in basis:
+        entries = np.where(free, np.abs(T[:, j]), 0.0)
+        i = int(np.argmax(entries))
+        if not entries[i] > _PIVOT_TOL:
+            return None
+        _pivot(T, z, rows, i, j)
+        free[i] = False
+    if not np.all(T[:, -1] >= 0.0):
+        return None
+    T.flags.writeable = False
+    return PhaseOne(nvar, "feasible", T, tuple(rows))
+
+
 def _phase_two(start: PhaseOne, cost: np.ndarray):
-    """The real objective over the real columns, from phase 1's basis."""
+    """The real objective over the real columns, from phase 1's basis.
+
+    Returns the solution, the optimal basis and the status."""
     if start.status != "feasible":
-        return None, start.status
+        return None, None, start.status
     nvar = start.n_cols
     if start.T.shape[0] == 0:
         if np.any(cost < -_COST_TOL):
-            return None, "unbounded"
-        return np.zeros(nvar), "optimal"
+            return None, None, "unbounded"
+        return np.zeros(nvar), (), "optimal"
     T = start.T.copy()
     basis = list(start.basis)
     z = np.zeros(nvar + 1)
@@ -158,10 +209,10 @@ def _phase_two(start: PhaseOne, cost: np.ndarray):
     z[-1] = -float(cb @ T[:, -1])
     status = _pivot_loop(T, z, basis, n_cols=nvar)
     if status != "optimal":
-        return None, status
+        return None, None, status
     x = np.zeros(nvar)
     x[basis] = T[:, -1]
-    return x, "optimal"
+    return x, tuple(basis), "optimal"
 
 
 #: consecutive degenerate pivots before switching from Dantzig to Bland

@@ -28,9 +28,13 @@ above it are excluded (priors with mass there belong to a higher
 window). The window's ratio LP proposes a bound; sign-test programs —
 whose coefficients multiply the likelihood and therefore stay order one
 — certify it, falling back to bisection on the bound when the proposal
-does not verify, and their solution is the witness. Every candidate
-witness is re-valued exactly on its own support, and the most
-conservative certified candidate wins.
+does not verify, and their solution is the witness. The sign tests'
+phase 1 runs once per window, before the ratio LP. Both programs range
+over the same cone of masses, so the ratio LP starts from that feasible
+basis and runs no phase 1 of its own, unless roundoff makes the basis
+singular or infeasible there. Every candidate witness is re-valued
+exactly on its own support, and the most conservative certified
+candidate wins.
 """
 
 from __future__ import annotations
@@ -162,9 +166,8 @@ def _deepest_dominant_level(rows, log_lik: np.ndarray) -> float | None:
     if levels.size == 0:
         return None
     # zero-likelihood points are admissible at every level, so the mask
-    # log_lik <= level keeps them throughout
-    if not _support_feasible(rows, log_lik <= levels[-1]):
-        return None
+    # log_lik <= level keeps them throughout. At the top level it keeps
+    # every point, and ``solve`` has already found the whole grid feasible
     lo, hi = 0, levels.size - 1  # invariant: feasible at hi
     if _support_feasible(rows, log_lik <= levels[lo]):
         return float(levels[lo])
@@ -246,7 +249,9 @@ def _make_window(rows, points, log_lik, anchor, gains) -> _Window | None:
     )
 
 
-def _homogeneous_ub(rows, scale: np.ndarray | None = None):
+def _homogeneous_ub(rows, scale: np.ndarray | None = None) -> np.ndarray | None:
+    """The rows as ``A x <= 0``: homogeneous in prior masses, so that the
+    normalisation row alone fixes the scale; None when there are no rows."""
     a_list: list[np.ndarray] = []
     for row in rows:
         coeffs = row.coeffs if scale is None else row.coeffs / scale
@@ -260,12 +265,20 @@ def _homogeneous_ub(rows, scale: np.ndarray | None = None):
             a_list.append(coeffs - rhs_vec - delta)
             a_list.append(rhs_vec - delta - coeffs)
     if not a_list:
-        return None, None
-    return np.vstack(a_list), np.zeros(len(a_list))
+        return None
+    return np.vstack(a_list)
 
 
-def _window_ratio_value(window: _Window, maximize: bool) -> float | None:
+def _window_ratio_value(window: _Window, maximize: bool, b_ub, basis) -> float | None:
     """The ratio-transformed LP on the window, in posterior-mass variables.
+
+    Under the ratio transform the program ranges over the same cone
+    {A x <= 0, x >= 0} as the sign tests: column j is scaled by 1/lik_j
+    and the live mass, not the total, is normalised. So ``basis``, a
+    feasible basis of the sign tests' program whose vertex carries live
+    evidence, is a feasible basis here too, and phase 2 starts from it;
+    only a basis that roundoff makes singular or infeasible falls back
+    to a phase 1 of this program's own.
 
     The optimal value is the window's candidate bound. The solution
     itself is not trusted: recovering prior masses divides by the scaled
@@ -273,14 +286,16 @@ def _window_ratio_value(window: _Window, maximize: bool) -> float | None:
     witness is extracted separately by the well-scaled sign-test LP.
     """
     scale = np.where(window.live & (window.lik > 0.0), window.lik, 1.0)
-    a_ub, b_ub = _homogeneous_ub(window.rows, scale=scale)
     result = solve_lp(
         np.where(window.live, window.gains, 0.0),
-        a_ub=a_ub,
+        # built inline, so that solve_lp holds the only reference and frees
+        # it once the tableau is built
+        a_ub=_homogeneous_ub(window.rows, scale=scale),
         b_ub=b_ub,
         a_eq=window.live.astype(float).reshape(1, -1),
         b_eq=np.ones(1),
         maximize=maximize,
+        basis=basis,
     )
     if result.status != "optimal":
         return None
@@ -299,15 +314,37 @@ def _window_masses(window: _Window, maximize: bool) -> np.ndarray | None:
     when the proposal does not verify), and the argmin of the final
     achievable sign test is the witness.
     """
-    proposal = _window_ratio_value(window, maximize)
+    # every sign test shares the window's constraints, so one phase 1
+    # serves them all; only the objective changes with the level. It runs
+    # first: if it fails, every sign test does, and otherwise its basis
+    # starts the ratio LP
+    a_ub = _homogeneous_ub(window.rows)
+    b_ub = None if a_ub is None else np.zeros(a_ub.shape[0])
+    vertex = solve_lp(
+        np.zeros(window.keep.size),
+        a_ub=a_ub,
+        b_ub=b_ub,
+        a_eq=np.ones((1, window.keep.size)),
+        b_eq=np.ones(1),
+    )
+    del a_ub  # from ``start`` on, a sign test reads only the constraints' shape
+    if vertex.status != "optimal":
+        return None
+    start, basis = vertex.start, vertex.basis
+
+    def sign_lp(cost, maximize):
+        return solve_lp(cost, b_ub=b_ub, maximize=maximize, start=start)
+
+    if not np.any(vertex.x[window.live] > 0.0):
+        # phase 1 stopped where only parked columns carry mass, which is
+        # no vertex of the ratio LP; the one with the most live mass is
+        densest = sign_lp(window.live.astype(float), True)
+        if densest.status != "optimal" or densest.value <= 0.0:
+            return None  # no prior in the window has live evidence
+        basis = densest.basis
+    proposal = _window_ratio_value(window, maximize, b_ub, basis)
     if proposal is None:
         return None
-
-    # every sign test shares the window's constraints, so the first one's
-    # phase 1 serves the rest; only the objective changes with the level
-    a_ub, b_ub = _homogeneous_ub(window.rows)
-    a_eq = np.ones((1, window.keep.size))
-    start = None
 
     def achievable(level: float):
         """The optimal masses if the sign test beats ``level`` strictly.
@@ -316,17 +353,7 @@ def _window_masses(window: _Window, maximize: bool) -> np.ndarray | None:
         priors. Every coefficient is O(1): the likelihood multiplies
         rather than divides, so nothing amplifies simplex roundoff.
         """
-        nonlocal start
-        result = solve_lp(
-            window.lik * (window.gains - level),
-            a_ub=a_ub,
-            b_ub=b_ub,
-            a_eq=a_eq,
-            b_eq=np.ones(1),
-            maximize=maximize,
-            start=start,
-        )
-        start = result.start
+        result = sign_lp(window.lik * (window.gains - level), maximize)
         if result.status != "optimal":
             return None
         beaten = result.value > _SIGN_TOL if maximize else result.value < -_SIGN_TOL

@@ -195,32 +195,35 @@ def _assert_same(a, b):
         assert np.array_equal(a.x, b.x)
 
 
-@pytest.mark.parametrize(
-    "n,constraints",
-    [
-        # a window-like program: <= rows through the origin, normalised mass
-        (
-            5,
-            dict(
-                a_ub=np.array([[1.0, -2.0, 0.5, 3.0, -1.0], [-1.0, 1.0, 2.0, -0.5, 0.0]]),
-                b_ub=np.zeros(2),
-                a_eq=np.ones((1, 5)),
-                b_eq=np.ones(1),
-            ),
+#: constraint sets that exercise every outcome of phase 1, by name
+CONSTRAINT_SETS = {
+    # a window-like program: <= rows through the origin, normalised mass
+    "window": (
+        5,
+        dict(
+            a_ub=np.array([[1.0, -2.0, 0.5, 3.0, -1.0], [-1.0, 1.0, 2.0, -0.5, 0.0]]),
+            b_ub=np.zeros(2),
+            a_eq=np.ones((1, 5)),
+            b_eq=np.ones(1),
         ),
-        # infeasible: x0 >= 2 with x0 + x1 = 1
-        (2, dict(a_ub=np.array([[-1.0, 0.0]]), b_ub=np.array([-2.0]), a_eq=np.ones((1, 2)), b_eq=np.ones(1))),
-        # unbounded for any objective that rewards x0
-        (2, dict(a_ub=np.array([[0.0, 1.0]]), b_ub=np.array([1.0]))),
-        # no constraint rows at all
-        (3, dict()),
-        # every row redundant: zero over the variables
-        (3, dict(a_eq=np.zeros((2, 3)), b_eq=np.zeros(2))),
-        # one row redundant, one not
-        (3, dict(a_eq=np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]), b_eq=np.array([1.0, 2.0]))),
-    ],
-    ids=["window", "infeasible", "unbounded", "no-rows", "all-redundant", "one-redundant"],
-)
+    ),
+    # infeasible: x0 >= 2 with x0 + x1 = 1
+    "infeasible": (
+        2,
+        dict(a_ub=np.array([[-1.0, 0.0]]), b_ub=np.array([-2.0]), a_eq=np.ones((1, 2)), b_eq=np.ones(1)),
+    ),
+    # unbounded for any objective that rewards x0
+    "unbounded": (2, dict(a_ub=np.array([[0.0, 1.0]]), b_ub=np.array([1.0]))),
+    # no constraint rows at all
+    "no-rows": (3, dict()),
+    # every row redundant: zero over the variables
+    "all-redundant": (3, dict(a_eq=np.zeros((2, 3)), b_eq=np.zeros(2))),
+    # one row redundant, one not
+    "one-redundant": (3, dict(a_eq=np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]), b_eq=np.array([1.0, 2.0]))),
+}
+
+
+@pytest.mark.parametrize("n,constraints", CONSTRAINT_SETS.values(), ids=CONSTRAINT_SETS.keys())
 def test_reused_phase_one_matches_fresh_solve(n, constraints):
     rng = np.random.default_rng(7)
     start = solve_lp(np.zeros(n), **constraints).start
@@ -247,3 +250,128 @@ def test_start_from_other_constraints_rejected():
     start = solve_lp(np.zeros(2), a_ub=np.ones((1, 2)), b_ub=np.ones(1)).start
     with pytest.raises(ValueError, match="shape"):
         solve_lp(np.zeros(2), a_ub=np.ones((2, 2)), b_ub=np.ones(2), start=start)
+
+
+def _objectives(n, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=n) for _ in range(6)] + [np.zeros(n), np.eye(n)[0]]
+
+
+def _standard_form(n, constraints):
+    return simplex._standard_form(n, *(constraints.get(k) for k in ("a_ub", "b_ub", "a_eq", "b_eq")))
+
+
+def _bases(n, constraints):
+    """Every choice of one standard-form column per row, and whether it is
+    a basis whose basic values are all positive (True), singular or
+    negative somewhere (False), or degenerate (None)."""
+    A, b = _standard_form(n, constraints)
+    m, n_cols = A.shape
+    for basis in itertools.permutations(range(n_cols), m):
+        B = A[:, list(basis)]
+        if abs(np.linalg.det(B)) < 1e-9:
+            yield basis, False
+            continue
+        x_b = np.linalg.solve(B, b)
+        yield basis, True if x_b.min() > 1e-9 else False if x_b.min() < -1e-9 else None
+
+
+@pytest.mark.parametrize(
+    "name", ["window", "infeasible", "unbounded", "all-redundant", "one-redundant"]
+)
+def test_solve_from_basis_matches_cold_solve(name):
+    n, constraints = CONSTRAINT_SETS[name]
+    for basis, feasible in _bases(n, constraints):
+        for c in _objectives(n, 3):
+            for maximize in (False, True):
+                cold = solve_lp(c, **constraints, maximize=maximize)
+                warm = solve_lp(c, **constraints, maximize=maximize, basis=basis)
+                if feasible is False:  # refused: the cold solve, bit for bit
+                    _assert_cold(warm, cold)
+                    continue
+                assert warm.status == cold.status
+                if cold.status == "optimal":
+                    assert warm.value == pytest.approx(cold.value, abs=1e-9)
+                if feasible:
+                    assert sorted(warm.start.basis) == sorted(basis)
+
+
+def test_solve_from_basis_starts_there(monkeypatch):
+    n, constraints = CONSTRAINT_SETS["window"]
+    colds = [(c, solve_lp(c, **constraints, maximize=True)) for c in _objectives(n, 5)]
+    pivots = 0
+    pivot = simplex._pivot
+
+    def counting_pivot(*args):
+        nonlocal pivots
+        pivots += 1
+        pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", counting_pivot)
+    for c, cold in colds:
+        pivots = 0
+        warm = solve_lp(c, **constraints, maximize=True, basis=cold.basis)
+        # one pivot per row to set the basis up, none after: it is optimal
+        assert pivots == len(cold.basis)
+        assert sorted(warm.basis) == sorted(cold.basis)
+        assert warm.value == pytest.approx(cold.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["window", "unbounded", "no-rows"])
+def test_result_names_its_optimal_basis(name):
+    n, constraints = CONSTRAINT_SETS[name]
+    A, b = _standard_form(n, constraints)
+    for c in _objectives(n, 9):
+        result = solve_lp(c, **constraints)
+        if result.status != "optimal":
+            assert result.basis is None
+            continue
+        basis = list(result.basis)
+        assert len(basis) == b.size
+        x = np.zeros(A.shape[1])
+        if basis:
+            x[basis] = np.linalg.solve(A[:, basis], b)
+        assert x[:n] == pytest.approx(result.x, abs=1e-12)
+        # optimal: no reduced cost is negative
+        cost = np.concatenate([c, np.zeros(A.shape[1] - n)])
+        duals = np.linalg.solve(A[:, basis].T, cost[basis]) if basis else np.zeros(0)
+        assert np.all(cost - duals @ A >= -1e-9)
+
+
+def _assert_cold(warm, cold):
+    """``warm`` is ``cold``, phase 1 included, bit for bit."""
+    _assert_same(warm, cold)
+    assert warm.start.status == cold.start.status
+    assert warm.start.basis == cold.start.basis
+    if cold.start.T is None:
+        assert warm.start.T is None
+    else:
+        assert np.array_equal(warm.start.T, cold.start.T)
+
+
+def test_refused_bases_give_the_cold_solve():
+    n, constraints = CONSTRAINT_SETS["window"]
+    refused = [
+        (0, 0, 1),  # singular: one column twice
+        (5, 6, 0),  # slacks and x0: x0 = 1 leaves a negative slack
+    ]
+    for basis in refused:
+        for c in _objectives(n, 1):
+            _assert_cold(solve_lp(c, **constraints, basis=basis), solve_lp(c, **constraints))
+    # nearly singular: after x0, the pivot on x1 is 1e-13, below _PIVOT_TOL
+    nearly = dict(
+        a_eq=np.array([[1.0, 1.0, 1.0], [1.0, 1.0 + 1e-13, 1.0]]), b_eq=np.array([1.0, 1.0 + 5e-14])
+    )
+    for c in _objectives(3, 2):
+        _assert_cold(solve_lp(c, **nearly, basis=(0, 1)), solve_lp(c, **nearly))
+    n, constraints = CONSTRAINT_SETS["infeasible"]
+    for basis in [(0, 1), (0, 2), (1, 2)]:
+        _assert_cold(solve_lp(np.ones(n), **constraints, basis=basis), solve_lp(np.ones(n), **constraints))
+
+
+def test_basis_of_wrong_length_rejected():
+    n, constraints = CONSTRAINT_SETS["window"]
+    with pytest.raises(ValueError, match="one column per constraint row"):
+        solve_lp(np.zeros(n), **constraints, basis=(0, 1))
+    with pytest.raises(ValueError, match="one column per constraint row"):
+        solve_lp(np.zeros(n), **constraints, basis=(0, 1, 2, 3))

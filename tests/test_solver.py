@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relbound import simplex, solver
 from relbound.errors import InfeasibleConstraintsError, ZeroEvidenceError
 from relbound.inference import (
     FutureReliability,
@@ -17,6 +18,7 @@ from relbound.priors import (
     PfdGrid,
     PriorReliability,
     build_grid,
+    forced_grid_points,
 )
 from relbound.solver import curve, oracle_solve, solve
 
@@ -246,3 +248,90 @@ class TestCurve:
                 [10, 100],
                 0,
             )
+
+
+class TestWindowRatioLp:
+    """A window's ratio LP starts from the sign tests' basis. Started by its
+    own artificial phase 1 instead, it spun to the iteration limit on one
+    instance here and proposed too low a bound on another."""
+
+    @staticmethod
+    def _assert_witness_attains_bound(constraints, obs, objective, result):
+        assert result.witness.satisfies_all(constraints)
+        assert posterior_value(result.witness, obs, objective) == pytest.approx(
+            result.bound, rel=1e-7, abs=1e-13
+        )
+
+    def test_ratio_lp_does_not_spin(self, monkeypatch):
+        constraints = [
+            ConfidenceBound(3.262509737286604e-06, 0.92463809336271),
+            PerfectionConfidence(0.510930664478502),
+            PriorReliability(72, 0.8262410609866191),
+        ]
+        obs = Observation(7945, 5)
+        objective = PosteriorExpectedPfd()
+        grid = build_grid(constraints, objective, 1000)
+        pivots = 0
+        pivot = simplex._pivot
+
+        def counting_pivot(*args):
+            nonlocal pivots
+            pivots += 1
+            if pivots > 5000:  # a relapse into the spin fails here, not after seconds
+                raise AssertionError("pivot budget exceeded")
+            return pivot(*args)
+
+        monkeypatch.setattr(simplex, "_pivot", counting_pivot)
+        result = solve(constraints, obs, objective, grid)
+        self._assert_witness_attains_bound(constraints, obs, objective, result)
+        assert result.bound == pytest.approx(0.0061539877, rel=1e-8)
+
+    def test_ratio_lp_runs_no_phase_one(self, monkeypatch):
+        # phase 1 leaves every window of this instance at a vertex with no
+        # live mass, so each ratio LP starts from the vertex of most live mass
+        constraints = [MeanBound(0.0073911406827693645)]
+        obs = Observation(22012, 51)
+        objective = PosteriorExpectedPfd()
+        grid = build_grid(constraints, objective, 500)
+        phase_ones = 0
+        per_window = []
+        phase_one, window_masses = simplex._phase_one, solver._window_masses
+
+        def counting_phase_one(*args):
+            nonlocal phase_ones
+            phase_ones += 1
+            return phase_one(*args)
+
+        def counting_window_masses(*args):
+            before = phase_ones
+            masses = window_masses(*args)
+            per_window.append(phase_ones - before)
+            return masses
+
+        monkeypatch.setattr(simplex, "_phase_one", counting_phase_one)
+        monkeypatch.setattr(solver, "_window_masses", counting_window_masses)
+        result = solve(constraints, obs, objective, grid)
+        self._assert_witness_attains_bound(constraints, obs, objective, result)
+        # the sign tests' phase 1 is each window's only one
+        assert per_window and all(count == 1 for count in per_window)
+
+    def test_bound_not_below_subgrid_oracle(self):
+        # the ratio LP's cold phase 1 once proposed 0.0041525 here, and the
+        # sign tests then certified that lower bound
+        constraints = [
+            MeanBound(0.0047976308250040674),
+            PerfectionConfidence(0.14637816288865813),
+            PriorReliability(757, 0.6581864710179217),
+        ]
+        obs = Observation(28210, 45)
+        objective = PosteriorExpectedPfd()
+        grid = build_grid(constraints, objective, 8000)
+        result = solve(constraints, obs, objective, grid)
+        self._assert_witness_attains_bound(constraints, obs, objective, result)
+        # every sub-grid prior is a prior on the grid, so the sub-grid
+        # optimum is a lower bound on the grid's
+        points = grid.as_array()
+        chosen = set(points[np.linspace(0, points.size - 1, 20).round().astype(int)].tolist())
+        chosen.update(forced_grid_points(constraints, objective))
+        oracle = oracle_solve(constraints, obs, objective, PfdGrid(tuple(chosen)))
+        assert result.bound >= oracle.bound * (1 - 1e-3)
