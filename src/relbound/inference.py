@@ -16,9 +16,6 @@ from .errors import ParseError, ZeroEvidenceError
 from .numerics import EXP_UNDERFLOW, survive_prob
 from .priors import PriorDistribution
 
-#: above this demand count the likelihood is evaluated in log space
-LOG_SPACE_THRESHOLD = 10_000
-
 CONSERVATIVE_MAX = "conservative-max"
 CONSERVATIVE_MIN = "conservative-min"
 
@@ -118,14 +115,11 @@ def likelihood(p: float, obs: Observation) -> float:
     """p**k * (1-p)**(n-k) with the 0**0 == 1 convention.
 
     The binomial coefficient is omitted: it is constant in p and cancels
-    in every posterior ratio. For large n the computation moves to log
-    space so failure-free runs of ~1e6 demands do not underflow pointwise
-    arithmetic prematurely.
+    in every posterior ratio. It is evaluated in log space, so failure-free
+    runs of ~1e6 demands do not underflow pointwise arithmetic prematurely.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    if obs.n <= LOG_SPACE_THRESHOLD:
-        return float(p**obs.k * (1.0 - p) ** (obs.n - obs.k))
     return float(np.exp(log_likelihood_vector(np.array([p]), obs)[0]))
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -192,12 +191,15 @@ class PfdGrid:
     points: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(sorted(set(float(p) for p in self.points)))
-        object.__setattr__(self, "points", pts)
-        if not pts or pts[0] != 0.0 or pts[-1] != 1.0:
-            raise ValueError("grid must contain 0 and 1")
-        if any(not 0.0 <= p <= 1.0 for p in pts):
+        array = np.asarray(self.points, dtype=float)
+        if not np.all((array >= 0.0) & (array <= 1.0)):
             raise ValueError("grid points must lie in [0, 1]")
+        array = np.unique(array)
+        if not array.size or array[0] != 0.0 or array[-1] != 1.0:
+            raise ValueError("grid must contain 0 and 1")
+        array.flags.writeable = False
+        object.__setattr__(self, "points", tuple(array.tolist()))
+        object.__setattr__(self, "_array", array)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -207,17 +209,10 @@ class PfdGrid:
         read-only array is returned on every call."""
         return self._array
 
-    @cached_property
-    def _array(self) -> np.ndarray:
-        array = np.asarray(self.points, dtype=float)
-        array.flags.writeable = False
-        return array
-
     def refine(self) -> "PfdGrid":
         """Insert a midpoint into every interval (a strict superset grid)."""
-        pts = np.asarray(self.points)
-        mids = (pts[:-1] + pts[1:]) / 2.0
-        return PfdGrid(tuple(np.concatenate([pts, mids])))
+        pts = self._array
+        return PfdGrid(np.concatenate([pts, (pts[:-1] + pts[1:]) / 2.0]))
 
 
 def forced_grid_points(
@@ -252,16 +247,19 @@ def build_grid(
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
-    points: list[float] = [0.0, 1.0]
     interior = resolution - 2
     n_log = interior // 2
     n_lin = interior - n_log
-    if n_log > 0:
-        points.extend(np.geomspace(GRID_LOG_FLOOR, GRID_LOG_KNEE, num=n_log).tolist())
-    if n_lin > 0:
-        points.extend(np.linspace(GRID_LOG_KNEE, 1.0, num=n_lin + 2)[1:-1].tolist())
-    points.extend(forced_grid_points(constraints, objective))
-    return PfdGrid(tuple(points))
+    return PfdGrid(
+        np.concatenate(
+            [
+                [0.0, 1.0],
+                np.geomspace(GRID_LOG_FLOOR, GRID_LOG_KNEE, num=n_log),
+                np.linspace(GRID_LOG_KNEE, 1.0, num=n_lin + 2)[1:-1],
+                forced_grid_points(constraints, objective),
+            ]
+        )
+    )
 
 
 @dataclass(frozen=True)

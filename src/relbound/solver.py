@@ -22,8 +22,9 @@ likelihood windows anchored wherever a worst-case prior can concentrate
 its evidence: the grid maximum, every constraint threshold, the deepest
 feasible single-atom placement, the support of the feasibility witness,
 and the deepest satisfiable dominance level (found by bisection over
-feasibility programs). Within a window, points below the live band keep
-evidence-free columns so constrained mass can park there, and points
+feasibility programs, each reduced to one point per run of equal
+equality-row coefficients). Within a window, points below the live band
+keep evidence-free columns so constrained mass can park there, and points
 above it are excluded (priors with mass there belong to a higher
 window). The window's ratio LP proposes a bound; sign-test programs —
 whose coefficients multiply the likelihood and therefore stay order one
@@ -56,17 +57,22 @@ from .inference import (
     objective_to_dict,
     posterior_value,
 )
-from .numerics import EXP_UNDERFLOW
+from .numerics import EXP_UNDERFLOW, survive_prob
 from .priors import (
     DEFAULT_RESOLUTION,
     EQUALITY_SLACK,
+    ConfidenceBound,
     ConstraintRow,
+    MeanBound,
+    PerfectionConfidence,
     PfdGrid,
     PriorDistribution,
+    PriorReliability,
     build_grid,
     check_feasible,
     constraint_rows,
     forced_grid_points,
+    rows_as_ub,
 )
 from .simplex import solve_lp
 
@@ -112,9 +118,6 @@ def _scalar_log_likelihood(p: float, obs: Observation) -> float:
 
 def _singleton_feasible(constraints, points: np.ndarray) -> np.ndarray:
     """Which grid points can carry a feasible point-mass prior."""
-    from .priors import ConfidenceBound, MeanBound, PerfectionConfidence, PriorReliability
-    from .numerics import survive_prob
-
     ok = np.ones(points.size, dtype=bool)
     for constraint in constraints:
         if isinstance(constraint, MeanBound):
@@ -144,8 +147,6 @@ def _support_feasible(rows, mask: np.ndarray) -> bool:
     if idx.size == 0:
         return False
     sub_rows = [ConstraintRow(r.coeffs[idx], r.sense, r.rhs) for r in rows]
-    from .priors import rows_as_ub
-
     a_ub, b_ub = rows_as_ub(sub_rows)
     result = solve_lp(
         np.zeros(idx.size),
@@ -161,19 +162,41 @@ def _deepest_dominant_level(rows, log_lik: np.ndarray) -> float | None:
     """The lowest likelihood level L such that the constraints are satisfiable
     with every atom at likelihood <= L. The evidence-dominant atom of a
     worst-case prior can sink exactly this deep, so it is a window anchor.
-    Monotone in L, hence found by bisection over the grid's levels."""
+    Monotone in L, hence found by bisection over the grid's levels.
+
+    Each probe keeps one point per indicator run: a maximal stretch of
+    consecutive grid points on which every ``"eq"`` row has the same
+    coefficient. The grid is sorted ascending, and this relies on every
+    ``"le"`` row being non-decreasing along it and every ``"ge"`` row
+    non-increasing. Moving a run's mass onto its first masked point then
+    keeps the ``"eq"`` rows, lowers the ``"le"`` rows and raises the
+    ``"ge"`` rows, so a mask is feasible exactly when its run
+    representatives are, and each probe has one column per run.
+    """
     levels = np.unique(log_lik[np.isfinite(log_lik)])
     if levels.size == 0:
         return None
+    eq_coeffs = [r.coeffs for r in rows if r.sense == "eq"]
+    run_id = np.zeros(log_lik.size, dtype=np.intp)
+    if eq_coeffs:
+        steps = np.any(np.diff(np.stack(eq_coeffs), axis=1) != 0.0, axis=0)
+        run_id[1:] = np.cumsum(steps)
+
+    def feasible_at(level: float) -> bool:
+        idx = np.nonzero(log_lik <= level)[0]
+        reduced = np.zeros(log_lik.size, dtype=bool)
+        reduced[idx[np.diff(run_id[idx], prepend=-1) != 0]] = True
+        return _support_feasible(rows, reduced)
+
     # zero-likelihood points are admissible at every level, so the mask
     # log_lik <= level keeps them throughout. At the top level it keeps
     # every point, and ``solve`` has already found the whole grid feasible
     lo, hi = 0, levels.size - 1  # invariant: feasible at hi
-    if _support_feasible(rows, log_lik <= levels[lo]):
+    if feasible_at(levels[lo]):
         return float(levels[lo])
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _support_feasible(rows, log_lik <= levels[mid]):
+        if feasible_at(levels[mid]):
             hi = mid
         else:
             lo = mid
@@ -185,8 +208,6 @@ def _anchor_shifts(
 ) -> list[float]:
     """Window anchors: one per likelihood shell where a worst-case prior can
     concentrate its evidence."""
-    from .priors import MeanBound, PriorReliability
-
     finite_mask = np.isfinite(log_lik)
     if not finite_mask.any():
         return []

@@ -51,7 +51,7 @@ class TestLikelihood:
         assert likelihood(0.0, Observation(3, 1)) == 0.0
 
     def test_log_space_path_matches_direct(self):
-        # just above the switch threshold the two paths must agree
+        # the log-space evaluation must agree with the direct product
         p = 0.0003
         direct = p**2 * (1 - p) ** 10004
         assert likelihood(p, Observation(10006, 2)) == pytest.approx(direct, rel=1e-10)

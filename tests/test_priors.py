@@ -5,9 +5,12 @@ from relbound.errors import InvalidDistributionError, ParseError
 from relbound.inference import FutureReliability, PosteriorConfidence
 from relbound.numerics import just_above
 from relbound.priors import (
+    GRID_LOG_FLOOR,
+    GRID_LOG_KNEE,
     ConfidenceBound,
     MeanBound,
     PerfectionConfidence,
+    PfdGrid,
     PriorDistribution,
     PriorReliability,
     build_grid,
@@ -15,6 +18,7 @@ from relbound.priors import (
     constraint_from_dict,
     constraint_rows,
     constraint_to_dict,
+    forced_grid_points,
 )
 
 
@@ -124,6 +128,101 @@ class TestBuildGrid:
         twin = build_grid([MeanBound(0.01)], resolution=200)
         grid.as_array()
         assert grid == twin and hash(grid) == hash(twin)
+
+
+def _assert_canonical(grid, pts):
+    assert grid.points == tuple(sorted(set(map(float, pts))))
+    assert all(type(p) is float for p in grid.points)
+
+
+_FORCING = [
+    ([], None),
+    ([MeanBound(0.37)], FutureReliability(10)),
+    ([ConfidenceBound(1e-4, 0.9), PerfectionConfidence(0.2)], PosteriorConfidence(1e-3)),
+    ([ConfidenceBound(GRID_LOG_FLOOR, 0.5), MeanBound(GRID_LOG_KNEE)], None),
+]
+
+
+class TestPfdGridPoints:
+    """``points`` is the sorted set of the given values, as Python floats."""
+
+    @pytest.mark.parametrize("resolution", [2, 3, 4, 5, 12, 101, 2000, 8000])
+    @pytest.mark.parametrize("forcing", range(len(_FORCING)))
+    def test_build_grid(self, resolution, forcing):
+        constraints, objective = _FORCING[forcing]
+        interior = resolution - 2
+        n_log = interior // 2
+        n_lin = interior - n_log
+        raw = [0.0, 1.0]
+        if n_log > 0:
+            raw += np.geomspace(GRID_LOG_FLOOR, GRID_LOG_KNEE, num=n_log).tolist()
+        if n_lin > 0:
+            raw += np.linspace(GRID_LOG_KNEE, 1.0, num=n_lin + 2)[1:-1].tolist()
+        raw += forced_grid_points(constraints, objective)
+        _assert_canonical(build_grid(constraints, objective, resolution), raw)
+
+    @pytest.mark.parametrize("resolution", [2, 12, 2000])
+    def test_refine(self, resolution):
+        grid = build_grid([ConfidenceBound(0.1, 0.9)], resolution=resolution)
+        pts = list(grid.points)
+        mids = [(a + b) / 2.0 for a, b in zip(pts, pts[1:])]
+        _assert_canonical(grid.refine(), pts + mids)
+
+    def test_unsorted_and_duplicate_input(self):
+        raw = [0.5, 1, 0.25, 0.5, 0, np.float32(0.125), 1.0, 0.25]
+        grid = PfdGrid(raw)
+        _assert_canonical(grid, raw)
+        assert grid.points == (0.0, 0.125, 0.25, 0.5, 1.0)
+        np.testing.assert_array_equal(grid.as_array(), grid.points)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [0.0, float("nan"), 1.0],
+            [0.0, -1e-300, 1.0],
+            [0.0, 0.5, 1.0 + 1e-15],
+            [0.5, 1.0],
+            [0.0, 0.5],
+            [],
+        ],
+        ids=["nan", "below-0", "above-1", "no-0", "no-1", "empty"],
+    )
+    def test_bad_input_rejected(self, raw):
+        with pytest.raises(ValueError):
+            PfdGrid(raw)
+
+
+class TestRowMonotonicity:
+    """Along the sorted grid every ``"le"`` row is non-decreasing and every
+    ``"ge"`` row non-increasing; the solver's level search relies on it."""
+
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            MeanBound(1e-3),
+            MeanBound(0.5),
+            ConfidenceBound(1e-4, 0.9),
+            ConfidenceBound(0.0, 0.3),
+            PerfectionConfidence(0.4),
+            PriorReliability(0, 0.5),
+            PriorReliability(1, 0.5),
+            PriorReliability(10_000, 0.9),
+            PriorReliability(10**7, 0.1),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("resolution", [2, 12, 500, 8000])
+    def test_inequality_rows_are_monotone(self, constraint, resolution):
+        grid = build_grid([constraint], PosteriorConfidence(3e-5), resolution)
+        for points in (grid.as_array(), grid.refine().as_array()):
+            for row in constraint_rows([constraint], points):
+                steps = np.diff(row.coeffs)
+                if row.sense == "le":
+                    assert np.all(steps >= 0.0)
+                elif row.sense == "ge":
+                    assert np.all(steps <= 0.0)
+                else:
+                    assert row.sense == "eq"
 
 
 class TestConstraintRows:

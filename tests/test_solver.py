@@ -1,3 +1,7 @@
+import itertools
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from relbound.inference import (
     Observation,
     PosteriorConfidence,
     PosteriorExpectedPfd,
+    log_likelihood_vector,
     posterior_value,
 )
 from relbound.operational import sample_feasible_prior
@@ -18,6 +23,7 @@ from relbound.priors import (
     PfdGrid,
     PriorReliability,
     build_grid,
+    constraint_rows,
     forced_grid_points,
 )
 from relbound.solver import curve, oracle_solve, solve
@@ -335,3 +341,68 @@ class TestWindowRatioLp:
         chosen.update(forced_grid_points(constraints, objective))
         oracle = oracle_solve(constraints, obs, objective, PfdGrid(tuple(chosen)))
         assert result.bound >= oracle.bound * (1 - 1e-3)
+
+
+def _reference_deepest_dominant_level(rows, log_lik):
+    """The level search with every point of each probe's mask as a column."""
+    levels = np.unique(log_lik[np.isfinite(log_lik)])
+    if levels.size == 0:
+        return None
+    lo, hi = 0, levels.size - 1
+    if solver._support_feasible(rows, log_lik <= levels[lo]):
+        return float(levels[lo])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if solver._support_feasible(rows, log_lik <= levels[mid]):
+            hi = mid
+        else:
+            lo = mid
+    return float(levels[hi])
+
+
+_KINDS = ("mean", "confidence", "perfection", "reliability")
+_KIND_SETS = [s for r in range(len(_KINDS) + 1) for s in itertools.combinations(_KINDS, r)]
+
+
+def _random_constraint(rng: random.Random, kind: str):
+    def unit() -> float:
+        # the edges 0 and 1 are where the indicator rows degenerate
+        return rng.choice((0.0, 1.0)) if rng.random() < 0.15 else rng.random()
+
+    if kind == "mean":
+        return MeanBound(10 ** rng.uniform(-6, -0.3))
+    if kind == "confidence":
+        return ConfidenceBound(10 ** rng.uniform(-8, -0.5), unit())
+    if kind == "perfection":
+        return PerfectionConfidence(unit())
+    return PriorReliability(int(10 ** rng.uniform(0, 6)), unit())
+
+
+class TestDeepestDominantLevel:
+    """Each probe keeps one point per run of equal ``"eq"`` coefficients; the
+    level found must equal that of the probe over every masked point."""
+
+    @pytest.mark.parametrize("kinds", _KIND_SETS, ids=lambda k: "+".join(k) or "none")
+    def test_matches_full_mask_bisection(self, kinds):
+        rng = random.Random("+".join(kinds))
+        infeasible = 0
+        for i in range(19):
+            constraints = [_random_constraint(rng, kind) for kind in kinds]
+            n = int(10 ** rng.uniform(1, 7))
+            k = 0 if i % 2 == 0 else rng.randint(1, min(n, 60))
+            resolution = round(10 ** rng.uniform(math.log10(12), math.log10(8000)))
+            points = build_grid(constraints, None, resolution).as_array()
+            rows = constraint_rows(constraints, points)
+            log_lik = log_likelihood_vector(points, Observation(n, k))
+            expected = _reference_deepest_dominant_level(rows, log_lik)
+            got = solver._deepest_dominant_level(rows, log_lik)
+            assert got == expected, (constraints, n, k, resolution)
+            infeasible += not solver._support_feasible(rows, np.ones(points.size, bool))
+        if "confidence" in kinds and len(kinds) > 1:
+            assert infeasible > 0  # the sets cover infeasible instances too
+
+    def test_no_finite_level_gives_none(self):
+        points = build_grid((), None, 2).as_array()
+        log_lik = log_likelihood_vector(points, Observation(10, 3))
+        assert _reference_deepest_dominant_level([], log_lik) is None
+        assert solver._deepest_dominant_level([], log_lik) is None
