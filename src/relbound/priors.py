@@ -337,13 +337,15 @@ def _distribution_from_solution(points: np.ndarray, x: np.ndarray) -> PriorDistr
     return PriorDistribution(tuple(points[idx]), tuple(cleaned[idx]))
 
 
-def _max_mean_solution(
-    constraints: Sequence[PartialPriorConstraint], points: np.ndarray
-) -> PriorDistribution | None:
-    """The feasible prior maximising E[pfd], or None when infeasible."""
+def max_mean_prior(points: np.ndarray, rows: Sequence[ConstraintRow]) -> PriorDistribution | None:
+    """The feasible prior maximising E[pfd], or None when infeasible.
+
+    ``rows`` are the constraints' rows over ``points``, as
+    ``constraint_rows`` builds them.
+    """
     from .simplex import solve_lp
 
-    a_ub, b_ub = rows_as_ub(constraint_rows(constraints, points))
+    a_ub, b_ub = rows_as_ub(rows)
     if a_ub.size == 0:
         a_ub = None
         b_ub = None
@@ -371,12 +373,12 @@ def check_feasible(
     irreducible unsatisfiable subset, found by greedy deletion.
     """
     points = grid.as_array()
-    witness = _max_mean_solution(constraints, points)
+    witness = max_mean_prior(points, constraint_rows(constraints, points))
     if witness is not None:
         return FeasibilityResult(True, witness, ())
     remaining = list(constraints)
     for constraint in list(remaining):
         trial = [c for c in remaining if c is not constraint]
-        if _max_mean_solution(trial, points) is None:
+        if max_mean_prior(points, constraint_rows(trial, points)) is None:
             remaining = trial
     return FeasibilityResult(False, None, tuple(remaining))

@@ -5,7 +5,9 @@ to a few thousand columns. The entering variable is the one with the
 steepest reduced cost (Dantzig's rule); after ``_STALL_LIMIT`` degenerate
 pivots in a row the choice switches to the smallest improving index
 (Bland's rule), which cannot cycle. Ties in the ratio test go to the row
-whose basic variable has the smallest index.
+whose basic variable has the smallest index. With so few rows, the ratio
+test runs on plain Python floats, which divide and compare exactly as
+float64 arrays do; a pivot is one broadcast rank-1 update of the tableau.
 
 Phase 1 depends only on the constraints, so one phase 1 serves every
 objective over the same constraints: ``solve_lp`` returns it as
@@ -230,7 +232,7 @@ def _pivot_loop(T, z, basis, n_cols, max_iter=100_000, stop_value=None):
             costs = costs.copy()
             costs[list(blocked)] = 0.0
         if stalled < _STALL_LIMIT:
-            j = int(np.argmin(costs))  # Dantzig: steepest reduced cost
+            j = int(costs.argmin())  # Dantzig: steepest reduced cost
             if costs[j] >= -_COST_TOL:
                 return "optimal"
         else:
@@ -239,20 +241,28 @@ def _pivot_loop(T, z, basis, n_cols, max_iter=100_000, stop_value=None):
             if negative.size == 0:
                 return "optimal"
             j = int(negative[0])
-        col = T[:, j]
-        rows = np.nonzero(col > _PIVOT_TOL)[0]
-        if rows.size == 0:
+        # the ratio test runs over a handful of rows: Python floats divide
+        # and compare exactly as float64 arrays do, without the array calls
+        col = T[:, j].tolist()
+        rhs = T[:, -1].tolist()
+        rows = [r for r, entry in enumerate(col) if entry > _PIVOT_TOL]
+        if not rows:
             if z[j] > -_RAY_TOL:
                 # a zero-cost ray whose reduced cost is roundoff noise
                 blocked.add(j)
                 continue
             return "unbounded"
-        ratios = T[rows, -1] / col[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + 1e-12]
-        i = min(ties, key=lambda r: basis[r])  # Bland on the leaving variable
+        ratios = [rhs[r] / col[r] for r in rows]
+        cut = min(ratios) + 1e-12
+        i = -1
+        for r, ratio in zip(rows, ratios):
+            if ratio <= cut:
+                if i < 0 or basis[r] < basis[i]:
+                    i = r  # Bland on the leaving variable
+            elif not ratio > cut:
+                raise ValueError("NaN in the simplex ratio test")
         before = z[-1]
-        _pivot(T, z, basis, int(i), j)
+        _pivot(T, z, basis, i, j)
         stalled = stalled + 1 if z[-1] <= before + 1e-15 else 0
     raise RuntimeError("simplex iteration limit reached")
 
@@ -264,7 +274,7 @@ def _pivot(T, z, basis, i, j):
     # with a zero in column j subtracts zero and keeps its values
     col = T[:, j].copy()
     col[i] = 0.0
-    T -= np.outer(col, T[i])
+    T -= col[:, None] * T[i]
     if z[j] != 0.0:
         z -= z[j] * T[i]
     basis[i] = j

@@ -69,9 +69,10 @@ from .priors import (
     PriorDistribution,
     PriorReliability,
     build_grid,
-    check_feasible,
+    check_feasible,  # noqa: F401  importable from here, though solve does not call it
     constraint_rows,
     forced_grid_points,
+    max_mean_prior,
     rows_as_ub,
 )
 from .simplex import solve_lp
@@ -141,23 +142,6 @@ def _singleton_feasible(constraints, points: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _support_feasible(rows, mask: np.ndarray) -> bool:
-    """Is the constraint set satisfiable with all mass on the masked points?"""
-    idx = np.nonzero(mask)[0]
-    if idx.size == 0:
-        return False
-    sub_rows = [ConstraintRow(r.coeffs[idx], r.sense, r.rhs) for r in rows]
-    a_ub, b_ub = rows_as_ub(sub_rows)
-    result = solve_lp(
-        np.zeros(idx.size),
-        a_ub=a_ub if a_ub.size else None,
-        b_ub=b_ub if a_ub.size else None,
-        a_eq=np.ones((1, idx.size)),
-        b_eq=np.ones(1),
-    )
-    return result.status == "optimal"
-
-
 def _deepest_dominant_level(rows, log_lik: np.ndarray) -> float | None:
     """The lowest likelihood level L such that the constraints are satisfiable
     with every atom at likelihood <= L. The evidence-dominant atom of a
@@ -171,7 +155,8 @@ def _deepest_dominant_level(rows, log_lik: np.ndarray) -> float | None:
     non-increasing. Moving a run's mass onto its first masked point then
     keeps the ``"eq"`` rows, lowers the ``"le"`` rows and raises the
     ``"ge"`` rows, so a mask is feasible exactly when its run
-    representatives are, and each probe has one column per run.
+    representatives are, and each probe has one column per run. The rows
+    are stacked once; a probe takes its columns from that stack.
     """
     levels = np.unique(log_lik[np.isfinite(log_lik)])
     if levels.size == 0:
@@ -181,12 +166,20 @@ def _deepest_dominant_level(rows, log_lik: np.ndarray) -> float | None:
     if eq_coeffs:
         steps = np.any(np.diff(np.stack(eq_coeffs), axis=1) != 0.0, axis=0)
         run_id[1:] = np.cumsum(steps)
+    a_ub, b_ub = rows_as_ub(rows)
 
     def feasible_at(level: float) -> bool:
+        """Is the constraint set satisfiable with all mass at or below ``level``?"""
         idx = np.nonzero(log_lik <= level)[0]
-        reduced = np.zeros(log_lik.size, dtype=bool)
-        reduced[idx[np.diff(run_id[idx], prepend=-1) != 0]] = True
-        return _support_feasible(rows, reduced)
+        idx = idx[np.diff(run_id[idx], prepend=-1) != 0]
+        result = solve_lp(
+            np.zeros(idx.size),
+            a_ub=a_ub[:, idx] if a_ub.size else None,
+            b_ub=b_ub if a_ub.size else None,
+            a_eq=np.ones((1, idx.size)),
+            b_eq=np.ones(1),
+        )
+        return result.status == "optimal"
 
     # zero-likelihood points are admissible at every level, so the mask
     # log_lik <= level keeps them throughout. At the top level it keeps
@@ -367,53 +360,43 @@ def _window_masses(window: _Window, maximize: bool) -> np.ndarray | None:
     if proposal is None:
         return None
 
-    def achievable(level: float):
-        """The optimal masses if the sign test beats ``level`` strictly.
+    # the bracket runs on u = level when maximising and on u = -level when
+    # minimising, so that a larger u is always harder to beat. IEEE negation
+    # and halving are exact, so either direction tests the levels, and
+    # stops at the widths, that a bracket on the level itself would
+    sign = 1.0 if maximize else -1.0
+
+    def achievable(u: float):
+        """The optimal masses if the sign test beats level ``sign * u`` strictly.
 
         It optimises sum x * lik * (gain - level) over the window's
         priors. Every coefficient is O(1): the likelihood multiplies
         rather than divides, so nothing amplifies simplex roundoff.
         """
-        result = sign_lp(window.lik * (window.gains - level), maximize)
+        result = sign_lp(window.lik * (window.gains - sign * u), maximize)
         if result.status != "optimal":
             return None
-        beaten = result.value > _SIGN_TOL if maximize else result.value < -_SIGN_TOL
-        return np.maximum(result.x, 0.0) if beaten else None
+        return np.maximum(result.x, 0.0) if sign * result.value > _SIGN_TOL else None
 
     step = 2e-9
     witness = None
-    if maximize:
-        lo, hi = 0.0, 1.0  # invariant: achievable somewhere above lo only
-        probe = achievable(proposal - step)
-        if probe is not None:
-            witness, lo = probe, proposal - step
-            if achievable(proposal + step) is None:
-                hi = lo  # proposal verified within 2*step
-        for _ in range(60):
-            if hi - lo <= 1e-11:
-                break
-            mid = (lo + hi) / 2.0
-            x = achievable(mid)
-            if x is not None:
-                witness, lo = x, mid
-            else:
-                hi = mid
-    else:
-        lo, hi = 0.0, 1.0
-        probe = achievable(proposal + step)
-        if probe is not None:
-            witness, hi = probe, proposal + step
-            if achievable(proposal - step) is None:
-                lo = hi
-        for _ in range(60):
-            if hi - lo <= 1e-11:
-                break
-            mid = (lo + hi) / 2.0
-            x = achievable(mid)
-            if x is not None:
-                witness, hi = x, mid
-            else:
-                lo = mid
+    # invariant: achievable somewhere above lo only
+    lo, hi = (0.0, 1.0) if maximize else (-1.0, 0.0)
+    target = sign * proposal
+    probe = achievable(target - step)
+    if probe is not None:
+        witness, lo = probe, target - step
+        if achievable(target + step) is None:
+            hi = lo  # proposal verified within 2*step
+    for _ in range(60):
+        if hi - lo <= 1e-11:
+            break
+        mid = (lo + hi) / 2.0
+        x = achievable(mid)
+        if x is not None:
+            witness, lo = x, mid
+        else:
+            hi = mid
     if witness is None:
         return None
     x = np.zeros(window.n_grid)
@@ -452,8 +435,9 @@ def solve(
     """The conservative posterior bound over all grid-supported priors
     satisfying the partial knowledge, with the worst-case prior as witness."""
     points = grid.as_array()
-    feasibility = check_feasible(constraints, grid)
-    if not feasibility.feasible:
+    rows = constraint_rows(constraints, points)
+    feas_witness = max_mean_prior(points, rows)
+    if feas_witness is None:
         return CbiResult(
             bound=None,
             witness=None,
@@ -462,15 +446,12 @@ def solve(
             grid_resolution=len(grid),
             solver_status=STATUS_INFEASIBLE,
         )
-    rows = constraint_rows(constraints, points)
     log_lik = log_likelihood_vector(points, obs)
     gains = objective_gain(objective, points)
     maximize = objective.direction == CONSERVATIVE_MAX
 
     best: tuple[float, PriorDistribution] | None = None
-    anchors = _anchor_shifts(
-        constraints, rows, objective, obs, points, log_lik, feasibility.witness
-    )
+    anchors = _anchor_shifts(constraints, rows, objective, obs, points, log_lik, feas_witness)
     for anchor in anchors:
         window = _make_window(rows, points, log_lik, anchor, gains)
         if window is None:

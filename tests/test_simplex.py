@@ -154,6 +154,54 @@ def test_wide_problem_with_tiny_coefficients():
     assert res.value == pytest.approx(1.0, abs=1e-9)
 
 
+def _reference_pivot(T, z, basis, i, j):
+    """Reference pivot: the rank-1 update as one ``np.outer``."""
+    T[i] /= T[i, j]
+    col = T[:, j].copy()
+    col[i] = 0.0
+    T -= np.outer(col, T[i])
+    if z[j] != 0.0:
+        z -= z[j] * T[i]
+    basis[i] = j
+
+
+def _reference_pivot_loop(T, z, basis, n_cols, max_iter=100_000, stop_value=None):
+    """Reference pivot loop: the ratio test on numpy arrays."""
+    blocked: set[int] = set()
+    stalled = 0
+    for _ in range(max_iter):
+        if stop_value is not None and -z[-1] <= stop_value:
+            return "optimal"
+        costs = z[:n_cols]
+        if blocked:
+            costs = costs.copy()
+            costs[list(blocked)] = 0.0
+        if stalled < simplex._STALL_LIMIT:
+            j = int(np.argmin(costs))
+            if costs[j] >= -simplex._COST_TOL:
+                return "optimal"
+        else:
+            negative = np.nonzero(costs < -simplex._COST_TOL)[0]
+            if negative.size == 0:
+                return "optimal"
+            j = int(negative[0])
+        col = T[:, j]
+        rows = np.nonzero(col > simplex._PIVOT_TOL)[0]
+        if rows.size == 0:
+            if z[j] > -simplex._RAY_TOL:
+                blocked.add(j)
+                continue
+            return "unbounded"
+        ratios = T[rows, -1] / col[rows]
+        best = ratios.min()
+        ties = rows[ratios <= best + 1e-12]
+        i = min(ties, key=lambda r: basis[r])
+        before = z[-1]
+        _reference_pivot(T, z, basis, int(i), j)
+        stalled = stalled + 1 if z[-1] <= before + 1e-15 else 0
+    raise RuntimeError("simplex iteration limit reached")
+
+
 def _pivot_by_rows(T, z, basis, i, j):
     """Reference pivot: one row at a time, skipping rows already zero in column j."""
     T[i] /= T[i, j]
@@ -179,11 +227,128 @@ def test_rank_one_pivot_matches_row_by_row(seed):
         i, j = int(rng.integers(m)), int(rng.integers(n))
         if T[i, j] == 0.0:
             continue
+        T_outer, z_outer, basis_outer = T.copy(), z.copy(), list(basis)
         simplex._pivot(T, z, basis, i, j)
         _pivot_by_rows(T_ref, z_ref, basis_ref, i, j)
+        _reference_pivot(T_outer, z_outer, basis_outer, i, j)
         assert np.array_equal(T, T_ref)
         assert np.array_equal(z, z_ref)
         assert basis == basis_ref
+        # bytes, so that a -0.0 where the outer product gave +0.0 fails
+        assert T.tobytes() == T_outer.tobytes()
+        assert z.tobytes() == z_outer.tobytes()
+
+
+def _run_loop(loop, T, z, basis, **kwargs):
+    """Run a pivot loop on copies; the status is the exception type if it raised."""
+    T, z, basis = T.copy(), z.copy(), list(basis)
+    try:
+        status = loop(T, z, basis, **kwargs)
+    except (RuntimeError, ValueError) as exc:
+        status = type(exc)
+    return status, T, z, basis
+
+
+def _assert_loop_matches_reference(T, z, basis, **kwargs):
+    """The pivot loop returns what its reference returns and leaves the
+    same tableau, objective row and basis, byte for byte."""
+    want = _run_loop(_reference_pivot_loop, T, z, basis, **kwargs)
+    got = _run_loop(simplex._pivot_loop, T, z, basis, **kwargs)
+    assert got[0] == want[0]
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2].tobytes() == want[2].tobytes()
+    assert got[3] == want[3]
+    return want[0]
+
+
+def _canonical(A, b, c):
+    """The phase-2 tableau of min c x s.t. A x + s = b, with the slacks basic."""
+    m, n = A.shape
+    T = np.hstack([A, np.eye(m), b[:, None]])
+    z = np.concatenate([c, np.zeros(m + 1)])
+    return T, z, list(range(n, n + m))
+
+
+def test_pivot_loop_breaks_ties_like_reference():
+    # x0 enters with ratio 1 on rows 0 and 1, exactly 1e-12 more on row 2
+    # (still a tie) and 2e-12 more on row 3 (not a tie); the tie goes to
+    # row 2, whose basic variable has the smallest index among the tied
+    basis = [4, 3, 2, 1]
+    T = np.zeros((4, 6))
+    T[:, 0] = 1.0
+    T[range(4), basis] = 1.0
+    T[:, -1] = [1.0, 1.0, 1.0 + 1e-12, 1.0 + 2e-12]
+    z = np.zeros(6)
+    z[0] = -1.0
+    assert _assert_loop_matches_reference(T, z, basis, n_cols=5) == "optimal"
+    assert _run_loop(simplex._pivot_loop, T, z, basis, n_cols=5)[3] == [4, 3, 0, 1]
+
+
+def test_pivot_loop_on_degenerate_stretch_matches_reference(monkeypatch):
+    # Beale's example: Dantzig's rule cycles through degenerate pivots
+    # until the loop switches to Bland's rule after _STALL_LIMIT of them
+    A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    T, z, basis = _canonical(A, np.array([0.0, 0.0, 1.0]), np.array([-0.75, 20.0, -0.5, 6.0]))
+    pivots = 0
+    pivot = simplex._pivot
+
+    def counting_pivot(*args):
+        nonlocal pivots
+        pivots += 1
+        pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", counting_pivot)
+    assert _assert_loop_matches_reference(T, z, basis, n_cols=7) == "optimal"
+    assert pivots > simplex._STALL_LIMIT
+
+
+def test_pivot_loop_blocks_zero_cost_ray_like_reference():
+    # x0 has the steepest reduced cost, but no positive entry and a cost
+    # within _RAY_TOL of zero: it is blocked, and x1 enters instead
+    T, z, basis = _canonical(
+        np.array([[-1.0, 1.0], [0.0, 2.0]]), np.array([2.0, 3.0]), np.array([-5e-7, -1e-7])
+    )
+    assert _assert_loop_matches_reference(T, z, basis, n_cols=4) == "optimal"
+    assert _run_loop(simplex._pivot_loop, T, z, basis, n_cols=4)[3] == [2, 1]
+
+
+def test_pivot_loop_reports_unbounded_like_reference():
+    T, z, basis = _canonical(
+        np.array([[-1.0, 1.0], [0.0, 2.0]]), np.array([2.0, 3.0]), np.array([-1.0, -2.0])
+    )
+    assert _assert_loop_matches_reference(T, z, basis, n_cols=4) == "unbounded"
+
+
+def test_pivot_loop_raises_on_nan_ratio_like_reference():
+    for rhs in ([np.nan, 1.0], [1.0, np.nan]):
+        T, z, basis = _canonical(np.ones((2, 2)), np.array(rhs), np.array([-1.0, 0.0]))
+        assert _assert_loop_matches_reference(T, z, basis, n_cols=4) is ValueError
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_pivot_loop_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 7)), int(rng.integers(2, 80))
+    if seed % 3 == 0:  # small integers: ties and degenerate vertices abound
+        A = rng.integers(-2, 4, size=(m, n)).astype(float)
+        b = rng.integers(0, 3, size=m).astype(float)
+    else:
+        A = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-4, 5, size=(m, n))
+        b = rng.random(m) * (rng.random(m) < 0.7)
+    if seed % 5:  # a positive first row bounds the program
+        A[0] = np.abs(A[0]) + 0.1
+        b[0] = 1.0
+    T, z, basis = _canonical(A, b, rng.normal(size=n))
+    status = _assert_loop_matches_reference(T, z, basis, n_cols=n + m)
+    assert status in ("optimal", "unbounded")
+    # cut short: both run out of iterations at the same state
+    assert _assert_loop_matches_reference(T, z, basis, n_cols=n + m, max_iter=1) in (
+        "optimal",
+        "unbounded",
+        RuntimeError,
+    )
+    # stopped, as phase 1 is, once the objective falls to a given value
+    _assert_loop_matches_reference(T, z, basis, n_cols=n + m, stop_value=-float(rng.random()))
 
 
 def _assert_same(a, b):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -8,16 +9,19 @@ import pytest
 from relbound import simplex, solver
 from relbound.errors import InfeasibleConstraintsError, ZeroEvidenceError
 from relbound.inference import (
+    CONSERVATIVE_MAX,
     FutureReliability,
     Observation,
     PosteriorConfidence,
     PosteriorExpectedPfd,
     log_likelihood_vector,
+    objective_gain,
     posterior_value,
 )
 from relbound.operational import sample_feasible_prior
 from relbound.priors import (
     ConfidenceBound,
+    ConstraintRow,
     MeanBound,
     PerfectionConfidence,
     PfdGrid,
@@ -25,6 +29,8 @@ from relbound.priors import (
     build_grid,
     constraint_rows,
     forced_grid_points,
+    max_mean_prior,
+    rows_as_ub,
 )
 from relbound.solver import curve, oracle_solve, solve
 
@@ -343,17 +349,34 @@ class TestWindowRatioLp:
         assert result.bound >= oracle.bound * (1 - 1e-3)
 
 
+def _support_feasible(rows, mask):
+    """Is the constraint set satisfiable with all mass on the masked points?"""
+    idx = np.nonzero(mask)[0]
+    if idx.size == 0:
+        return False
+    sub_rows = [ConstraintRow(r.coeffs[idx], r.sense, r.rhs) for r in rows]
+    a_ub, b_ub = rows_as_ub(sub_rows)
+    result = simplex.solve_lp(
+        np.zeros(idx.size),
+        a_ub=a_ub if a_ub.size else None,
+        b_ub=b_ub if a_ub.size else None,
+        a_eq=np.ones((1, idx.size)),
+        b_eq=np.ones(1),
+    )
+    return result.status == "optimal"
+
+
 def _reference_deepest_dominant_level(rows, log_lik):
     """The level search with every point of each probe's mask as a column."""
     levels = np.unique(log_lik[np.isfinite(log_lik)])
     if levels.size == 0:
         return None
     lo, hi = 0, levels.size - 1
-    if solver._support_feasible(rows, log_lik <= levels[lo]):
+    if _support_feasible(rows, log_lik <= levels[lo]):
         return float(levels[lo])
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if solver._support_feasible(rows, log_lik <= levels[mid]):
+        if _support_feasible(rows, log_lik <= levels[mid]):
             hi = mid
         else:
             lo = mid
@@ -397,7 +420,7 @@ class TestDeepestDominantLevel:
             expected = _reference_deepest_dominant_level(rows, log_lik)
             got = solver._deepest_dominant_level(rows, log_lik)
             assert got == expected, (constraints, n, k, resolution)
-            infeasible += not solver._support_feasible(rows, np.ones(points.size, bool))
+            infeasible += not _support_feasible(rows, np.ones(points.size, bool))
         if "confidence" in kinds and len(kinds) > 1:
             assert infeasible > 0  # the sets cover infeasible instances too
 
@@ -406,3 +429,205 @@ class TestDeepestDominantLevel:
         log_lik = log_likelihood_vector(points, Observation(10, 3))
         assert _reference_deepest_dominant_level([], log_lik) is None
         assert solver._deepest_dominant_level([], log_lik) is None
+
+
+def _reference_window_masses(window, maximize):
+    """The window search with one bisection loop per direction.
+
+    Returns the masses, the case the probe at the proposal fell into (None
+    when no bisection ran), and how many sign tests passed at or past the
+    level of a failed probe.
+    """
+    a_ub = solver._homogeneous_ub(window.rows)
+    b_ub = None if a_ub is None else np.zeros(a_ub.shape[0])
+    vertex = solver.solve_lp(
+        np.zeros(window.keep.size),
+        a_ub=a_ub,
+        b_ub=b_ub,
+        a_eq=np.ones((1, window.keep.size)),
+        b_eq=np.ones(1),
+    )
+    if vertex.status != "optimal":
+        return None, None, 0
+    start, basis = vertex.start, vertex.basis
+
+    def sign_lp(cost, maximize):
+        return solver.solve_lp(cost, b_ub=b_ub, maximize=maximize, start=start)
+
+    if not np.any(vertex.x[window.live] > 0.0):
+        densest = sign_lp(window.live.astype(float), True)
+        if densest.status != "optimal" or densest.value <= 0.0:
+            return None, None, 0
+        basis = densest.basis
+    proposal = solver._window_ratio_value(window, maximize, b_ub, basis)
+    if proposal is None:
+        return None, None, 0
+    failed_at = None
+    late_passes = 0
+
+    def achievable(level):
+        nonlocal late_passes
+        result = sign_lp(window.lik * (window.gains - level), maximize)
+        if result.status != "optimal":
+            return None
+        beaten = result.value > solver._SIGN_TOL if maximize else result.value < -solver._SIGN_TOL
+        if beaten and failed_at is not None:
+            late_passes += level >= failed_at if maximize else level <= failed_at
+        return np.maximum(result.x, 0.0) if beaten else None
+
+    step = 2e-9
+    witness = None
+    case = "failed"
+    if maximize:
+        lo, hi = 0.0, 1.0
+        probe = achievable(proposal - step)
+        if probe is None:
+            failed_at = proposal - step
+        else:
+            witness, lo = probe, proposal - step
+            case = "both pass"
+            if achievable(proposal + step) is None:
+                hi, case = lo, "verified"
+        for _ in range(60):
+            if hi - lo <= 1e-11:
+                break
+            mid = (lo + hi) / 2.0
+            x = achievable(mid)
+            if x is not None:
+                witness, lo = x, mid
+            else:
+                hi = mid
+    else:
+        lo, hi = 0.0, 1.0
+        probe = achievable(proposal + step)
+        if probe is None:
+            failed_at = proposal + step
+        else:
+            witness, hi = probe, proposal + step
+            case = "both pass"
+            if achievable(proposal - step) is None:
+                lo, case = hi, "verified"
+        for _ in range(60):
+            if hi - lo <= 1e-11:
+                break
+            mid = (lo + hi) / 2.0
+            x = achievable(mid)
+            if x is not None:
+                witness, hi = x, mid
+            else:
+                lo = mid
+    if witness is None:
+        return None, case, late_passes
+    x = np.zeros(window.n_grid)
+    x[window.keep] = witness
+    total = x.sum()
+    if not math.isfinite(total) or total <= 0.0:
+        return None, case, late_passes
+    return x / total, case, late_passes
+
+
+def _windows(constraints, obs, objective, resolution):
+    """Every window ``solve`` searches on this instance."""
+    points = build_grid(constraints, objective, resolution).as_array()
+    rows = constraint_rows(constraints, points)
+    feas_witness = max_mean_prior(points, rows)
+    if feas_witness is None:
+        return []
+    log_lik = log_likelihood_vector(points, obs)
+    gains = objective_gain(objective, points)
+    anchors = solver._anchor_shifts(
+        constraints, rows, objective, obs, points, log_lik, feas_witness
+    )
+    windows = (solver._make_window(rows, points, log_lik, a, gains) for a in anchors)
+    return [w for w in windows if w is not None]
+
+
+class TestWindowBisection:
+    """One bracket loop serves both directions. It must run the sign tests
+    of the loop per direction, cost for cost, and return its masses byte
+    for byte."""
+
+    #: each proposal shift and the case it must produce in both directions:
+    #: none, and a shift by 1e-6 to the side that the sign tests beat, so
+    #: that both probes pass, or to the side they do not, so that the probe
+    #: fails (too rare to rely on without a shift in the minimising direction)
+    SHIFTS = {0.0: "verified", -1e-6: "both pass", 1e-6: "failed"}
+
+    @staticmethod
+    def _record_sign_tests(monkeypatch) -> list:
+        """Record the objective of every LP run from the sign tests' phase 1."""
+        costs = []
+        solve_lp = solver.solve_lp
+
+        def recording_solve_lp(c, **kwargs):
+            if kwargs.get("start") is not None:
+                costs.append(c.tobytes())
+            return solve_lp(c, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_lp", recording_solve_lp)
+        return costs
+
+    @staticmethod
+    def _assert_matches_reference(window, maximize, costs):
+        """Returns the reference's case and its sign tests passed past a failed probe."""
+        costs.clear()
+        want, case, late_passes = _reference_window_masses(window, maximize)
+        reference_costs = costs.copy()
+        costs.clear()
+        got = solver._window_masses(window, maximize)
+        assert costs == reference_costs
+        if want is None:
+            assert got is None
+        else:
+            assert got.tobytes() == want.tobytes()
+        return case, late_passes
+
+    @pytest.mark.parametrize("shift", SHIFTS)
+    def test_matches_reference_bisection(self, shift, monkeypatch):
+        ratio_value = solver._window_ratio_value
+
+        def shifted_ratio_value(window, maximize, *args):
+            value = ratio_value(window, maximize, *args)
+            return None if value is None else value + (shift if maximize else -shift)
+
+        monkeypatch.setattr(solver, "_window_ratio_value", shifted_ratio_value)
+        costs = self._record_sign_tests(monkeypatch)
+        rng = random.Random(11)
+        cases = collections.Counter()
+        for i in range(25):
+            kinds = rng.choice([s for s in _KIND_SETS if s])
+            constraints = [_random_constraint(rng, kind) for kind in kinds]
+            n = int(10 ** rng.uniform(2, 7))
+            obs = Observation(n, rng.randint(1, 30) if i % 3 else 0)
+            objective = rng.choice(
+                [
+                    PosteriorExpectedPfd(),
+                    PosteriorConfidence(10 ** rng.uniform(-6, -1)),
+                    FutureReliability(rng.randint(1, 10**5)),
+                ]
+            )
+            maximize = objective.direction == CONSERVATIVE_MAX
+            for window in _windows(constraints, obs, objective, rng.choice((100, 300, 1000))):
+                case, _ = self._assert_matches_reference(window, maximize, costs)
+                cases[maximize, case] += 1
+        for maximize in (True, False):
+            assert cases[maximize, self.SHIFTS[shift]] > 0, cases
+
+    def test_sign_test_past_a_failed_probe_can_pass(self, monkeypatch):
+        # in exact arithmetic no sign test past a failed one passes, but
+        # here one does, and its witness gives the most conservative bound
+        # (5.759464e-4); a bisection that counted such midpoints as failed
+        # without solving them returned 5.759439e-4
+        constraints = (
+            PerfectionConfidence(0.4127000724141244),
+            PriorReliability(2039, 0.5933767103367452),
+        )
+        obs, objective = Observation(3_833_252, 45), PosteriorExpectedPfd()
+        costs = self._record_sign_tests(monkeypatch)
+        late_passes = [
+            self._assert_matches_reference(window, True, costs)[1]
+            for window in _windows(constraints, obs, objective, 8000)
+        ]
+        assert any(late_passes)
+        grid = build_grid(constraints, objective, 8000)
+        assert solve(constraints, obs, objective, grid).bound >= 5.75946e-4
