@@ -174,7 +174,8 @@ class ConservatismReport:
 
     trials: int
     violations: int
-    worst_margin: float
+    #: None when no trial gave a margin (JSON has no NaN)
+    worst_margin: float | None
     records: tuple[TrialRecord, ...] = field(repr=False)
 
     def to_dict(self) -> dict:
@@ -223,7 +224,7 @@ def check_conservatism(
         margins.append(margin)
         records.append(TrialRecord(index=index, margin=margin))
     violations = sum(1 for m in margins if m < VIOLATION_TOL)
-    worst = min(margins) if margins else float("nan")
+    worst = min(margins) if margins else None
     return ConservatismReport(
         trials=trials,
         violations=violations,

@@ -16,11 +16,24 @@ phase 2. A known basis can stand in for phase 1 altogether:
 ``solve_lp(basis=...)`` pivots the named columns in and starts phase 2
 there if that basis is feasible, and runs the artificial phase 1 if it is
 not. ``LpResult.basis`` names the optimal basis, in that form.
+
+Every phase 2 from one ``PhaseOne`` starts from the same tableau, and the
+tableau after a given sequence of pivots is the same array whatever the
+objective. So a ``PhaseOne`` passed back as ``start=`` records the path
+of the latest phase 2 run from it, up to ``_PATH_CAP`` steps: each
+step's entering column, leaving row, and the pivot row and right-hand
+side after the pivot. The next phase 2 prices its own reduced costs as
+usual; while it enters the recorded columns it takes the recorded steps,
+updating only its objective row, and builds no tableau. At the first
+step where its choice differs, it copies the start, re-applies the
+recorded pivots and goes on from there, recording its own path in place
+of the rest. Every result is the one a fresh copy-and-pivot phase 2
+gives, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,14 +52,21 @@ class PhaseOne:
     ``T`` is the canonical tableau over the standard-form columns (the
     variables, then one slack per ``<=`` row) with the right-hand side
     last, and ``basis`` names each row's basic column. ``T`` is None
-    unless ``status`` is "feasible". Phase 2 pivots a copy, so one
+    unless ``status`` is "feasible". Phase 2 never writes ``T``, so one
     ``PhaseOne`` serves any number of objectives.
+
+    ``_path`` holds the first ``_PATH_CAP`` steps of the latest phase 2
+    run from here by ``solve_lp(start=...)``, which the next one replays as far as its own choices
+    agree (see the module docstring). It is a cache: it changes no
+    result, and takes no part in equality or repr. Phase 2 rewrites it,
+    so threads must not share one ``PhaseOne``.
     """
 
     n_cols: int
     status: str  # "feasible" | "infeasible" | "unbounded"
     T: np.ndarray | None = None
     basis: tuple[int, ...] = ()
+    _path: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -85,6 +105,9 @@ def solve_lp(
     """
     c = np.asarray(c, dtype=float)
     n = c.size
+    # a start built here has served no phase 2 yet: nothing to replay, and
+    # only a caller that passes it back could replay what this one records
+    replay = start is not None
     if start is None:
         A, b = _standard_form(n, a_ub, b_ub, a_eq, b_eq)
         # from here on only the tableau holds the constraints: drop the other
@@ -100,7 +123,7 @@ def solve_lp(
     elif start.n_cols != n + (0 if b_ub is None else np.size(b_ub)):
         raise ValueError("start belongs to constraints of another shape")
     cost = np.concatenate([c * (-1.0 if maximize else 1.0), np.zeros(start.n_cols - n)])
-    x_full, optimal_basis, status = _phase_two(start, cost)
+    x_full, optimal_basis, status = _phase_two(start, cost, replay)
     if status != "optimal":
         return LpResult(status, None, None, start)
     x = x_full[:n]
@@ -140,7 +163,7 @@ def _phase_one(A: np.ndarray, b: np.ndarray) -> PhaseOne:
     # phase 1 only needs a feasible point, not dual optimality: stop as soon
     # as the artificial objective reaches zero (degenerate pivoting beyond
     # that point just churns the tableau)
-    status = _pivot_loop(T, z, basis, n_cols=nvar + m, stop_value=_FEAS_TOL / 2)
+    status, _ = _pivot_loop(T, z, basis, n_cols=nvar + m, stop_value=_FEAS_TOL / 2)
     if status == "unbounded":  # cannot happen: phase-1 objective is bounded below
         return PhaseOne(nvar, "unbounded")
     if -z[-1] > _FEAS_TOL:
@@ -192,9 +215,11 @@ def _crash(A: np.ndarray, b: np.ndarray, basis) -> PhaseOne | None:
     return PhaseOne(nvar, "feasible", T, tuple(rows))
 
 
-def _phase_two(start: PhaseOne, cost: np.ndarray):
+def _phase_two(start: PhaseOne, cost: np.ndarray, replay: bool = True):
     """The real objective over the real columns, from phase 1's basis.
 
+    With ``replay`` the walk replays and records ``start``'s path;
+    without, it pivots a copy of the start tableau and records nothing.
     Returns the solution, the optimal basis and the status."""
     if start.status != "feasible":
         return None, None, start.status
@@ -203,30 +228,49 @@ def _phase_two(start: PhaseOne, cost: np.ndarray):
         if np.any(cost < -_COST_TOL):
             return None, None, "unbounded"
         return np.zeros(nvar), (), "optimal"
-    T = start.T.copy()
     basis = list(start.basis)
     z = np.zeros(nvar + 1)
     cb = cost[basis]
-    z[:nvar] = cost - cb @ T[:, :nvar]
-    z[-1] = -float(cb @ T[:, -1])
-    status = _pivot_loop(T, z, basis, n_cols=nvar)
+    z[:nvar] = cost - cb @ start.T[:, :nvar]
+    z[-1] = -float(cb @ start.T[:, -1])
+    if replay:
+        status, rhs = _pivot_loop(start.T, z, basis, nvar, path=start._path)
+    else:
+        status, rhs = _pivot_loop(start.T.copy(), z, basis, nvar)
     if status != "optimal":
         return None, None, status
     x = np.zeros(nvar)
-    x[basis] = T[:, -1]
+    x[basis] = rhs
     return x, tuple(basis), "optimal"
 
 
 #: consecutive degenerate pivots before switching from Dantzig to Bland
 _STALL_LIMIT = 12
+#: phase-2 steps a ``PhaseOne`` records. The deepest sign-test path on the
+#: benchmark's solve-mix and gsn-case pools takes 11 pivots; the cap keeps
+#: a program that spins from growing the record without bound, each step
+#: holding a whole tableau row
+_PATH_CAP = 16
 
 
-def _pivot_loop(T, z, basis, n_cols, max_iter=100_000, stop_value=None):
+def _pivot_loop(T, z, basis, n_cols, max_iter=100_000, stop_value=None, path=None):
+    """Pivot until no reduced cost improves; returns the status and the
+    final right-hand side (None unless "optimal").
+
+    Without ``path`` the pivots update ``T`` in place. With it, ``T`` is a
+    start's read-only tableau and ``path`` that start's record: while
+    this walk enters the recorded columns it takes the recorded steps,
+    which leave the tableau as they left it, without building the
+    tableau. At its first other step it copies ``T``, re-applies the
+    steps taken so far, and records its own in place of the rest.
+    """
     blocked: set[int] = set()
     stalled = 0
+    replayed = None if path is None else 0  # None once T is this walk's own
+    rhs = T[:, -1]
     for _ in range(max_iter):
         if stop_value is not None and -z[-1] <= stop_value:
-            return "optimal"
+            break
         costs = z[:n_cols]
         if blocked:
             costs = costs.copy()
@@ -234,40 +278,88 @@ def _pivot_loop(T, z, basis, n_cols, max_iter=100_000, stop_value=None):
         if stalled < _STALL_LIMIT:
             j = int(costs.argmin())  # Dantzig: steepest reduced cost
             if costs[j] >= -_COST_TOL:
-                return "optimal"
+                break
         else:
             # degenerate stretch: Bland's smallest-index rule cannot cycle
             negative = np.nonzero(costs < -_COST_TOL)[0]
             if negative.size == 0:
-                return "optimal"
+                break
             j = int(negative[0])
-        # the ratio test runs over a handful of rows: Python floats divide
-        # and compare exactly as float64 arrays do, without the array calls
-        col = T[:, j].tolist()
-        rhs = T[:, -1].tolist()
-        rows = [r for r, entry in enumerate(col) if entry > _PIVOT_TOL]
-        if not rows:
+        if replayed is not None and replayed < len(path) and path[replayed][0] == j:
+            _, i, row, step_rhs = path[replayed]
+            replayed += 1
+        else:
+            if replayed is not None:
+                T = _rebuild(T, path, replayed)
+                replayed = None
+            i, row = _ratio_test(T, j, basis), None
+            if path is not None and len(path) < _PATH_CAP and i < 0:
+                path.append((j, i, None, None))
+        if i < 0:  # no positive entry in column j
             if z[j] > -_RAY_TOL:
                 # a zero-cost ray whose reduced cost is roundoff noise
                 blocked.add(j)
                 continue
-            return "unbounded"
-        ratios = [rhs[r] / col[r] for r in rows]
-        cut = min(ratios) + 1e-12
-        i = -1
-        for r, ratio in zip(rows, ratios):
-            if ratio <= cut:
-                if i < 0 or basis[r] < basis[i]:
-                    i = r  # Bland on the leaving variable
-            elif not ratio > cut:
-                raise ValueError("NaN in the simplex ratio test")
+            return "unbounded", None
         before = z[-1]
-        _pivot(T, z, basis, i, j)
+        if row is None:
+            _pivot(T, z, basis, i, j)
+            if path is not None and len(path) < _PATH_CAP:
+                path.append((j, i, T[i].copy(), T[:, -1].copy()))
+        else:
+            if z[j] != 0.0:
+                z -= z[j] * row
+            basis[i] = j
+            rhs = step_rhs
         stalled = stalled + 1 if z[-1] <= before + 1e-15 else 0
-    raise RuntimeError("simplex iteration limit reached")
+    else:
+        raise RuntimeError("simplex iteration limit reached")
+    return "optimal", rhs if replayed is not None else T[:, -1]
+
+
+def _ratio_test(T, j, basis) -> int:
+    """The leaving row for entering column ``j``, or -1 if the column has
+    no positive entry. Ties go to the row whose basic variable has the
+    smallest index (Bland on the leaving variable)."""
+    # the ratio test runs over a handful of rows: Python floats divide
+    # and compare exactly as float64 arrays do, without the array calls
+    col = T[:, j].tolist()
+    rhs = T[:, -1].tolist()
+    rows = [r for r, entry in enumerate(col) if entry > _PIVOT_TOL]
+    if not rows:
+        return -1
+    ratios = [rhs[r] / col[r] for r in rows]
+    cut = min(ratios) + 1e-12
+    i = -1
+    for r, ratio in zip(rows, ratios):
+        if ratio <= cut:
+            if i < 0 or basis[r] < basis[i]:
+                i = r
+        elif not ratio > cut:
+            raise ValueError("NaN in the simplex ratio test")
+    return i
+
+
+def _rebuild(start_T, path, steps):
+    """A copy of ``start_T`` after the first ``steps`` steps of ``path``;
+    the record is cut there, for the caller to go on recording."""
+    T = start_T.copy()
+    for j, i, _, _ in path[:steps]:
+        if i >= 0:
+            _eliminate(T, i, j)
+    del path[steps:]
+    return T
 
 
 def _pivot(T, z, basis, i, j):
+    _eliminate(T, i, j)
+    if z[j] != 0.0:
+        z -= z[j] * T[i]
+    basis[i] = j
+
+
+def _eliminate(T, i, j):
+    """The tableau part of a pivot on row ``i``, column ``j``."""
     T[i] /= T[i, j]
     # one rank-1 update for every other row: row r loses T[r, j] * T[i],
     # the same product and difference a row-by-row update computes; a row
@@ -275,6 +367,3 @@ def _pivot(T, z, basis, i, j):
     col = T[:, j].copy()
     col[i] = 0.0
     T -= col[:, None] * T[i]
-    if z[j] != 0.0:
-        z -= z[j] * T[i]
-    basis[i] = j

@@ -30,7 +30,9 @@ window). The window's ratio LP proposes a bound; sign-test programs —
 whose coefficients multiply the likelihood and therefore stay order one
 — certify it, falling back to bisection on the bound when the proposal
 does not verify, and their solution is the witness. The sign tests'
-phase 1 runs once per window, before the ratio LP. Both programs range
+phase 1 runs before the ratio LP, once per set of kept columns: the
+program depends on nothing else, and windows that keep the same columns
+come in a row, so each reuses the latest window's. Both programs range
 over the same cone of masses, so the ratio LP starts from that feasible
 basis and runs no phase 1 of its own, unless roundoff makes the basis
 singular or infeasible there. Every candidate witness is re-valued
@@ -75,7 +77,7 @@ from .priors import (
     max_mean_prior,
     rows_as_ub,
 )
-from .simplex import solve_lp
+from .simplex import LpResult, solve_lp
 
 #: likelihood band per window, in log-e units. Atoms deeper than _BELOW_SPAN
 #: relative to the anchor carry negligible posterior weight and become
@@ -320,31 +322,55 @@ def _window_ratio_value(window: _Window, maximize: bool, b_ub, basis) -> float |
 _SIGN_TOL = 1e-12
 
 
-def _window_masses(window: _Window, maximize: bool) -> np.ndarray | None:
+@dataclass
+class _LatestPhaseOne:
+    """The sign tests' phase 1 of the latest window, as a zero-cost LP result.
+
+    Every sign test shares its window's constraints, so one phase 1 serves
+    them all; only the objective changes with the level. The program
+    depends on the kept columns alone, so the next window reuses it when
+    it keeps the same columns. Anchors descend, so such windows come in a
+    row, and only the latest phase 1 is held.
+    """
+
+    keep: np.ndarray | None = None
+    vertex: LpResult | None = None
+
+    def for_window(self, window: _Window) -> LpResult:
+        if self.keep is None or not np.array_equal(window.keep, self.keep):
+            self.vertex = None  # free the previous phase 1 before building this one
+            a_ub = _homogeneous_ub(window.rows)
+            self.vertex = solve_lp(
+                np.zeros(window.keep.size),
+                a_ub=a_ub,
+                b_ub=None if a_ub is None else np.zeros(a_ub.shape[0]),
+                a_eq=np.ones((1, window.keep.size)),
+                b_eq=np.ones(1),
+            )
+            self.keep = window.keep
+        return self.vertex
+
+
+def _window_masses(
+    window: _Window, maximize: bool, latest: _LatestPhaseOne | None = None
+) -> np.ndarray | None:
     """Worst-case prior masses within one window, or None.
 
-    The ratio LP proposes the bound; sign tests at a whisker to either
-    side confirm and tighten it (falling back to bisection over [0, 1]
-    when the proposal does not verify), and the argmin of the final
-    achievable sign test is the witness.
+    The sign tests' phase 1 comes first, from ``latest`` if it holds that
+    of a window with the same kept columns: if it fails, every sign test
+    does, and otherwise its basis starts the ratio LP. The ratio LP
+    proposes the bound; sign tests at a whisker to either side confirm
+    and tighten it (falling back to bisection over [0, 1] when the
+    proposal does not verify), and the argmin of the final achievable
+    sign test is the witness.
     """
-    # every sign test shares the window's constraints, so one phase 1
-    # serves them all; only the objective changes with the level. It runs
-    # first: if it fails, every sign test does, and otherwise its basis
-    # starts the ratio LP
-    a_ub = _homogeneous_ub(window.rows)
-    b_ub = None if a_ub is None else np.zeros(a_ub.shape[0])
-    vertex = solve_lp(
-        np.zeros(window.keep.size),
-        a_ub=a_ub,
-        b_ub=b_ub,
-        a_eq=np.ones((1, window.keep.size)),
-        b_eq=np.ones(1),
-    )
-    del a_ub  # from ``start`` on, a sign test reads only the constraints' shape
+    vertex = (_LatestPhaseOne() if latest is None else latest).for_window(window)
     if vertex.status != "optimal":
         return None
     start, basis = vertex.start, vertex.basis
+    # from ``start`` on, a sign test reads only the constraints' shape
+    n_ub = start.n_cols - window.keep.size
+    b_ub = np.zeros(n_ub) if n_ub else None
 
     def sign_lp(cost, maximize):
         return solve_lp(cost, b_ub=b_ub, maximize=maximize, start=start)
@@ -452,11 +478,12 @@ def solve(
 
     best: tuple[float, PriorDistribution] | None = None
     anchors = _anchor_shifts(constraints, rows, objective, obs, points, log_lik, feas_witness)
+    latest = _LatestPhaseOne()
     for anchor in anchors:
         window = _make_window(rows, points, log_lik, anchor, gains)
         if window is None:
             continue
-        x = _window_masses(window, maximize)
+        x = _window_masses(window, maximize, latest)
         if x is None:
             continue
         witness = _witness_from_masses(points, x, constraints)

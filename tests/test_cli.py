@@ -298,6 +298,31 @@ def test_audit_round_trip(files, capsys):
     assert out["violations"] == 0
 
 
+def test_audit_without_margins_writes_strict_json(files, capsys, monkeypatch):
+    from relbound import operational
+    from relbound.errors import SamplingFailureError
+
+    def failing_sampler(*args, **kwargs):
+        raise SamplingFailureError("no feasible prior found")
+
+    monkeypatch.setattr(operational, "sample_feasible_prior", failing_sampler)
+    write, _ = files
+    constraints = write_json(write, "c.json", [{"type": "mean_bound", "m": 0.1}])
+    observation = write_json(write, "o.json", {"n": 50, "k": 0})
+    objective = write_json(write, "obj.json", {"type": "future_reliability", "t": 10})
+    code = main(
+        ["audit", "--constraints", constraints, "--observation", observation,
+         "--objective", objective, "--trials", "3", "--seed", "3", "--grid", "50"]
+    )
+
+    def reject_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    out = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert code == 0
+    assert out["worst_margin"] is None
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["solve"]) == 1
     assert "usage error" in capsys.readouterr().err

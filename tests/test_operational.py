@@ -175,6 +175,20 @@ class TestConservatism:
             assert record.margin >= -1e-9
         assert report.worst_margin == min(r.margin for r in report.records)
 
+    def test_no_margin_gives_none(self, monkeypatch):
+        def failing_sampler(*args, **kwargs):
+            raise SamplingFailureError("no feasible prior found")
+
+        monkeypatch.setattr(operational, "sample_feasible_prior", failing_sampler)
+        constraints = [MeanBound(0.1)]
+        grid = build_grid(constraints, resolution=50)
+        report = check_conservatism(
+            constraints, Observation(10, 0), FutureReliability(5), 3, seed=0, grid=grid
+        )
+        assert report.violations == 0
+        assert report.worst_margin is None
+        assert all(r.margin is None and r.error for r in report.records)
+
     def test_report_serialises(self):
         constraints = [PerfectionConfidence(1.0)]
         grid = build_grid(constraints, resolution=50)

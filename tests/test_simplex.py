@@ -165,13 +165,17 @@ def _reference_pivot(T, z, basis, i, j):
     basis[i] = j
 
 
-def _reference_pivot_loop(T, z, basis, n_cols, max_iter=100_000, stop_value=None):
-    """Reference pivot loop: the ratio test on numpy arrays."""
+def _reference_pivot_loop(T, z, basis, n_cols, max_iter=100_000, stop_value=None, steps=None):
+    """Reference pivot loop: the ratio test on numpy arrays. Returns the
+    status and the final right-hand side (None unless "optimal").
+
+    ``steps``, if given, receives each step's entering column and leaving
+    row (-1 when the column has no positive entry)."""
     blocked: set[int] = set()
     stalled = 0
     for _ in range(max_iter):
         if stop_value is not None and -z[-1] <= stop_value:
-            return "optimal"
+            return "optimal", T[:, -1]
         costs = z[:n_cols]
         if blocked:
             costs = costs.copy()
@@ -179,23 +183,27 @@ def _reference_pivot_loop(T, z, basis, n_cols, max_iter=100_000, stop_value=None
         if stalled < simplex._STALL_LIMIT:
             j = int(np.argmin(costs))
             if costs[j] >= -simplex._COST_TOL:
-                return "optimal"
+                return "optimal", T[:, -1]
         else:
             negative = np.nonzero(costs < -simplex._COST_TOL)[0]
             if negative.size == 0:
-                return "optimal"
+                return "optimal", T[:, -1]
             j = int(negative[0])
         col = T[:, j]
         rows = np.nonzero(col > simplex._PIVOT_TOL)[0]
         if rows.size == 0:
+            if steps is not None:
+                steps.append((j, -1))
             if z[j] > -simplex._RAY_TOL:
                 blocked.add(j)
                 continue
-            return "unbounded"
+            return "unbounded", None
         ratios = T[rows, -1] / col[rows]
         best = ratios.min()
         ties = rows[ratios <= best + 1e-12]
         i = min(ties, key=lambda r: basis[r])
+        if steps is not None:
+            steps.append((j, int(i)))
         before = z[-1]
         _reference_pivot(T, z, basis, int(i), j)
         stalled = stalled + 1 if z[-1] <= before + 1e-15 else 0
@@ -243,7 +251,7 @@ def _run_loop(loop, T, z, basis, **kwargs):
     """Run a pivot loop on copies; the status is the exception type if it raised."""
     T, z, basis = T.copy(), z.copy(), list(basis)
     try:
-        status = loop(T, z, basis, **kwargs)
+        status, _ = loop(T, z, basis, **kwargs)
     except (RuntimeError, ValueError) as exc:
         status = type(exc)
     return status, T, z, basis
@@ -540,3 +548,292 @@ def test_basis_of_wrong_length_rejected():
         solve_lp(np.zeros(n), **constraints, basis=(0, 1))
     with pytest.raises(ValueError, match="one column per constraint row"):
         solve_lp(np.zeros(n), **constraints, basis=(0, 1, 2, 3))
+
+
+def _reduced_costs(start, cost):
+    """Phase 2's objective row at the start basis."""
+    nvar = start.n_cols
+    cb = cost[list(start.basis)]
+    z = np.zeros(nvar + 1)
+    z[:nvar] = cost - cb @ start.T[:, :nvar]
+    z[-1] = -float(cb @ start.T[:, -1])
+    return z
+
+
+def _reference_phase_two(start, cost, max_iter=100_000, steps=None):
+    """The copy-and-pivot phase 2: each run pivots its own copy of the
+    start tableau. Returns the status, the objective row, the basis and
+    the right-hand side, or the exception type as the status if it raised."""
+    T, z, basis = start.T.copy(), _reduced_costs(start, cost), list(start.basis)
+    try:
+        status, _ = _reference_pivot_loop(
+            T, z, basis, n_cols=start.n_cols, max_iter=max_iter, steps=steps
+        )
+    except RuntimeError as exc:
+        status = type(exc)
+    return status, z, basis, T[:, -1]
+
+
+def _replayed_walk(start, cost, max_iter):
+    """Phase 2's walk from ``start`` and its record, cut at ``max_iter``."""
+    z, basis = _reduced_costs(start, cost), list(start.basis)
+    try:
+        status, rhs = simplex._pivot_loop(
+            start.T, z, basis, start.n_cols, max_iter=max_iter, path=start._path
+        )
+    except RuntimeError as exc:
+        status, rhs = type(exc), None
+    return status, z, basis, rhs
+
+
+def _assert_record_is_path(start, steps):
+    """The record opens with the first steps of the latest walk, and each
+    recorded pivot row and right-hand side is the tableau's after that step."""
+    record = start._path
+    assert len(record) <= simplex._PATH_CAP
+    shared = min(len(steps), simplex._PATH_CAP)
+    assert [(j, i) for j, i, _, _ in record[:shared]] == steps[:shared]
+    T = start.T.copy()
+    z = np.zeros(T.shape[1])
+    basis = list(start.basis)
+    for j, i, row, rhs in record:
+        if i < 0:
+            assert row is None and rhs is None
+            assert not np.any(T[:, j] > simplex._PIVOT_TOL)
+            continue
+        _reference_pivot(T, z, basis, i, j)
+        assert row.tobytes() == T[i].tobytes()
+        assert rhs.tobytes() == T[:, -1].tobytes()
+
+
+def _assert_phase_two_matches_reference(start, cost, max_iter=None, steps=None):
+    """Phase 2 from ``start``, replaying its record, returns what the
+    copy-and-pivot phase 2 returns, byte for byte. Returns the status;
+    ``steps``, if given, receives the steps of the reference walk."""
+    steps = [] if steps is None else steps
+    want_status, want_z, want_basis, want_rhs = _reference_phase_two(
+        start, cost, max_iter or 100_000, steps
+    )
+    if max_iter is None:
+        x, basis, status = simplex._phase_two(start, cost)
+        assert status == want_status
+        if status == "optimal":
+            want_x = np.zeros(start.n_cols)
+            want_x[want_basis] = want_rhs
+            assert x.tobytes() == want_x.tobytes()
+            assert basis == tuple(want_basis)
+            assert float(cost @ x) == float(cost @ want_x)
+    else:
+        status, z, basis, rhs = _replayed_walk(start, cost, max_iter)
+        assert status == want_status
+        assert z.tobytes() == want_z.tobytes()
+        assert basis == want_basis
+        if status == "optimal":
+            assert rhs.tobytes() == want_rhs.tobytes()
+    _assert_record_is_path(start, steps)
+    return status
+
+
+def _slack_start(A, b):
+    """The phase-1 result of ``A x <= b`` with ``b >= 0``: the slack basis."""
+    m, n = A.shape
+    T = np.hstack([A, np.eye(m), b[:, None]])
+    T.flags.writeable = False
+    return simplex.PhaseOne(n + m, "feasible", T, tuple(range(n, n + m)))
+
+
+def _window_program(seed):
+    """A sign-test program like a likelihood window's: mass on a sorted pfd
+    grid, normalised, under a mean bound, a reliability bound, and a
+    confidence and a perfection equality (each two-sided, relaxed by
+    1e-9), all as homogeneous ``<=`` rows. A prior on three grid points
+    satisfies them all. Returns the phase 1, likelihoods and gains."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 300))
+    p = np.sort(10.0 ** rng.uniform(-8.0, -0.3, n))
+    p[0] = 0.0
+    perfect, theta = np.sort(rng.uniform(0.05, 0.95, 2))
+    low, high = p[np.sort(rng.choice(np.arange(1, n), 2, replace=False))]
+    n0 = 10.0 ** rng.uniform(1.0, 4.0)
+    mean = ((theta - perfect) * low + (1.0 - theta) * high) * rng.uniform(1.0, 4.0)
+    survive = perfect + (theta - perfect) * (1.0 - low) ** n0 + (1.0 - theta) * (1.0 - high) ** n0
+    confident = (p <= low).astype(float)
+    a_ub = np.vstack(
+        [
+            p - mean,
+            survive * rng.uniform(0.7, 1.0) - (1.0 - p) ** n0,
+            theta - confident - 1e-9,
+            confident - theta - 1e-9,
+            perfect - (p == 0.0) - 1e-9,
+            (p == 0.0) - perfect - 1e-9,
+        ]
+    )
+    start = solve_lp(
+        np.zeros(n), a_ub=a_ub, b_ub=np.zeros(6), a_eq=np.ones((1, n)), b_eq=np.ones(1)
+    ).start
+    assert start.status == "feasible"
+    return start, np.exp(-(10.0 ** rng.uniform(1.0, 6.0)) * p), p
+
+
+class _Rebuilds:
+    """Records how many recorded steps each rebuild re-applies."""
+
+    def __init__(self, monkeypatch):
+        self.parts = []
+        rebuild = simplex._rebuild
+
+        def recording_rebuild(T, path, steps):
+            self.parts.append(steps)
+            return rebuild(T, path, steps)
+
+        monkeypatch.setattr(simplex, "_rebuild", recording_rebuild)
+
+
+def _sign_test_cost(start, lik, gains, level, maximize):
+    cost = lik * (gains - level) * (-1.0 if maximize else 1.0)
+    return np.concatenate([cost, np.zeros(start.n_cols - lik.size)])
+
+
+def test_replayed_sign_tests_match_reference(monkeypatch):
+    # each window's sequence of sign tests from one shared phase 1: a probe
+    # either side of a proposal, a bisection on the level, the last costs
+    # again, in both directions
+    rebuilds = _Rebuilds(monkeypatch)
+    whole, early = 0, 0  # walks that replayed only: all of the record, a prefix
+    for seed in range(12):
+        start, lik, gains = _window_program(seed)
+        for maximize in (True, False):
+            sign = 1.0 if maximize else -1.0
+            proposal = float(gains @ lik / lik.sum())
+            levels = [proposal - 2e-9, proposal + 2e-9]
+            lo, hi = (0.0, 1.0) if maximize else (-1.0, 0.0)
+            for _ in range(40):
+                levels.append(sign * (lo + hi) / 2.0)
+                cost = _sign_test_cost(start, lik, gains, levels[-1], maximize)
+                recorded, parts, steps = len(start._path), len(rebuilds.parts), []
+                assert _assert_phase_two_matches_reference(start, cost, steps=steps) == "optimal"
+                if len(rebuilds.parts) == parts:
+                    whole += len(steps) == recorded
+                    early += len(steps) < recorded
+                x = simplex._phase_two(start, cost)[0]
+                if sign * -float(cost @ x) > 1e-12:
+                    lo = (lo + hi) / 2.0
+                else:
+                    hi = (lo + hi) / 2.0
+            for level in levels[:2] + levels[-1:] * 2:
+                cost = _sign_test_cost(start, lik, gains, level, maximize)
+                assert _assert_phase_two_matches_reference(start, cost) == "optimal"
+    # walks part from their predecessor's path at the first, second and
+    # third step, and some replay all of it or a prefix of it
+    assert {1, 2, 3} <= set(rebuilds.parts), sorted(set(rebuilds.parts))
+    assert whole and early
+
+
+def test_only_a_start_passed_back_records():
+    # a start built within solve_lp has served no phase 2, and its caller
+    # may never pass it back: the phase 2 run with it records nothing
+    n, constraints = CONSTRAINT_SETS["window"]
+    for cost in _objectives(n, 4):
+        cold = solve_lp(cost, **constraints)
+        assert cold.start._path == []
+        assert solve_lp(cost, **constraints, basis=cold.start.basis).start._path == []
+        warm = solve_lp(cost, **constraints, start=cold.start)
+        assert warm.start is cold.start
+        _assert_same(warm, cold)
+    assert cold.start._path  # the last cost takes a pivot from the start
+
+
+def _beale_start():
+    """Beale's example, which cycles under Dantzig's rule: phase 2 runs
+    _STALL_LIMIT degenerate pivots, then Bland's rule, past _PATH_CAP steps."""
+    A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    return _slack_start(A, np.array([0.0, 0.0, 1.0])), np.array([-0.75, 20.0, -0.5, 6.0, 0.0, 0.0, 0.0])
+
+
+def test_replay_through_degenerate_stretch_past_the_cap(monkeypatch):
+    start, cost = _beale_start()
+    rebuilds = _Rebuilds(monkeypatch)
+    assert _assert_phase_two_matches_reference(start, cost) == "optimal"
+    assert len(start._path) == simplex._PATH_CAP
+    # the same cost, and the cost doubled (every reduced cost doubles
+    # exactly): the whole record replays, then the walk goes on beyond it
+    assert _assert_phase_two_matches_reference(start, cost) == "optimal"
+    assert _assert_phase_two_matches_reference(start, 2.0 * cost) == "optimal"
+    assert rebuilds.parts == [0, simplex._PATH_CAP, simplex._PATH_CAP]
+    # a small cost on a slack keeps the degenerate stretch and the switch
+    # to Bland's rule, and parts from the record only after it
+    tilted = 2.0 * cost
+    tilted[5] = -0.013
+    assert _assert_phase_two_matches_reference(start, tilted) == "optimal"
+    assert rebuilds.parts[-1] > simplex._STALL_LIMIT
+
+
+def test_replay_runs_out_of_iterations_like_reference():
+    start, cost = _beale_start()
+    _assert_phase_two_matches_reference(start, cost)
+    for max_iter in (1, 5, simplex._STALL_LIMIT + 2, simplex._PATH_CAP):
+        assert _assert_phase_two_matches_reference(start, 2.0 * cost, max_iter) is RuntimeError
+    # the record a cut walk leaves still replays bit for bit
+    assert _assert_phase_two_matches_reference(start, cost) == "optimal"
+    assert _assert_phase_two_matches_reference(start, 2.0 * cost, 100_000) == "optimal"
+
+
+def _ray_start():
+    """x0 has no positive entry; x1 enters on row 0, x2 and x3 on row 1."""
+    A = np.array([[-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 2.0, 1.0], [-2.0, 1.0, 1.0, 0.0]])
+    return _slack_start(A, np.array([2.0, 3.0, 4.0]))
+
+
+def _ray_cost(*costs):
+    return np.concatenate([costs, np.zeros(3)])
+
+
+def test_replay_blocks_zero_cost_ray_like_reference(monkeypatch):
+    start = _ray_start()
+    rebuilds = _Rebuilds(monkeypatch)
+    # x0 is steepest but its cost is roundoff noise: blocked; then x1, x2
+    path = _ray_cost(-5e-7, -2e-7, -1e-7, -0.5e-7)
+    assert _assert_phase_two_matches_reference(start, path) == "optimal"
+    assert [(j, i) for j, i, _, _ in start._path] == [(0, -1), (1, 0), (2, 1)]
+    # the whole record again, and a prefix of it: the ray step replays
+    for cost in (path, _ray_cost(-5e-7, -2e-7, 0.0, 0.0), path):
+        assert _assert_phase_two_matches_reference(start, cost) == "optimal"
+    assert rebuilds.parts == [0]
+    # x3 now beats x2 after the ray step and the pivot on x1: the rebuild
+    # re-applies that pivot, past the ray step before it
+    assert _assert_phase_two_matches_reference(start, _ray_cost(-5e-7, -2e-7, -1e-7, -1.5e-7)) == "optimal"
+    assert rebuilds.parts == [0, 2]
+    assert [(j, i) for j, i, _, _ in start._path] == [(0, -1), (1, 0), (3, 1)]
+    assert _assert_phase_two_matches_reference(start, path) == "optimal"
+
+
+def test_replay_reports_unbounded_column_like_reference():
+    start = _ray_start()
+    path = _ray_cost(-5e-7, -2e-7, -1e-7, 0.0)
+    assert _assert_phase_two_matches_reference(start, path) == "optimal"
+    # the recorded ray step, now with a genuinely improving cost
+    assert _assert_phase_two_matches_reference(start, _ray_cost(-1.0, -0.5, 0.0, 0.0)) == "unbounded"
+    # the pivot on x1 first, then the ray: that pivot leaves x0 with cost
+    # c0 + c1, so the ray is blocked, or not, on the replayed prefix
+    assert _assert_phase_two_matches_reference(start, _ray_cost(-5e-7, -1.0, 0.0, 0.0)) == "unbounded"
+    assert [(j, i) for j, i, _, _ in start._path] == [(1, 0), (0, -1)]
+    assert _assert_phase_two_matches_reference(start, _ray_cost(1.0 - 5e-7, -1.0, 0.0, 0.0)) == "optimal"
+    assert _assert_phase_two_matches_reference(start, _ray_cost(-0.5, -1.0, 0.0, 0.0)) == "unbounded"
+    assert _assert_phase_two_matches_reference(start, path) == "optimal"
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_replay_on_random_programs_matches_reference(seed):
+    # canonical programs with ties and degenerate vertices, and cost
+    # sequences that share a prefix of their paths
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 7)), int(rng.integers(2, 60))
+    A = rng.integers(-2, 4, size=(m, n)).astype(float) if seed % 2 else rng.normal(size=(m, n))
+    A[0] = np.abs(A[0]) + 0.1  # bounds the program
+    start = _slack_start(A, np.concatenate([[1.0], rng.integers(0, 3, size=m - 1)]).astype(float))
+    base = np.concatenate([rng.normal(size=n), np.zeros(m)])
+    for _ in range(12):
+        cost = base.copy()
+        cost[rng.integers(n + m)] += rng.normal() * 10.0 ** rng.integers(-6, 1)
+        for max_iter in (None, int(rng.integers(1, 4))):
+            _assert_phase_two_matches_reference(start, cost, max_iter)

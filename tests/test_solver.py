@@ -631,3 +631,65 @@ class TestWindowBisection:
         assert any(late_passes)
         grid = build_grid(constraints, objective, 8000)
         assert solve(constraints, obs, objective, grid).bound >= 5.75946e-4
+
+
+class TestSharedPhaseOne:
+    """Windows that keep the same columns share one sign-test phase 1."""
+
+    #: solve-mix seed-5 input ``s364``: five windows over three kept sets,
+    #: the first two and the last two alike
+    INSTANCE = (
+        (
+            ConfidenceBound(0.0009324515633061724, 0.5993139216734447),
+            PerfectionConfidence(0.46723997205291146),
+            PriorReliability(6114, 0.4175010595910956),
+        ),
+        Observation(9_311_728, 0),
+        PosteriorConfidence(2.6692693686942145e-06),
+    )
+
+    def test_one_phase_one_per_kept_set(self, monkeypatch):
+        constraints, obs, objective = self.INSTANCE
+        windows = _windows(constraints, obs, objective, 500)
+        new_set = [True] + [not np.array_equal(a.keep, b.keep) for a, b in zip(windows, windows[1:])]
+        assert new_set == [True, False, True, True, False]
+        phase_ones = 0
+        per_window = []
+        phase_one, window_masses = simplex._phase_one, solver._window_masses
+
+        def counting_phase_one(*args):
+            nonlocal phase_ones
+            phase_ones += 1
+            return phase_one(*args)
+
+        def counting_window_masses(*args):
+            before = phase_ones
+            masses = window_masses(*args)
+            per_window.append(phase_ones - before)
+            return masses
+
+        monkeypatch.setattr(simplex, "_phase_one", counting_phase_one)
+        monkeypatch.setattr(solver, "_window_masses", counting_window_masses)
+        solve(constraints, obs, objective, build_grid(constraints, objective, 500))
+        assert per_window == [int(new) for new in new_set]
+
+    def test_masses_match_a_fresh_phase_one(self, monkeypatch):
+        constraints, obs, objective = self.INSTANCE
+        seen = []
+        window_masses = solver._window_masses
+
+        def recording_window_masses(window, maximize, latest=None):
+            masses = window_masses(window, maximize, latest)
+            seen.append((window, maximize, masses))
+            return masses
+
+        monkeypatch.setattr(solver, "_window_masses", recording_window_masses)
+        solve(constraints, obs, objective, build_grid(constraints, objective, 500))
+        assert len(seen) == 5
+        for window, maximize, masses in seen:
+            # its own phase 1, with nothing recorded from earlier sign tests
+            fresh = window_masses(window, maximize)
+            if masses is None:
+                assert fresh is None
+            else:
+                assert masses.tobytes() == fresh.tobytes()
