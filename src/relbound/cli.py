@@ -16,7 +16,7 @@ from typing import Sequence
 from . import gsn, measures, operational, verification
 from .errors import InfeasibleConstraintsError, ParseError, RelboundError, ZeroEvidenceError
 from .inference import Observation, objective_from_dict
-from .priors import DEFAULT_RESOLUTION, build_grid, check_feasible, constraints_from_list
+from .priors import DEFAULT_RESOLUTION, build_grid, check_feasible, constraints_from_list, count_field
 from .solver import STATUS_INFEASIBLE, curve, solve
 
 EXIT_OK = 0
@@ -79,8 +79,8 @@ def _load_observation(path: str) -> Observation:
     if isinstance(doc, dict) and "observation" in doc:
         doc = doc["observation"]
     try:
-        return Observation(n=int(doc["n"]), k=int(doc["k"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        return Observation(n=count_field(doc, "n"), k=count_field(doc, "k"))
+    except (KeyError, TypeError, ValueError, ParseError) as exc:
         raise ParseError(f"{path}: bad observation document: {exc}") from None
 
 

@@ -281,32 +281,17 @@ def evaluate_case(
         if node_id in memo:
             return memo[node_id]
         node = nodes[node_id]
-        result: str
-        if node.kind in _ANNOTATION_KINDS:
-            result = SATISFIED  # annotations never gate satisfaction
-        elif node.kind == "solution":
+        if node.kind not in ("goal", "strategy"):
+            # annotations never gate satisfaction, and away-goals were
+            # resolved against the registry during validation
             result = SATISFIED
-        elif node.kind == "away-goal":
-            result = SATISFIED  # resolved against the registry during validation
-        elif node.kind == "strategy":
-            children = case.children(node_id)
-            result = (
-                SATISFIED
-                if all(status_of(c) == SATISFIED for c in children)
-                else UNSATISFIED
-            )
-        else:  # goal
-            if node.claim_binding is not None:
-                result = _evaluate_binding(node.claim_binding, obs, resolution)
-            elif node.undeveloped:
-                result = UNDEVELOPED
-            else:
-                children = case.children(node_id)
-                result = (
-                    SATISFIED
-                    if all(status_of(c) == SATISFIED for c in children)
-                    else UNSATISFIED
-                )
+        elif node.kind == "goal" and node.claim_binding is not None:
+            result = _evaluate_binding(node.claim_binding, obs, resolution)
+        elif node.kind == "goal" and node.undeveloped:
+            result = UNDEVELOPED
+        else:  # a strategy, or a goal argued through its children
+            children_hold = all(status_of(c) == SATISFIED for c in case.children(node_id))
+            result = SATISFIED if children_hold else UNSATISFIED
         memo[node_id] = result
         return result
 

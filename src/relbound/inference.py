@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParseError, ZeroEvidenceError
 from .numerics import EXP_UNDERFLOW, survive_prob
-from .priors import PriorDistribution
+from .priors import PriorDistribution, count_field
 
 CONSERVATIVE_MAX = "conservative-max"
 CONSERVATIVE_MIN = "conservative-min"
@@ -91,7 +91,7 @@ def objective_from_dict(doc: Mapping) -> ObjectiveSpec:
         if kind == "posterior_confidence":
             return PosteriorConfidence(p_req=float(doc["p_req"]))
         if kind == "future_reliability":
-            return FutureReliability(t=int(doc["t"]))
+            return FutureReliability(t=count_field(doc, "t"))
     except KeyError as exc:
         raise ParseError(f"objective document missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

@@ -204,6 +204,8 @@ def check_conservatism(
     corrupted (anti-conservative) bound. Per-trial errors are recorded,
     not raised.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if bound is None:
         result = solve(constraints, obs, objective, grid)
         if result.solver_status == "infeasible":

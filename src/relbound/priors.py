@@ -10,6 +10,14 @@ over the probability of failure per demand:
 
 Constraints combine conjunctively. A confidence bound uses a closed
 boundary: mass placed exactly at the threshold counts toward it.
+
+Only this module says what a form means; the solver reads nothing but
+the ``ConstraintRow``s built here. A new form supplies its dataclass, tag
+and parser branch; its exact check in ``PriorDistribution.satisfies``; its
+row in ``constraint_rows`` (``"le"`` non-decreasing along the sorted grid,
+``"ge"`` non-increasing, ``"eq"`` the 0/1 indicator of a grid prefix); and
+its thresholds in ``forced_grid_points`` or ``threshold_points``. The one
+other place to edit is ``operational._seed_support``.
 """
 
 from __future__ import annotations
@@ -98,6 +106,14 @@ def constraint_to_dict(constraint: PartialPriorConstraint) -> dict:
     return doc
 
 
+def count_field(doc: Mapping, field: str) -> int:
+    """``doc[field]`` as a count: an int or an integral float, not a bool."""
+    value = doc[field]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ParseError(f"{field} must be an integer count, got {value!r}")
+    return int(value)
+
+
 def constraint_from_dict(doc: Mapping) -> PartialPriorConstraint:
     try:
         kind = doc["type"]
@@ -108,7 +124,7 @@ def constraint_from_dict(doc: Mapping) -> PartialPriorConstraint:
         if kind == "perfection_confidence":
             return PerfectionConfidence(theta=float(doc["theta"]))
         if kind == "prior_reliability":
-            return PriorReliability(n0=int(doc["n0"]), gamma=float(doc["gamma"]))
+            return PriorReliability(n0=count_field(doc, "n0"), gamma=float(doc["gamma"]))
     except KeyError as exc:
         raise ParseError(f"constraint document missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
@@ -234,6 +250,18 @@ def forced_grid_points(
     return [p for p in forced if 0.0 <= p <= 1.0]
 
 
+def threshold_points(
+    constraints: Sequence[PartialPriorConstraint], objective=None
+) -> list[float]:
+    """The forced grid points inside (0, 1), plus each prior-reliability
+    boundary 1 - gamma**(1/n0), which a point mass there meets exactly."""
+    points = [p for p in forced_grid_points(constraints, objective) if p not in (0.0, 1.0)]
+    for c in constraints:
+        if isinstance(c, PriorReliability) and c.n0 > 0 and c.gamma > 0.0:
+            points.append(1.0 - c.gamma ** (1.0 / c.n0))  # in [0, 1) for gamma in (0, 1]
+    return points
+
+
 def build_grid(
     constraints: Sequence[PartialPriorConstraint] = (),
     objective=None,
@@ -291,8 +319,8 @@ def constraint_rows(
     return rows
 
 
-def rows_as_ub(rows: Sequence[ConstraintRow], slack: float = EQUALITY_SLACK):
-    """Express rows as A x <= b, relaxing equalities by ±``slack``."""
+def rows_as_ub(rows: Sequence[ConstraintRow]):
+    """Express rows as A x <= b, relaxing equalities by ±``EQUALITY_SLACK``."""
     a_list: list[np.ndarray] = []
     b_list: list[float] = []
     for row in rows:
@@ -304,14 +332,36 @@ def rows_as_ub(rows: Sequence[ConstraintRow], slack: float = EQUALITY_SLACK):
             b_list.append(-row.rhs)
         elif row.sense == "eq":
             a_list.append(row.coeffs)
-            b_list.append(row.rhs + slack)
+            b_list.append(row.rhs + EQUALITY_SLACK)
             a_list.append(-row.coeffs)
-            b_list.append(-(row.rhs - slack))
+            b_list.append(-(row.rhs - EQUALITY_SLACK))
         else:
             raise ValueError(f"unknown sense {row.sense!r}")
     if not a_list:
         return np.zeros((0, 0)), np.zeros(0)
     return np.vstack(a_list), np.asarray(b_list, dtype=float)
+
+
+def homogeneous_ub(rows: Sequence[ConstraintRow], scale=1.0) -> np.ndarray | None:
+    """The rows as ``A x <= 0`` over masses ``x * scale`` (a scalar or one
+    factor per column), equalities relaxed as in ``rows_as_ub``; None if no rows."""
+    a_list: list[np.ndarray] = []
+    for row in rows:
+        coeffs = row.coeffs / scale
+        rhs = row.rhs / scale
+        if row.sense == "le":
+            a_list.append(coeffs - rhs)
+        elif row.sense == "ge":
+            a_list.append(rhs - coeffs)
+        elif row.sense == "eq":
+            delta = EQUALITY_SLACK / scale
+            a_list.append(coeffs - rhs - delta)
+            a_list.append(rhs - delta - coeffs)
+        else:
+            raise ValueError(f"unknown sense {row.sense!r}")
+    if not a_list:
+        return None
+    return np.vstack(a_list)
 
 
 @dataclass(frozen=True)
@@ -323,8 +373,8 @@ class FeasibilityResult:
     unsatisfiable: tuple[PartialPriorConstraint, ...]
 
 
-def _clean_masses(x: np.ndarray, drop_tol: float = 1e-12) -> np.ndarray:
-    cleaned = np.where(x > drop_tol, x, 0.0)
+def _clean_masses(x: np.ndarray) -> np.ndarray:
+    cleaned = np.where(x > 1e-12, x, 0.0)
     total = cleaned.sum()
     if total <= 0.0:
         return x / x.sum()
@@ -345,10 +395,7 @@ def max_mean_prior(points: np.ndarray, rows: Sequence[ConstraintRow]) -> PriorDi
     """
     from .simplex import solve_lp
 
-    a_ub, b_ub = rows_as_ub(rows)
-    if a_ub.size == 0:
-        a_ub = None
-        b_ub = None
+    a_ub, b_ub = rows_as_ub(rows)  # zero rows when there are no constraints
     result = solve_lp(
         points.astype(float),
         a_ub=a_ub,

@@ -59,23 +59,20 @@ from .inference import (
     objective_to_dict,
     posterior_value,
 )
-from .numerics import EXP_UNDERFLOW, survive_prob
+from .numerics import EXP_UNDERFLOW
 from .priors import (
     DEFAULT_RESOLUTION,
-    EQUALITY_SLACK,
-    ConfidenceBound,
     ConstraintRow,
-    MeanBound,
-    PerfectionConfidence,
     PfdGrid,
     PriorDistribution,
-    PriorReliability,
     build_grid,
     check_feasible,  # noqa: F401  importable from here, though solve does not call it
     constraint_rows,
     forced_grid_points,
+    homogeneous_ub,
     max_mean_prior,
     rows_as_ub,
+    threshold_points,
 )
 from .simplex import LpResult, solve_lp
 
@@ -119,28 +116,24 @@ def _scalar_log_likelihood(p: float, obs: Observation) -> float:
     return float(log_likelihood_vector(np.array([p]), obs)[0])
 
 
-def _singleton_feasible(constraints, points: np.ndarray) -> np.ndarray:
-    """Which grid points can carry a feasible point-mass prior."""
-    ok = np.ones(points.size, dtype=bool)
-    for constraint in constraints:
-        if isinstance(constraint, MeanBound):
-            ok &= points <= constraint.m + 1e-12
-        elif isinstance(constraint, PriorReliability):
-            ok &= survive_prob(points, constraint.n0) >= constraint.gamma - 1e-12
-        elif isinstance(constraint, ConfidenceBound):
-            if constraint.theta >= 1.0 - 1e-9:
-                ok &= points <= constraint.epsilon
-            elif constraint.theta <= 1e-9:
-                ok &= points > constraint.epsilon
-            else:
-                ok &= False
-        elif isinstance(constraint, PerfectionConfidence):
-            if constraint.theta >= 1.0 - 1e-9:
-                ok &= points == 0.0
-            elif constraint.theta <= 1e-9:
-                ok &= points > 0.0
-            else:
-                ok &= False
+def _singleton_feasible(rows, n_points: int) -> np.ndarray:
+    """Which grid points can carry a feasible point-mass prior.
+
+    An ``"eq"`` row is a 0/1 indicator, so a point mass meets it only
+    when its right-hand side is (within 1e-9) that point's coefficient.
+    """
+    ok = np.ones(n_points, dtype=bool)
+    for row in rows:
+        if row.sense == "le":
+            ok &= row.coeffs <= row.rhs + 1e-12
+        elif row.sense == "ge":
+            ok &= row.coeffs >= row.rhs - 1e-12
+        elif row.rhs >= 1.0 - 1e-9:
+            ok &= row.coeffs == 1.0
+        elif row.rhs <= 1e-9:
+            ok &= row.coeffs == 0.0
+        else:
+            ok &= False
     return ok
 
 
@@ -207,17 +200,8 @@ def _anchor_shifts(
     if not finite_mask.any():
         return []
     anchors = [float(log_lik[finite_mask].max())]
-    thresholds = [p for p in forced_grid_points(constraints, objective) if p not in (0.0, 1.0)]
-    for constraint in constraints:
-        if isinstance(constraint, MeanBound):
-            thresholds.append(constraint.m)
-        elif isinstance(constraint, PriorReliability) and constraint.n0 > 0:
-            if constraint.gamma > 0.0:
-                thresholds.append(1.0 - constraint.gamma ** (1.0 / constraint.n0))
-    anchors.extend(
-        _scalar_log_likelihood(p, obs) for p in thresholds if 0.0 <= p <= 1.0
-    )
-    singles = _singleton_feasible(constraints, points) & finite_mask
+    anchors.extend(_scalar_log_likelihood(p, obs) for p in threshold_points(constraints, objective))
+    singles = _singleton_feasible(rows, points.size) & finite_mask
     if singles.any():
         anchors.append(float(log_lik[singles].min()))
     if feas_witness is not None:
@@ -265,26 +249,6 @@ def _make_window(rows, points, log_lik, anchor, gains) -> _Window | None:
     )
 
 
-def _homogeneous_ub(rows, scale: np.ndarray | None = None) -> np.ndarray | None:
-    """The rows as ``A x <= 0``: homogeneous in prior masses, so that the
-    normalisation row alone fixes the scale; None when there are no rows."""
-    a_list: list[np.ndarray] = []
-    for row in rows:
-        coeffs = row.coeffs if scale is None else row.coeffs / scale
-        rhs_vec = row.rhs if scale is None else row.rhs / scale
-        if row.sense == "le":
-            a_list.append(coeffs - rhs_vec)
-        elif row.sense == "ge":
-            a_list.append(rhs_vec - coeffs)
-        else:  # equality, relaxed two-sided for numerical rank safety
-            delta = EQUALITY_SLACK if scale is None else EQUALITY_SLACK / scale
-            a_list.append(coeffs - rhs_vec - delta)
-            a_list.append(rhs_vec - delta - coeffs)
-    if not a_list:
-        return None
-    return np.vstack(a_list)
-
-
 def _window_ratio_value(window: _Window, maximize: bool, b_ub, basis) -> float | None:
     """The ratio-transformed LP on the window, in posterior-mass variables.
 
@@ -306,7 +270,7 @@ def _window_ratio_value(window: _Window, maximize: bool, b_ub, basis) -> float |
         np.where(window.live, window.gains, 0.0),
         # built inline, so that solve_lp holds the only reference and frees
         # it once the tableau is built
-        a_ub=_homogeneous_ub(window.rows, scale=scale),
+        a_ub=homogeneous_ub(window.rows, scale=scale),
         b_ub=b_ub,
         a_eq=window.live.astype(float).reshape(1, -1),
         b_eq=np.ones(1),
@@ -339,7 +303,7 @@ class _LatestPhaseOne:
     def for_window(self, window: _Window) -> LpResult:
         if self.keep is None or not np.array_equal(window.keep, self.keep):
             self.vertex = None  # free the previous phase 1 before building this one
-            a_ub = _homogeneous_ub(window.rows)
+            a_ub = homogeneous_ub(window.rows)
             self.vertex = solve_lp(
                 np.zeros(window.keep.size),
                 a_ub=a_ub,

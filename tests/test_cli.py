@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +107,61 @@ def test_solve_zero_evidence_distinct_message(files, capsys):
     assert "zero-evidence" in captured.err
 
 
+def _solve_exit(write, capsys, constraints, observation, objective):
+    code = main(
+        ["solve", "--constraints", write_json(write, "c.json", constraints),
+         "--observation", write_json(write, "o.json", observation),
+         "--objective", write_json(write, "obj.json", objective), "--grid", "50"]
+    )
+    return code, capsys.readouterr()
+
+
+_RELIABILITY = [{"type": "prior_reliability", "n0": 10, "gamma": 0.5}]
+_EXPECTED_PFD = {"type": "posterior_expected_pfd"}
+
+
+@pytest.mark.parametrize(
+    "constraints, observation, objective, field",
+    [
+        (_RELIABILITY, {"n": 1000.9, "k": 0}, _EXPECTED_PFD, "n"),
+        (_RELIABILITY, {"n": 1000, "k": 0.5}, _EXPECTED_PFD, "k"),
+        (_RELIABILITY, {"n": True, "k": False}, _EXPECTED_PFD, "n"),
+        (_RELIABILITY, {"n": 1000, "k": 0}, {"type": "future_reliability", "t": 99.5}, "t"),
+        (_RELIABILITY, {"n": 1000, "k": 0}, {"type": "future_reliability", "t": True}, "t"),
+        (
+            [{"type": "prior_reliability", "n0": 10.7, "gamma": 0.5}],
+            {"n": 1000, "k": 0},
+            _EXPECTED_PFD,
+            "n0",
+        ),
+    ],
+    ids=[
+        "fractional-n", "fractional-k", "boolean-counts", "fractional-t", "boolean-t", "fractional-n0"
+    ],
+)
+def test_solve_rejects_malformed_counts(
+    files, capsys, constraints, observation, objective, field
+):
+    write, _ = files
+    code, captured = _solve_exit(write, capsys, constraints, observation, objective)
+    assert code == 1
+    assert f"{field} must be an integer count" in captured.err
+    assert captured.out == ""
+
+
+def test_solve_accepts_integral_float_counts(files, capsys):
+    write, _ = files
+    outputs = []
+    for count in (int, float):
+        constraints = [{"type": "prior_reliability", "n0": count(10), "gamma": 0.5}]
+        observation = {"n": count(1000), "k": count(2)}
+        objective = {"type": "future_reliability", "t": count(100)}
+        code, captured = _solve_exit(write, capsys, constraints, observation, objective)
+        assert code == 0
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
 def test_curve_theta_one_constant(files, capsys):
     write, tmp = files
     constraints = write_json(
@@ -118,7 +174,7 @@ def test_curve_theta_one_constant(files, capsys):
          "--n-values", "10,100,1000", "--grid", "80", "--out", out_path]
     )
     assert code == 0
-    lines = open(out_path).read().strip().splitlines()
+    lines = Path(out_path).read_text().strip().splitlines()
     assert lines[0] == "n,bound"
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert values == pytest.approx([(1 - 0.01) ** 10] * 3, abs=1e-9)
@@ -271,6 +327,39 @@ def test_gsn_evaluate(files, capsys):
     assert out == {"G1": "satisfied"}
 
 
+def test_gsn_evaluate_rejects_fractional_binding_count(files, capsys):
+    write, _ = files
+    case = write_json(
+        write,
+        "case.json",
+        {
+            "root": "G1",
+            "nodes": [
+                {
+                    "id": "G1",
+                    "kind": "goal",
+                    "statement": "reliable enough",
+                    "claim_binding": {
+                        "constraints": [{"type": "perfection_confidence", "theta": 0.5}],
+                        "objective": {"type": "future_reliability", "t": 99.5},
+                        "threshold": 0.99,
+                        "comparison": ">=",
+                    },
+                },
+                {"id": "Sn1", "kind": "solution", "statement": "operational data"},
+            ],
+            "supported_by": [["G1", "Sn1"]],
+        },
+    )
+    observation = write_json(write, "o.json", {"n": 100, "k": 0})
+    code = main(
+        ["gsn", "evaluate", "--case", case, "--observation", observation, "--grid", "100"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "t must be an integer count" in captured.err
+
+
 def test_simulate_deterministic(files, capsys):
     outputs = []
     for _ in range(2):
@@ -296,6 +385,22 @@ def test_audit_round_trip(files, capsys):
     assert code == 0
     assert out["trials"] == 10
     assert out["violations"] == 0
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_audit_rejects_no_trials(files, capsys, trials):
+    write, _ = files
+    constraints = write_json(write, "c.json", [{"type": "perfection_confidence", "theta": 1.0}])
+    observation = write_json(write, "o.json", {"n": 50, "k": 0})
+    objective = write_json(write, "obj.json", {"type": "future_reliability", "t": 10})
+    code = main(
+        ["audit", "--constraints", constraints, "--observation", observation,
+         "--objective", objective, "--trials", trials, "--seed", "3", "--grid", "50"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "trials must be at least 1" in captured.err
+    assert captured.out == ""
 
 
 def test_audit_without_margins_writes_strict_json(files, capsys, monkeypatch):

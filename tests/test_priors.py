@@ -192,37 +192,51 @@ class TestPfdGridPoints:
             PfdGrid(raw)
 
 
-class TestRowMonotonicity:
-    """Along the sorted grid every ``"le"`` row is non-decreasing and every
-    ``"ge"`` row non-increasing; the solver's level search relies on it."""
+_ROW_CASES = [
+    MeanBound(1e-3),
+    MeanBound(0.5),
+    ConfidenceBound(1e-4, 0.9),
+    ConfidenceBound(0.0, 0.3),
+    ConfidenceBound(1.0, 0.6),
+    PerfectionConfidence(0.4),
+    PriorReliability(0, 0.5),
+    PriorReliability(1, 0.5),
+    PriorReliability(10_000, 0.9),
+    PriorReliability(10**7, 0.1),
+]
 
-    @pytest.mark.parametrize(
-        "constraint",
-        [
-            MeanBound(1e-3),
-            MeanBound(0.5),
-            ConfidenceBound(1e-4, 0.9),
-            ConfidenceBound(0.0, 0.3),
-            PerfectionConfidence(0.4),
-            PriorReliability(0, 0.5),
-            PriorReliability(1, 0.5),
-            PriorReliability(10_000, 0.9),
-            PriorReliability(10**7, 0.1),
-        ],
-        ids=repr,
-    )
-    @pytest.mark.parametrize("resolution", [2, 12, 500, 8000])
-    def test_inequality_rows_are_monotone(self, constraint, resolution):
+
+class TestRowMonotonicity:
+    """Along the sorted grid every ``"le"`` row is non-decreasing, every
+    ``"ge"`` row non-increasing, and every ``"eq"`` row the 0/1 indicator
+    of a prefix. The solver's level search and point-mass test rely on it."""
+
+    @staticmethod
+    def _rows(constraint, resolution):
         grid = build_grid([constraint], PosteriorConfidence(3e-5), resolution)
         for points in (grid.as_array(), grid.refine().as_array()):
-            for row in constraint_rows([constraint], points):
-                steps = np.diff(row.coeffs)
-                if row.sense == "le":
-                    assert np.all(steps >= 0.0)
-                elif row.sense == "ge":
-                    assert np.all(steps <= 0.0)
-                else:
-                    assert row.sense == "eq"
+            yield from constraint_rows([constraint], points)
+
+    @pytest.mark.parametrize("constraint", _ROW_CASES, ids=repr)
+    @pytest.mark.parametrize("resolution", [2, 12, 500, 8000])
+    def test_inequality_rows_are_monotone(self, constraint, resolution):
+        for row in self._rows(constraint, resolution):
+            steps = np.diff(row.coeffs)
+            if row.sense == "le":
+                assert np.all(steps >= 0.0)
+            elif row.sense == "ge":
+                assert np.all(steps <= 0.0)
+            else:
+                assert row.sense == "eq"
+
+    @pytest.mark.parametrize("constraint", _ROW_CASES, ids=repr)
+    @pytest.mark.parametrize("resolution", [2, 12, 500, 8000])
+    def test_equality_rows_are_prefix_indicators(self, constraint, resolution):
+        for row in self._rows(constraint, resolution):
+            if row.sense == "eq":
+                assert np.all((row.coeffs == 0.0) | (row.coeffs == 1.0))
+                assert np.all(np.diff(row.coeffs) <= 0.0)
+                assert row.coeffs[0] == 1.0  # every grid starts at 0
 
 
 class TestConstraintRows:

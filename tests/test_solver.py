@@ -18,8 +18,10 @@ from relbound.inference import (
     objective_gain,
     posterior_value,
 )
+from relbound.numerics import survive_prob
 from relbound.operational import sample_feasible_prior
 from relbound.priors import (
+    EQUALITY_SLACK,
     ConfidenceBound,
     ConstraintRow,
     MeanBound,
@@ -29,6 +31,7 @@ from relbound.priors import (
     build_grid,
     constraint_rows,
     forced_grid_points,
+    homogeneous_ub,
     max_mean_prior,
     rows_as_ub,
 )
@@ -438,7 +441,7 @@ def _reference_window_masses(window, maximize):
     when no bisection ran), and how many sign tests passed at or past the
     level of a failed probe.
     """
-    a_ub = solver._homogeneous_ub(window.rows)
+    a_ub = homogeneous_ub(window.rows)
     b_ub = None if a_ub is None else np.zeros(a_ub.shape[0])
     vertex = solver.solve_lp(
         np.zeros(window.keep.size),
@@ -693,3 +696,188 @@ class TestSharedPhaseOne:
                 assert fresh is None
             else:
                 assert masses.tobytes() == fresh.tobytes()
+
+
+# --- constraints as rows: the solver must read them as the classes mean ---
+
+#: where an equality's right-hand side switches what a point mass needs
+_CUT_OFFS = (1e-9, 1.0 - 1e-9)
+_EDGE_UNITS = (0.0, 1.0, *_CUT_OFFS) + tuple(
+    float(np.nextafter(c, toward)) for c in _CUT_OFFS for toward in (0.0, 1.0)
+)
+
+
+def _reference_singleton_feasible(constraints, points):
+    """Point-mass feasibility read from the constraint classes, as the
+    solver did before it read rows."""
+    ok = np.ones(points.size, dtype=bool)
+    for constraint in constraints:
+        if isinstance(constraint, MeanBound):
+            ok &= points <= constraint.m + 1e-12
+        elif isinstance(constraint, PriorReliability):
+            ok &= survive_prob(points, constraint.n0) >= constraint.gamma - 1e-12
+        elif isinstance(constraint, ConfidenceBound):
+            if constraint.theta >= 1.0 - 1e-9:
+                ok &= points <= constraint.epsilon
+            elif constraint.theta <= 1e-9:
+                ok &= points > constraint.epsilon
+            else:
+                ok &= False
+        elif isinstance(constraint, PerfectionConfidence):
+            if constraint.theta >= 1.0 - 1e-9:
+                ok &= points == 0.0
+            elif constraint.theta <= 1e-9:
+                ok &= points > 0.0
+            else:
+                ok &= False
+    return ok
+
+
+def _edge_constraint(rng: random.Random, kind: str):
+    """A constraint whose parameters sit on the edges that a point-mass
+    test distinguishes about as often as anywhere else."""
+
+    def unit() -> float:
+        return rng.choice(_EDGE_UNITS) if rng.random() < 0.6 else rng.random()
+
+    def level() -> float:
+        return rng.choice((0.0, 1.0)) if rng.random() < 0.3 else 10 ** rng.uniform(-9, 0)
+
+    if kind == "mean":
+        return MeanBound(level())
+    if kind == "confidence":
+        return ConfidenceBound(level(), unit())
+    if kind == "perfection":
+        return PerfectionConfidence(unit())
+    return PriorReliability(rng.choice((0, 1, 10, 1000, 10**6)), unit())
+
+
+def _reference_threshold_points(constraints, objective):
+    """The anchor thresholds as the solver listed them before ``priors``
+    did: the mean bound appears twice, and 0 and 1 are not dropped."""
+    thresholds = [p for p in forced_grid_points(constraints, objective) if p not in (0.0, 1.0)]
+    for constraint in constraints:
+        if isinstance(constraint, MeanBound):
+            thresholds.append(constraint.m)
+        elif isinstance(constraint, PriorReliability) and constraint.n0 > 0:
+            if constraint.gamma > 0.0:
+                thresholds.append(1.0 - constraint.gamma ** (1.0 / constraint.n0))
+    return [p for p in thresholds if 0.0 <= p <= 1.0]
+
+
+def _reference_anchor_shifts(constraints, rows, objective, obs, points, log_lik, feas_witness):
+    finite_mask = np.isfinite(log_lik)
+    if not finite_mask.any():
+        return []
+    anchors = [float(log_lik[finite_mask].max())]
+    anchors.extend(
+        solver._scalar_log_likelihood(p, obs) for p in _reference_threshold_points(constraints, objective)
+    )
+    singles = _reference_singleton_feasible(constraints, points) & finite_mask
+    if singles.any():
+        anchors.append(float(log_lik[singles].min()))
+    if feas_witness is not None:
+        anchors.extend(solver._scalar_log_likelihood(p, obs) for p in feas_witness.support)
+    deepest = solver._deepest_dominant_level(rows, log_lik)
+    if deepest is not None:
+        anchors.append(deepest)
+    anchors = [a for a in anchors if math.isfinite(a)]
+    selected = []
+    for a in sorted(set(anchors), reverse=True):
+        if not selected or selected[-1] - a > 1e-9:
+            selected.append(a)
+    return selected
+
+
+def _reference_homogeneous_ub(rows, scale=None):
+    """The homogeneous rows as the solver built them before ``priors`` did."""
+    a_list = []
+    for row in rows:
+        coeffs = row.coeffs if scale is None else row.coeffs / scale
+        rhs_vec = row.rhs if scale is None else row.rhs / scale
+        if row.sense == "le":
+            a_list.append(coeffs - rhs_vec)
+        elif row.sense == "ge":
+            a_list.append(rhs_vec - coeffs)
+        else:
+            delta = EQUALITY_SLACK if scale is None else EQUALITY_SLACK / scale
+            a_list.append(coeffs - rhs_vec - delta)
+            a_list.append(rhs_vec - delta - coeffs)
+    if not a_list:
+        return None
+    return np.vstack(a_list)
+
+
+class TestRowsOnly:
+    """The solver reads constraints only as rows; each reading must equal
+    the one it replaced, which read the constraint classes."""
+
+    @pytest.mark.parametrize("kinds", _KIND_SETS, ids=lambda k: "+".join(k) or "none")
+    def test_singleton_mask_matches_class_reading(self, kinds):
+        rng = random.Random("singleton:" + "+".join(kinds))
+        partial = 0
+        for _ in range(250):
+            constraints = [_edge_constraint(rng, kind) for kind in kinds]
+            points = build_grid(constraints, None, rng.choice((12, 200, 2000))).as_array()
+            want = _reference_singleton_feasible(constraints, points)
+            got = solver._singleton_feasible(constraint_rows(constraints, points), points.size)
+            assert np.array_equal(got, want), constraints
+            partial += 0 < want.sum() < points.size
+        if kinds:
+            assert partial > 0  # the masks do split the grid
+
+    @pytest.mark.parametrize("theta", _EDGE_UNITS)
+    def test_singleton_mask_at_equality_edges(self, theta):
+        points = build_grid([ConfidenceBound(1e-3, theta)], None, 200).as_array()
+        for constraint in (ConfidenceBound(1e-3, theta), PerfectionConfidence(theta)):
+            want = _reference_singleton_feasible([constraint], points)
+            got = solver._singleton_feasible(constraint_rows([constraint], points), points.size)
+            assert np.array_equal(got, want), constraint
+
+    def test_anchor_shifts_match_class_thresholds(self):
+        rng = random.Random(29)
+        edges = [
+            (MeanBound(0.0),),
+            (MeanBound(1.0),),
+            (PriorReliability(100, 0.0),),
+            (PriorReliability(100, 1.0),),
+            (PriorReliability(0, 0.4),),
+            (MeanBound(0.0), PriorReliability(0, 0.0)),
+            (MeanBound(1.0), PriorReliability(50, 1.0), PerfectionConfidence(0.3)),
+            (MeanBound(1.0), ConfidenceBound(1e-4, 1.0)),
+        ]
+        randoms = [
+            tuple(_edge_constraint(rng, kind) for kind in rng.choice(_KIND_SETS[1:]))
+            for _ in range(60)
+        ]
+        for constraints in edges + randoms:
+            objective = rng.choice(
+                [PosteriorExpectedPfd(), PosteriorConfidence(1e-4), FutureReliability(1000)]
+            )
+            points = build_grid(constraints, objective, rng.choice((12, 200, 2000))).as_array()
+            rows = constraint_rows(constraints, points)
+            feas_witness = max_mean_prior(points, rows)
+            n = rng.choice((10, 1000, 10**6))
+            for k in (0, rng.randint(1, min(30, n - 1)), n):
+                obs = Observation(n, k)
+                log_lik = log_likelihood_vector(points, obs)
+                args = (constraints, rows, objective, obs, points, log_lik, feas_witness)
+                assert solver._anchor_shifts(*args) == _reference_anchor_shifts(*args), args[:4]
+
+    def test_homogeneous_rows_byte_equal(self):
+        rng = random.Random(31)
+        windows = 0
+        for i in range(20):
+            kinds = rng.choice(_KIND_SETS[1:])
+            constraints = [_random_constraint(rng, kind) for kind in kinds]
+            obs = Observation(int(10 ** rng.uniform(2, 7)), rng.randint(1, 30) if i % 2 else 0)
+            for window in _windows(constraints, obs, PosteriorExpectedPfd(), rng.choice((100, 500))):
+                scale = np.where(window.live & (window.lik > 0.0), window.lik, 1.0)
+                got, want = homogeneous_ub(window.rows), _reference_homogeneous_ub(window.rows)
+                assert got.tobytes() == want.tobytes()
+                got = homogeneous_ub(window.rows, scale=scale)
+                want = _reference_homogeneous_ub(window.rows, scale=scale)
+                assert got.tobytes() == want.tobytes()
+                windows += 1
+        assert windows > 20
+        assert homogeneous_ub([]) is None
