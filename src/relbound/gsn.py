@@ -363,12 +363,15 @@ def case_from_dict(doc: Mapping) -> SafetyCase:
         nodes = []
         for node_doc in doc["nodes"]:
             binding = node_doc.get("claim_binding")
+            undeveloped = node_doc.get("undeveloped", False)
+            if not isinstance(undeveloped, bool):
+                raise ParseError(f"undeveloped must be true or false, got {undeveloped!r}")
             nodes.append(
                 GsnNode(
                     id=str(node_doc["id"]),
                     kind=str(node_doc["kind"]),
                     statement=str(node_doc.get("statement", "")),
-                    undeveloped=bool(node_doc.get("undeveloped", False)),
+                    undeveloped=undeveloped,
                     module_ref=node_doc.get("module_ref"),
                     claim_binding=None if binding is None else claim_from_dict(binding),
                 )

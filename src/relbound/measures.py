@@ -9,11 +9,11 @@ components with their lifecycle provenance.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from .csvio import csv_records
 from .errors import (
     InvalidDatasetError,
     InvalidDecompositionError,
@@ -30,10 +30,10 @@ def _check_weights(pairs, exc_type) -> None:
         raise exc_type("point ids must be unique")
     total = 0.0
     for pid, w in pairs:
-        if w < 0.0:
+        if not w >= 0.0:  # NaN fails too
             raise exc_type(f"negative weight {w!r} for point {pid!r}")
         total += w
-    if abs(total - 1.0) > WEIGHT_TOL:
+    if not abs(total - 1.0) <= WEIGHT_TOL:
         raise exc_type(f"weights sum to {total!r}, expected 1 within {WEIGHT_TOL}")
 
 
@@ -108,9 +108,9 @@ class ErrorDecomposition:
             "estimation_error": self.estimation_error,
         }
         for name, value in parts.items():
-            if value < 0.0:
+            if not value >= 0.0:  # NaN fails too
                 raise InvalidDecompositionError(f"{name} is negative: {value!r}")
-        if math.fsum(parts.values()) > 1.0 + WEIGHT_TOL:
+        if not math.fsum(parts.values()) <= 1.0 + WEIGHT_TOL:
             raise InvalidDecompositionError("components sum beyond 1")
 
 
@@ -122,24 +122,15 @@ def total_error(d: ErrorDecomposition) -> float:
 def load_dataset(path: str) -> MeasuredDataset:
     """Read a dataset CSV with header ``point_id,weight,disagree``."""
     items: list[tuple[str, float, bool]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["point_id", "weight", "disagree"]:
-            raise ParseError(f"{path}:1: expected header 'point_id,weight,disagree'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            pid, weight_text, flag_text = (cell.strip() for cell in row)
-            try:
-                weight = float(weight_text)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad weight {weight_text!r}") from None
-            if flag_text not in ("0", "1"):
-                raise ParseError(f"{path}:{lineno}: disagree must be 0 or 1, got {flag_text!r}")
-            items.append((pid, weight, flag_text == "1"))
+    for lineno, row in csv_records(path, ("point_id", "weight", "disagree")):
+        pid, weight_text, flag_text = (cell.strip() for cell in row)
+        try:
+            weight = float(weight_text)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad weight {weight_text!r}") from None
+        if flag_text not in ("0", "1"):
+            raise ParseError(f"{path}:{lineno}: disagree must be 0 or 1, got {flag_text!r}")
+        items.append((pid, weight, flag_text == "1"))
     return MeasuredDataset(tuple(items))
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import csv_records
 from .errors import InfeasibleConstraintsError, ParseError, SamplingFailureError, ZeroEvidenceError
 from .inference import CONSERVATIVE_MAX, Observation, ObjectiveSpec, posterior_value
 from .priors import ConfidenceBound, PerfectionConfidence, PfdGrid, PriorDistribution
@@ -50,26 +51,15 @@ def ingest(log: DemandLog) -> Observation:
 def load_demand_log(path: str) -> DemandLog:
     """Read a demand log CSV with header ``index,outcome``."""
     records: list[tuple[int, str]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["index", "outcome"]:
-            raise ParseError(f"{path}:1: expected header 'index,outcome'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            index_text, outcome = row[0].strip(), row[1].strip()
-            try:
-                index = int(index_text)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad index {index_text!r}") from None
-            if outcome not in (PASS, FAIL):
-                raise ParseError(
-                    f"{path}:{lineno}: outcome must be 'pass' or 'fail', got {outcome!r}"
-                )
-            records.append((index, outcome))
+    for lineno, row in csv_records(path, ("index", "outcome")):
+        index_text, outcome = row[0].strip(), row[1].strip()
+        try:
+            index = int(index_text)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad index {index_text!r}") from None
+        if outcome not in (PASS, FAIL):
+            raise ParseError(f"{path}:{lineno}: outcome must be 'pass' or 'fail', got {outcome!r}")
+        records.append((index, outcome))
     try:
         return DemandLog(tuple(records))
     except ValueError as exc:

@@ -12,11 +12,13 @@ Constraints combine conjunctively. A confidence bound uses a closed
 boundary: mass placed exactly at the threshold counts toward it.
 
 Only this module says what a form means; the solver reads nothing but
-the ``ConstraintRow``s built here. A new form supplies its dataclass, tag
-and parser branch; its exact check in ``PriorDistribution.satisfies``; its
-row in ``constraint_rows`` (``"le"`` non-decreasing along the sorted grid,
-``"ge"`` non-increasing, ``"eq"`` the 0/1 indicator of a grid prefix); and
-its thresholds in ``forced_grid_points`` or ``threshold_points``. The one
+the ``ConstraintRow``s built here. A row has one of two senses: ``"le"``,
+with coefficients non-decreasing along the sorted grid, or ``"eq"``, with
+coefficients the 0/1 indicator of a grid prefix. A lower bound is an
+``"le"`` row negated: prior reliability is -E[(1-pfd)**n0] <= -g. A new
+form supplies its dataclass, tag and parser branch; its exact check in
+``PriorDistribution.satisfies``; its row in ``constraint_rows``; and its
+thresholds in ``forced_grid_points`` or ``threshold_points``. The one
 other place to edit is ``operational._seed_support``.
 """
 
@@ -157,10 +159,10 @@ class PriorDistribution:
             raise InvalidDistributionError("support values must lie in [0, 1]")
         if any(a == b for a, b in zip(support, support[1:])):
             raise InvalidDistributionError("support values must be distinct")
-        if any(w < 0.0 for w in masses):
+        if not all(w >= 0.0 for w in masses):  # NaN fails too
             raise InvalidDistributionError("masses must be non-negative")
         total = math.fsum(masses)
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:
             raise InvalidDistributionError(f"masses sum to {total!r}, expected 1")
 
     @classmethod
@@ -180,21 +182,19 @@ class PriorDistribution:
     def reliability_moment(self, t: int) -> float:
         return math.fsum(w * survive_prob(p, t) for p, w in zip(self.support, self.masses))
 
-    def satisfies(self, constraint: PartialPriorConstraint, tol: float = MASS_TOL) -> bool:
+    def satisfies(self, constraint: PartialPriorConstraint) -> bool:
         if isinstance(constraint, MeanBound):
-            return self.mean() <= constraint.m + tol
+            return self.mean() <= constraint.m + MASS_TOL
         if isinstance(constraint, ConfidenceBound):
-            return abs(self.prob_at_most(constraint.epsilon) - constraint.theta) <= tol
+            return abs(self.prob_at_most(constraint.epsilon) - constraint.theta) <= MASS_TOL
         if isinstance(constraint, PerfectionConfidence):
-            return abs(self.prob_of_zero() - constraint.theta) <= tol
+            return abs(self.prob_of_zero() - constraint.theta) <= MASS_TOL
         if isinstance(constraint, PriorReliability):
-            return self.reliability_moment(constraint.n0) >= constraint.gamma - tol
+            return self.reliability_moment(constraint.n0) >= constraint.gamma - MASS_TOL
         raise TypeError(f"unknown constraint {constraint!r}")
 
-    def satisfies_all(
-        self, constraints: Iterable[PartialPriorConstraint], tol: float = MASS_TOL
-    ) -> bool:
-        return all(self.satisfies(c, tol) for c in constraints)
+    def satisfies_all(self, constraints: Iterable[PartialPriorConstraint]) -> bool:
+        return all(self.satisfies(c) for c in constraints)
 
     def to_dict(self) -> dict:
         return {"support": list(self.support), "masses": list(self.masses)}
@@ -295,7 +295,7 @@ class ConstraintRow:
     """One linear row a·x (sense) rhs over grid-point masses x."""
 
     coeffs: np.ndarray
-    sense: str  # "le" | "ge" | "eq"
+    sense: str  # "le" | "eq"
     rhs: float
 
 
@@ -313,7 +313,9 @@ def constraint_rows(
             coeffs = (points == 0.0).astype(float)
             rows.append(ConstraintRow(coeffs, "eq", constraint.theta))
         elif isinstance(constraint, PriorReliability):
-            rows.append(ConstraintRow(survive_prob(points, constraint.n0), "ge", constraint.gamma))
+            # E[(1-pfd)**n0] >= gamma, negated into an upper bound
+            coeffs = -survive_prob(points, constraint.n0)
+            rows.append(ConstraintRow(coeffs, "le", -constraint.gamma))
         else:
             raise TypeError(f"unknown constraint {constraint!r}")
     return rows
@@ -327,9 +329,6 @@ def rows_as_ub(rows: Sequence[ConstraintRow]):
         if row.sense == "le":
             a_list.append(row.coeffs)
             b_list.append(row.rhs)
-        elif row.sense == "ge":
-            a_list.append(-row.coeffs)
-            b_list.append(-row.rhs)
         elif row.sense == "eq":
             a_list.append(row.coeffs)
             b_list.append(row.rhs + EQUALITY_SLACK)
@@ -351,8 +350,6 @@ def homogeneous_ub(rows: Sequence[ConstraintRow], scale=1.0) -> np.ndarray | Non
         rhs = row.rhs / scale
         if row.sense == "le":
             a_list.append(coeffs - rhs)
-        elif row.sense == "ge":
-            a_list.append(rhs - coeffs)
         elif row.sense == "eq":
             delta = EQUALITY_SLACK / scale
             a_list.append(coeffs - rhs - delta)

@@ -29,14 +29,14 @@ above it are excluded (priors with mass there belong to a higher
 window). The window's ratio LP proposes a bound; sign-test programs —
 whose coefficients multiply the likelihood and therefore stay order one
 — certify it, falling back to bisection on the bound when the proposal
-does not verify, and their solution is the witness. The sign tests'
-phase 1 runs before the ratio LP, once per set of kept columns: the
-program depends on nothing else, and windows that keep the same columns
-come in a row, so each reuses the latest window's. Both programs range
-over the same cone of masses, so the ratio LP starts from that feasible
-basis and runs no phase 1 of its own, unless roundoff makes the basis
-singular or infeasible there. Every candidate witness is re-valued
-exactly on its own support, and the most conservative certified
+does not verify or roundoff leaves none, and their solution is the
+witness. The sign tests' phase 1 runs before the ratio LP, once per set
+of kept columns: the program depends on nothing else, and windows that
+keep the same columns come in a row, so each reuses the latest window's.
+Both programs range over the same cone of masses, so the ratio LP starts
+from that feasible basis and runs no phase 1 of its own, unless roundoff
+makes the basis singular or infeasible there. Every candidate witness is
+re-valued exactly on its own support, and the most conservative certified
 candidate wins.
 """
 
@@ -126,8 +126,6 @@ def _singleton_feasible(rows, n_points: int) -> np.ndarray:
     for row in rows:
         if row.sense == "le":
             ok &= row.coeffs <= row.rhs + 1e-12
-        elif row.sense == "ge":
-            ok &= row.coeffs >= row.rhs - 1e-12
         elif row.rhs >= 1.0 - 1e-9:
             ok &= row.coeffs == 1.0
         elif row.rhs <= 1e-9:
@@ -146,10 +144,9 @@ def _deepest_dominant_level(rows, log_lik: np.ndarray) -> float | None:
     Each probe keeps one point per indicator run: a maximal stretch of
     consecutive grid points on which every ``"eq"`` row has the same
     coefficient. The grid is sorted ascending, and this relies on every
-    ``"le"`` row being non-decreasing along it and every ``"ge"`` row
-    non-increasing. Moving a run's mass onto its first masked point then
-    keeps the ``"eq"`` rows, lowers the ``"le"`` rows and raises the
-    ``"ge"`` rows, so a mask is feasible exactly when its run
+    ``"le"`` row being non-decreasing along it. Moving a run's mass onto
+    its first masked point then keeps the ``"eq"`` rows and lowers the
+    ``"le"`` rows, so a mask is feasible exactly when its run
     representatives are, and each probe has one column per run. The rows
     are stacked once; a probe takes its columns from that stack.
     """
@@ -326,7 +323,9 @@ def _window_masses(
     proposes the bound; sign tests at a whisker to either side confirm
     and tighten it (falling back to bisection over [0, 1] when the
     proposal does not verify), and the argmin of the final achievable
-    sign test is the witness.
+    sign test is the witness. The ratio LP's objective is bounded by the
+    largest gain and its program is feasible, so when it reports neither
+    optimum that is roundoff: the bisection then runs without a proposal.
     """
     vertex = (_LatestPhaseOne() if latest is None else latest).for_window(window)
     if vertex.status != "optimal":
@@ -347,8 +346,6 @@ def _window_masses(
             return None  # no prior in the window has live evidence
         basis = densest.basis
     proposal = _window_ratio_value(window, maximize, b_ub, basis)
-    if proposal is None:
-        return None
 
     # the bracket runs on u = level when maximising and on u = -level when
     # minimising, so that a larger u is always harder to beat. IEEE negation
@@ -372,12 +369,13 @@ def _window_masses(
     witness = None
     # invariant: achievable somewhere above lo only
     lo, hi = (0.0, 1.0) if maximize else (-1.0, 0.0)
-    target = sign * proposal
-    probe = achievable(target - step)
-    if probe is not None:
-        witness, lo = probe, target - step
-        if achievable(target + step) is None:
-            hi = lo  # proposal verified within 2*step
+    if proposal is not None:
+        target = sign * proposal
+        probe = achievable(target - step)
+        if probe is not None:
+            witness, lo = probe, target - step
+            if achievable(target + step) is None:
+                hi = lo  # proposal verified within 2*step
     for _ in range(60):
         if hi - lo <= 1e-11:
             break
@@ -511,12 +509,9 @@ def _vertex_batch(points, mandatory_rows, slack_rows, log_lik, gains, m, maximiz
     feasible = solvable & np.all(np.nan_to_num(x, nan=-1.0) >= -1e-10, axis=1)
     residuals = np.einsum("nrm,nm->nr", systems, np.nan_to_num(x)) - rhs
     feasible &= np.all(np.abs(residuals) <= 1e-9, axis=1)
-    for row in slack_rows:
+    for row in slack_rows:  # every inequality row is "le"
         vals = np.einsum("nm,nm->n", row.coeffs[combos], np.nan_to_num(x))
-        if row.sense == "le":
-            feasible &= vals <= row.rhs + 1e-9
-        else:
-            feasible &= vals >= row.rhs - 1e-9
+        feasible &= vals <= row.rhs + 1e-9
     if not feasible.any():
         return None, None, None, False
 
@@ -624,13 +619,7 @@ def oracle_solve(
 def _masses_admissible(x: np.ndarray, ineq_rows) -> bool:
     if np.any(x < -1e-10):
         return False
-    for row in ineq_rows:
-        val = float(row.coeffs @ x)
-        if row.sense == "le" and val > row.rhs + 1e-9:
-            return False
-        if row.sense == "ge" and val < row.rhs - 1e-9:
-            return False
-    return True
+    return all(float(row.coeffs @ x) <= row.rhs + 1e-9 for row in ineq_rows)
 
 
 @functools.lru_cache(maxsize=None)

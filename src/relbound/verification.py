@@ -9,12 +9,12 @@ yielding the constraint Pr(pfd <= epsilon) = theta for the solver.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
+from .csvio import csv_records
 from .errors import InvalidCoverageError, ParseError
 from .measures import OperationalProfile
 from .priors import ConfidenceBound
@@ -36,11 +36,11 @@ class PiecewiseDensity:
                 raise InvalidCoverageError(f"density piece [{lo}, {hi}] outside [0, 1]")
             if lo < prev_hi - 1e-15:
                 raise InvalidCoverageError("density pieces overlap")
-            if density < 0.0:
+            if not density >= 0.0:  # NaN fails too
                 raise InvalidCoverageError("density must be non-negative")
             total += density * (hi - lo)
             prev_hi = hi
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise InvalidCoverageError(f"density integrates to {total!r}, expected 1")
 
     @classmethod
@@ -169,41 +169,23 @@ def profile_from_dict(doc: Mapping) -> OperationalProfile:
 def load_interval_coverage(path: str, density: PiecewiseDensity | None = None) -> IntervalCoverage:
     """Read covered intervals from a CSV with header ``lo,hi``."""
     cells: list[tuple[tuple[float, float], bool]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["lo", "hi"]:
-            raise ParseError(f"{path}:1: expected header 'lo,hi'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            try:
-                lo, hi = float(row[0]), float(row[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad interval {row!r}") from None
-            cells.append(((lo, hi), True))
+    for lineno, row in csv_records(path, ("lo", "hi")):
+        try:
+            lo, hi = float(row[0]), float(row[1])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad interval {row!r}") from None
+        cells.append(((lo, hi), True))
     return IntervalCoverage(tuple(cells), density or PiecewiseDensity.uniform())
 
 
 def load_discrete_coverage(path: str, profile: OperationalProfile) -> DiscreteCoverage:
     """Read per-point coverage flags from a CSV with header ``point_id,covered``."""
     cells: list[tuple[str, bool]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["point_id", "covered"]:
-            raise ParseError(f"{path}:1: expected header 'point_id,covered'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            pid, flag_text = row[0].strip(), row[1].strip()
-            if flag_text not in ("0", "1"):
-                raise ParseError(f"{path}:{lineno}: covered must be 0 or 1, got {flag_text!r}")
-            cells.append((pid, flag_text == "1"))
+    for lineno, row in csv_records(path, ("point_id", "covered")):
+        pid, flag_text = row[0].strip(), row[1].strip()
+        if flag_text not in ("0", "1"):
+            raise ParseError(f"{path}:{lineno}: covered must be 0 or 1, got {flag_text!r}")
+        cells.append((pid, flag_text == "1"))
     return DiscreteCoverage(tuple(cells), profile)
 
 

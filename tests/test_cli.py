@@ -229,6 +229,27 @@ def test_measure_decomposition(files, capsys):
     assert out["total_error"] == pytest.approx(0.06, abs=1e-15)
 
 
+def test_measure_rejects_nan_weight(files, capsys):
+    write, _ = files
+    dataset = write("d.csv", "point_id,weight,disagree\na,nan,1\nb,1.0,0\n")
+    code = main(["measure", "--dataset", dataset, "--kind", "pfd"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+
+
+def test_measure_rejects_nan_decomposition(files, capsys):
+    write, _ = files
+    doc = write(
+        "dec.json",
+        '{"bayes_error": NaN, "approximation_error": 0.02, "estimation_error": 0.03}',
+    )
+    code = main(["measure", "--decomposition", doc])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+
+
 def test_gsn_validate_and_exit_codes(files, capsys):
     write, _ = files
     good = write_json(

@@ -1,5 +1,6 @@
 import pytest
 
+from relbound.errors import ParseError
 from relbound.gsn import (
     GsnNode,
     QuantClaim,
@@ -292,6 +293,14 @@ class TestJsonRoundtrip:
         case = top_level_shape()
         again = case_from_dict(case_to_dict(case))
         assert again == case
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_undeveloped_must_be_a_boolean(self, flag):
+        doc = case_to_dict(minimal_chain())
+        (node_doc,) = [n for n in doc["nodes"] if n["id"] == "G2"]
+        node_doc["undeveloped"] = flag
+        with pytest.raises(ParseError, match="undeveloped"):
+            case_from_dict(doc)
 
     def test_document_shape(self):
         doc = case_to_dict(minimal_chain())

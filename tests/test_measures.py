@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relbound.errors import InvalidDatasetError, InvalidDecompositionError, ParseError
+from relbound.errors import (
+    InvalidDatasetError,
+    InvalidDecompositionError,
+    InvalidProfileError,
+    ParseError,
+)
 from relbound.measures import (
     ErrorDecomposition,
     MeasuredDataset,
@@ -59,6 +64,14 @@ def test_weights_must_sum_to_one():
 def test_negative_weight_rejected():
     with pytest.raises(InvalidDatasetError):
         dataset(("a", 1.2, True), ("b", -0.2, False))
+
+
+@pytest.mark.parametrize("weights", [(math.nan, 1.0), (0.5, math.nan)])
+def test_nan_weight_rejected(weights):
+    with pytest.raises(InvalidDatasetError):
+        dataset(("a", weights[0], True), ("b", weights[1], False))
+    with pytest.raises(InvalidProfileError):
+        OperationalProfile((("a", weights[0]), ("b", weights[1])))
 
 
 def test_duplicate_ids_rejected():
@@ -119,6 +132,14 @@ def test_total_error_sum():
 def test_negative_component_rejected():
     with pytest.raises(InvalidDecompositionError):
         ErrorDecomposition(-0.01, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_nan_component_rejected(position):
+    parts = [0.01, 0.02, 0.03]
+    parts[position] = math.nan
+    with pytest.raises(InvalidDecompositionError):
+        ErrorDecomposition(*parts)
 
 
 def test_overweight_decomposition_rejected():

@@ -64,6 +64,11 @@ class TestPriorDistribution:
         with pytest.raises(InvalidDistributionError):
             PriorDistribution((0.1, 0.5), (0.3, 0.3))
 
+    @pytest.mark.parametrize("masses", [(float("nan"), 1.0), (0.5, float("nan"))])
+    def test_rejects_nan_mass(self, masses):
+        with pytest.raises(InvalidDistributionError):
+            PriorDistribution((0.1, 0.5), masses)
+
     def test_rejects_duplicate_support(self):
         with pytest.raises(InvalidDistributionError):
             PriorDistribution((0.1, 0.1), (0.5, 0.5))
@@ -207,8 +212,8 @@ _ROW_CASES = [
 
 
 class TestRowMonotonicity:
-    """Along the sorted grid every ``"le"`` row is non-decreasing, every
-    ``"ge"`` row non-increasing, and every ``"eq"`` row the 0/1 indicator
+    """Every row is ``"le"`` or ``"eq"``. Along the sorted grid every
+    ``"le"`` row is non-decreasing and every ``"eq"`` row the 0/1 indicator
     of a prefix. The solver's level search and point-mass test rely on it."""
 
     @staticmethod
@@ -222,12 +227,9 @@ class TestRowMonotonicity:
     def test_inequality_rows_are_monotone(self, constraint, resolution):
         for row in self._rows(constraint, resolution):
             steps = np.diff(row.coeffs)
+            assert row.sense in ("le", "eq")
             if row.sense == "le":
                 assert np.all(steps >= 0.0)
-            elif row.sense == "ge":
-                assert np.all(steps <= 0.0)
-            else:
-                assert row.sense == "eq"
 
     @pytest.mark.parametrize("constraint", _ROW_CASES, ids=repr)
     @pytest.mark.parametrize("resolution", [2, 12, 500, 8000])
@@ -255,10 +257,12 @@ class TestConstraintRows:
         assert cb_row.rhs == pc_row.rhs
 
     def test_prior_reliability_row_values(self):
+        # E[(1-pfd)**2] >= 0.5, negated into an upper bound
         pts = np.array([0.0, 0.5, 1.0])
         (row,) = constraint_rows([PriorReliability(2, 0.5)], pts)
-        assert row.sense == "ge"
-        assert row.coeffs == pytest.approx([1.0, 0.25, 0.0], abs=1e-15)
+        assert row.sense == "le"
+        assert row.rhs == -0.5
+        assert row.coeffs == pytest.approx([-1.0, -0.25, 0.0], abs=1e-15)
 
 
 class TestCheckFeasible:

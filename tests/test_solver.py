@@ -438,8 +438,8 @@ def _reference_window_masses(window, maximize):
     """The window search with one bisection loop per direction.
 
     Returns the masses, the case the probe at the proposal fell into (None
-    when no bisection ran), and how many sign tests passed at or past the
-    level of a failed probe.
+    when no bisection ran, "no proposal" when the ratio LP gave none), and
+    how many sign tests passed at or past the level of a failed probe.
     """
     a_ub = homogeneous_ub(window.rows)
     b_ub = None if a_ub is None else np.zeros(a_ub.shape[0])
@@ -463,8 +463,6 @@ def _reference_window_masses(window, maximize):
             return None, None, 0
         basis = densest.basis
     proposal = solver._window_ratio_value(window, maximize, b_ub, basis)
-    if proposal is None:
-        return None, None, 0
     failed_at = None
     late_passes = 0
 
@@ -480,13 +478,13 @@ def _reference_window_masses(window, maximize):
 
     step = 2e-9
     witness = None
-    case = "failed"
+    case = "failed" if proposal is not None else "no proposal"
     if maximize:
         lo, hi = 0.0, 1.0
-        probe = achievable(proposal - step)
-        if probe is None:
+        probe = None if proposal is None else achievable(proposal - step)
+        if proposal is not None and probe is None:
             failed_at = proposal - step
-        else:
+        elif probe is not None:
             witness, lo = probe, proposal - step
             case = "both pass"
             if achievable(proposal + step) is None:
@@ -502,10 +500,10 @@ def _reference_window_masses(window, maximize):
                 hi = mid
     else:
         lo, hi = 0.0, 1.0
-        probe = achievable(proposal + step)
-        if probe is None:
+        probe = None if proposal is None else achievable(proposal + step)
+        if proposal is not None and probe is None:
             failed_at = proposal + step
-        else:
+        elif probe is not None:
             witness, hi = probe, proposal + step
             case = "both pass"
             if achievable(proposal - step) is None:
@@ -634,6 +632,33 @@ class TestWindowBisection:
         assert any(late_passes)
         grid = build_grid(constraints, objective, 8000)
         assert solve(constraints, obs, objective, grid).bound >= 5.75946e-4
+
+    def test_window_without_a_proposal_still_bisects(self, monkeypatch):
+        # the ratio LP reads this window as unbounded, which only roundoff
+        # can make it; the window's candidate was once dropped for that
+        constraints = (
+            PerfectionConfidence(0.1677117377546238),
+            PriorReliability(3679, 0.5255469533719609),
+        )
+        obs, objective = Observation(780, 51), PosteriorExpectedPfd()
+        grid = build_grid(constraints, objective, 500)
+        points = grid.as_array()
+        window = solver._make_window(
+            constraint_rows(constraints, points),
+            points,
+            log_likelihood_vector(points, obs),
+            -188.39601901618036,
+            objective_gain(objective, points),
+        )
+        costs = self._record_sign_tests(monkeypatch)
+        case, _ = self._assert_matches_reference(window, True, costs)
+        assert case == "no proposal"
+        masses = solver._window_masses(window, True)
+        witness = solver._witness_from_masses(points, masses, constraints)
+        assert witness.satisfies_all(constraints)
+        assert witness.support == pytest.approx((0.0, 1e-12, 0.12484), rel=1e-9)
+        assert posterior_value(witness, obs, objective) == pytest.approx(0.12484, rel=1e-9)
+        assert solve(constraints, obs, objective, grid).bound == 0.6665717117840831
 
 
 class TestSharedPhaseOne:
@@ -789,8 +814,18 @@ def _reference_anchor_shifts(constraints, rows, objective, obs, points, log_lik,
     return selected
 
 
+def _three_sense_rows(constraints, rows):
+    """``rows`` in the older form, where prior reliability was the ``"ge"``
+    row E[(1-pfd)**n0] >= gamma; negation is exact, so this is that row."""
+    return [
+        ConstraintRow(-r.coeffs, "ge", -r.rhs) if isinstance(c, PriorReliability) else r
+        for c, r in zip(constraints, rows)
+    ]
+
+
 def _reference_homogeneous_ub(rows, scale=None):
-    """The homogeneous rows as the solver built them before ``priors`` did."""
+    """The homogeneous rows as the solver built them before ``priors`` did,
+    from rows in the three-sense form."""
     a_list = []
     for row in rows:
         coeffs = row.coeffs if scale is None else row.coeffs / scale
@@ -873,10 +908,11 @@ class TestRowsOnly:
             obs = Observation(int(10 ** rng.uniform(2, 7)), rng.randint(1, 30) if i % 2 else 0)
             for window in _windows(constraints, obs, PosteriorExpectedPfd(), rng.choice((100, 500))):
                 scale = np.where(window.live & (window.lik > 0.0), window.lik, 1.0)
-                got, want = homogeneous_ub(window.rows), _reference_homogeneous_ub(window.rows)
+                old_rows = _three_sense_rows(constraints, window.rows)
+                got, want = homogeneous_ub(window.rows), _reference_homogeneous_ub(old_rows)
                 assert got.tobytes() == want.tobytes()
                 got = homogeneous_ub(window.rows, scale=scale)
-                want = _reference_homogeneous_ub(window.rows, scale=scale)
+                want = _reference_homogeneous_ub(old_rows, scale=scale)
                 assert got.tobytes() == want.tobytes()
                 windows += 1
         assert windows > 20

@@ -70,6 +70,11 @@ class TestCoverageBound:
         cov = intervals((0.0, 0.5), density=density)
         assert coverage_bound(cov) == pytest.approx(0.2, abs=1e-12)
 
+    def test_nan_density_rejected(self):
+        for pieces in (((0.0, 1.0, float("nan")),), ((0.0, 0.5, 2.0), (0.5, 1.0, float("nan")))):
+            with pytest.raises(InvalidCoverageError):
+                PiecewiseDensity(pieces)
+
     def test_interval_outside_domain_rejected(self):
         with pytest.raises(InvalidCoverageError):
             intervals((0.5, 1.2))
