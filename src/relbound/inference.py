@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParseError, ZeroEvidenceError
 from .numerics import EXP_UNDERFLOW, survive_prob
-from .priors import PriorDistribution, count_field
+from .priors import PriorDistribution, as_count, count_field
 
 CONSERVATIVE_MAX = "conservative-max"
 CONSERVATIVE_MIN = "conservative-min"
@@ -28,8 +28,8 @@ class Observation:
     k: int
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or int(self.k) != self.k:
-            raise ValueError("demand and failure counts must be integers")
+        object.__setattr__(self, "n", as_count(self.n, "n"))
+        object.__setattr__(self, "k", as_count(self.k, "k"))
         if not 0 <= self.k <= self.n:
             raise ValueError(f"need 0 <= k <= n, got n={self.n}, k={self.k}")
 
@@ -64,7 +64,8 @@ class FutureReliability:
     direction: ClassVar[str] = CONSERVATIVE_MIN
 
     def __post_init__(self) -> None:
-        if self.t < 0 or int(self.t) != self.t:
+        object.__setattr__(self, "t", as_count(self.t, "t"))
+        if self.t < 0:
             raise ValueError(f"t must be a non-negative integer, got {self.t!r}")
 
 

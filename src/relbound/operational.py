@@ -16,7 +16,13 @@ import numpy as np
 from .csvio import csv_records
 from .errors import InfeasibleConstraintsError, ParseError, SamplingFailureError, ZeroEvidenceError
 from .inference import CONSERVATIVE_MAX, Observation, ObjectiveSpec, posterior_value
-from .priors import ConfidenceBound, PerfectionConfidence, PfdGrid, PriorDistribution
+from .priors import (
+    ConfidenceBound,
+    PerfectionConfidence,
+    PfdGrid,
+    PriorDistribution,
+    prior_from_masses,
+)
 from .solver import feasible_vertices, solve
 
 PASS = "pass"
@@ -133,14 +139,8 @@ def sample_feasible_prior(
             second = vertices[int(rng.integers(0, len(vertices)))]
             lam = float(rng.random())
             masses = lam * first + (1.0 - lam) * second
-        keep = masses > 1e-13
-        if not np.any(keep):
-            continue
-        total = masses[keep].sum()
-        candidate = PriorDistribution(
-            tuple(points[support][keep]), tuple(masses[keep] / total)
-        )
-        if candidate.satisfies_all(constraints):
+        candidate = prior_from_masses(points[support], masses, 1e-13)
+        if candidate is not None and candidate.satisfies_all(constraints):
             return candidate
     raise SamplingFailureError(
         f"no feasible prior found in {max_attempts} attempts; "

@@ -25,6 +25,7 @@ other place to edit is ``operational._seed_support``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -87,7 +88,8 @@ class PriorReliability:
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.n0 < 0 or int(self.n0) != self.n0:
+        object.__setattr__(self, "n0", as_count(self.n0, "n0"))
+        if self.n0 < 0:
             raise ValueError(f"n0 must be a non-negative integer, got {self.n0!r}")
         _check_unit("gamma", self.gamma)
 
@@ -108,12 +110,19 @@ def constraint_to_dict(constraint: PartialPriorConstraint) -> dict:
     return doc
 
 
-def count_field(doc: Mapping, field: str) -> int:
-    """``doc[field]`` as a count: an int or an integral float, not a bool."""
-    value = doc[field]
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ParseError(f"{field} must be an integer count, got {value!r}")
+def as_count(value, name: str, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int: an integer or an integral float, not a bool."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise error(f"{name} must be an integer count, got {value!r}")
     return int(value)
+
+
+def count_field(doc: Mapping, field: str) -> int:
+    """``doc[field]`` as a count, by ``as_count``'s rule."""
+    return as_count(doc[field], field, ParseError)
 
 
 def constraint_from_dict(doc: Mapping) -> PartialPriorConstraint:
@@ -370,16 +379,16 @@ class FeasibilityResult:
     unsatisfiable: tuple[PartialPriorConstraint, ...]
 
 
-def _clean_masses(x: np.ndarray) -> np.ndarray:
-    cleaned = np.where(x > 1e-12, x, 0.0)
+def prior_from_masses(
+    points: np.ndarray, masses: np.ndarray, drop_tol: float
+) -> PriorDistribution | None:
+    """The prior with ``masses`` on ``points``, renormalised after every mass
+    at or below ``drop_tol`` is dropped; None if none is left."""
+    cleaned = np.where(masses > drop_tol, masses, 0.0)
     total = cleaned.sum()
-    if total <= 0.0:
-        return x / x.sum()
-    return cleaned / total
-
-
-def _distribution_from_solution(points: np.ndarray, x: np.ndarray) -> PriorDistribution:
-    cleaned = _clean_masses(np.maximum(x, 0.0))
+    if not total > 0.0:
+        return None
+    cleaned = cleaned / total
     idx = np.nonzero(cleaned)[0]
     return PriorDistribution(tuple(points[idx]), tuple(cleaned[idx]))
 
@@ -403,7 +412,7 @@ def max_mean_prior(points: np.ndarray, rows: Sequence[ConstraintRow]) -> PriorDi
     )
     if result.status != "optimal":
         return None
-    return _distribution_from_solution(points, result.x)
+    return prior_from_masses(points, result.x, 1e-12)
 
 
 def check_feasible(

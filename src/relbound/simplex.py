@@ -19,16 +19,17 @@ not. ``LpResult.basis`` names the optimal basis, in that form.
 
 Every phase 2 from one ``PhaseOne`` starts from the same tableau, and the
 tableau after a given sequence of pivots is the same array whatever the
-objective. So a ``PhaseOne`` passed back as ``start=`` records the path
-of the latest phase 2 run from it, up to ``_PATH_CAP`` steps: each
-step's entering column, leaving row, and the pivot row and right-hand
-side after the pivot. The next phase 2 prices its own reduced costs as
-usual; while it enters the recorded columns it takes the recorded steps,
-updating only its objective row, and builds no tableau. At the first
-step where its choice differs, it copies the start, re-applies the
-recorded pivots and goes on from there, recording its own path in place
-of the rest. Every result is the one a fresh copy-and-pivot phase 2
-gives, bit for bit.
+objective. So every ``PhaseOne`` records the path of the latest phase 2
+run from it, up to ``_PATH_CAP`` steps: each step's entering column,
+leaving row, and the pivot row and right-hand side after the pivot. The
+next phase 2 prices its own reduced costs as usual; while it enters the
+recorded columns it takes the recorded steps, updating only its
+objective row, and builds no tableau. At the first step where its choice
+differs, it copies the start, re-applies the recorded pivots and goes on
+from there, recording its own path in place of the rest. A start's first
+phase 2 has nothing to replay, so its first pivot copies the start.
+Every result is the one a fresh copy-and-pivot phase 2 gives, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class PhaseOne:
     ``PhaseOne`` serves any number of objectives.
 
     ``_path`` holds the first ``_PATH_CAP`` steps of the latest phase 2
-    run from here by ``solve_lp(start=...)``, which the next one replays as far as its own choices
+    run from here, which the next one replays as far as its own choices
     agree (see the module docstring). It is a cache: it changes no
     result, and takes no part in equality or repr. Phase 2 rewrites it,
     so threads must not share one ``PhaseOne``.
@@ -105,9 +106,6 @@ def solve_lp(
     """
     c = np.asarray(c, dtype=float)
     n = c.size
-    # a start built here has served no phase 2 yet: nothing to replay, and
-    # only a caller that passes it back could replay what this one records
-    replay = start is not None
     if start is None:
         A, b = _standard_form(n, a_ub, b_ub, a_eq, b_eq)
         # from here on only the tableau holds the constraints: drop the other
@@ -123,7 +121,7 @@ def solve_lp(
     elif start.n_cols != n + (0 if b_ub is None else np.size(b_ub)):
         raise ValueError("start belongs to constraints of another shape")
     cost = np.concatenate([c * (-1.0 if maximize else 1.0), np.zeros(start.n_cols - n)])
-    x_full, optimal_basis, status = _phase_two(start, cost, replay)
+    x_full, optimal_basis, status = _phase_two(start, cost)
     if status != "optimal":
         return LpResult(status, None, None, start)
     x = x_full[:n]
@@ -215,12 +213,10 @@ def _crash(A: np.ndarray, b: np.ndarray, basis) -> PhaseOne | None:
     return PhaseOne(nvar, "feasible", T, tuple(rows))
 
 
-def _phase_two(start: PhaseOne, cost: np.ndarray, replay: bool = True):
-    """The real objective over the real columns, from phase 1's basis.
-
-    With ``replay`` the walk replays and records ``start``'s path;
-    without, it pivots a copy of the start tableau and records nothing.
-    Returns the solution, the optimal basis and the status."""
+def _phase_two(start: PhaseOne, cost: np.ndarray):
+    """The real objective over the real columns, from phase 1's basis,
+    replaying and recording ``start``'s path. Returns the solution, the
+    optimal basis and the status."""
     if start.status != "feasible":
         return None, None, start.status
     nvar = start.n_cols
@@ -233,10 +229,7 @@ def _phase_two(start: PhaseOne, cost: np.ndarray, replay: bool = True):
     cb = cost[basis]
     z[:nvar] = cost - cb @ start.T[:, :nvar]
     z[-1] = -float(cb @ start.T[:, -1])
-    if replay:
-        status, rhs = _pivot_loop(start.T, z, basis, nvar, path=start._path)
-    else:
-        status, rhs = _pivot_loop(start.T.copy(), z, basis, nvar)
+    status, rhs = _pivot_loop(start.T, z, basis, nvar, path=start._path)
     if status != "optimal":
         return None, None, status
     x = np.zeros(nvar)

@@ -20,24 +20,23 @@ points by thousands of orders of magnitude, and no float64 tableau can
 rank coefficients across such spans. The solver therefore works in
 likelihood windows anchored wherever a worst-case prior can concentrate
 its evidence: the grid maximum, every constraint threshold, the deepest
-feasible single-atom placement, the support of the feasibility witness,
-and the deepest satisfiable dominance level (found by bisection over
-feasibility programs, each reduced to one point per run of equal
-equality-row coefficients). Within a window, points below the live band
-keep evidence-free columns so constrained mass can park there, and points
-above it are excluded (priors with mass there belong to a higher
-window). The window's ratio LP proposes a bound; sign-test programs —
-whose coefficients multiply the likelihood and therefore stay order one
-— certify it, falling back to bisection on the bound when the proposal
-does not verify or roundoff leaves none, and their solution is the
-witness. The sign tests' phase 1 runs before the ratio LP, once per set
-of kept columns: the program depends on nothing else, and windows that
-keep the same columns come in a row, so each reuses the latest window's.
-Both programs range over the same cone of masses, so the ratio LP starts
-from that feasible basis and runs no phase 1 of its own, unless roundoff
-makes the basis singular or infeasible there. Every candidate witness is
-re-valued exactly on its own support, and the most conservative certified
-candidate wins.
+feasible single-atom placement, and the deepest satisfiable dominance
+level (found by bisection over feasibility programs, each reduced to one
+point per run of equal equality-row coefficients). Within a window,
+points below the live band keep evidence-free columns so constrained
+mass can park there, and points above it are excluded (priors with mass
+there belong to a higher window). The window's ratio LP proposes a
+bound; sign-test programs — whose coefficients multiply the likelihood
+and therefore stay order one — certify it, falling back to bisection on
+the bound when the proposal does not verify or roundoff leaves none, and
+their solution is the witness. The sign tests' phase 1 runs before the
+ratio LP, once per set of kept columns: the program depends on nothing
+else, and windows that keep the same columns come in a row, so each
+reuses the latest window's. Both programs range over the same cone of
+masses, so the ratio LP starts from that feasible basis and runs no
+phase 1 of its own, unless roundoff makes the basis singular or
+infeasible there. Every candidate witness is re-valued exactly on its
+own support, and the most conservative certified candidate wins.
 """
 
 from __future__ import annotations
@@ -71,6 +70,7 @@ from .priors import (
     forced_grid_points,
     homogeneous_ub,
     max_mean_prior,
+    prior_from_masses,
     rows_as_ub,
     threshold_points,
 )
@@ -188,9 +188,7 @@ def _deepest_dominant_level(rows, log_lik: np.ndarray) -> float | None:
     return float(levels[hi])
 
 
-def _anchor_shifts(
-    constraints, rows, objective, obs, points, log_lik, feas_witness
-) -> list[float]:
+def _anchor_shifts(constraints, rows, objective, obs, points, log_lik) -> list[float]:
     """Window anchors: one per likelihood shell where a worst-case prior can
     concentrate its evidence."""
     finite_mask = np.isfinite(log_lik)
@@ -201,8 +199,6 @@ def _anchor_shifts(
     singles = _singleton_feasible(rows, points.size) & finite_mask
     if singles.any():
         anchors.append(float(log_lik[singles].min()))
-    if feas_witness is not None:
-        anchors.extend(_scalar_log_likelihood(p, obs) for p in feas_witness.support)
     deepest = _deepest_dominant_level(rows, log_lik)
     if deepest is not None:
         anchors.append(deepest)
@@ -313,7 +309,7 @@ class _LatestPhaseOne:
 
 
 def _window_masses(
-    window: _Window, maximize: bool, latest: _LatestPhaseOne | None = None
+    window: _Window, maximize: bool, latest: _LatestPhaseOne
 ) -> np.ndarray | None:
     """Worst-case prior masses within one window, or None.
 
@@ -323,11 +319,14 @@ def _window_masses(
     proposes the bound; sign tests at a whisker to either side confirm
     and tighten it (falling back to bisection over [0, 1] when the
     proposal does not verify), and the argmin of the final achievable
-    sign test is the witness. The ratio LP's objective is bounded by the
-    largest gain and its program is feasible, so when it reports neither
-    optimum that is roundoff: the bisection then runs without a proposal.
+    sign test is the witness. If no level in [0, 1] is beaten, one more
+    sign test just past the bracket's low end finds a window whose priors
+    all score the objective's best case, 0 or 1. The ratio LP's objective
+    is bounded by the largest gain and its program is feasible, so when it
+    reports neither optimum that is roundoff: the bisection then runs
+    without a proposal.
     """
-    vertex = (_LatestPhaseOne() if latest is None else latest).for_window(window)
+    vertex = latest.for_window(window)
     if vertex.status != "optimal":
         return None
     start, basis = vertex.start, vertex.basis
@@ -386,7 +385,11 @@ def _window_masses(
         else:
             hi = mid
     if witness is None:
-        return None
+        # a sign test must beat its level strictly, so priors that all
+        # score the best case (0 maximised, 1 minimised) pass only below it
+        witness = achievable(lo - step)
+        if witness is None:
+            return None
     x = np.zeros(window.n_grid)
     x[window.keep] = witness
     total = x.sum()
@@ -397,14 +400,8 @@ def _window_masses(
 
 def _witness_from_masses(points, x, constraints) -> PriorDistribution | None:
     for drop_tol in (1e-12, 0.0):
-        cleaned = np.where(x > drop_tol, x, 0.0)
-        total = cleaned.sum()
-        if total <= 0.0:
-            continue
-        cleaned = cleaned / total
-        idx = np.nonzero(cleaned)[0]
-        candidate = PriorDistribution(tuple(points[idx]), tuple(cleaned[idx]))
-        if candidate.satisfies_all(constraints):
+        candidate = prior_from_masses(points, x, drop_tol)
+        if candidate is not None and candidate.satisfies_all(constraints):
             return candidate
     return None
 
@@ -424,8 +421,7 @@ def solve(
     satisfying the partial knowledge, with the worst-case prior as witness."""
     points = grid.as_array()
     rows = constraint_rows(constraints, points)
-    feas_witness = max_mean_prior(points, rows)
-    if feas_witness is None:
+    if max_mean_prior(points, rows) is None:
         return CbiResult(
             bound=None,
             witness=None,
@@ -439,7 +435,7 @@ def solve(
     maximize = objective.direction == CONSERVATIVE_MAX
 
     best: tuple[float, PriorDistribution] | None = None
-    anchors = _anchor_shifts(constraints, rows, objective, obs, points, log_lik, feas_witness)
+    anchors = _anchor_shifts(constraints, rows, objective, obs, points, log_lik)
     latest = _LatestPhaseOne()
     for anchor in anchors:
         window = _make_window(rows, points, log_lik, anchor, gains)

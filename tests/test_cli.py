@@ -107,6 +107,25 @@ def test_solve_zero_evidence_distinct_message(files, capsys):
     assert "zero-evidence" in captured.err
 
 
+def test_solve_best_case_bound_exits_zero(files, capsys):
+    # the point mass at 0 is admissible and has likelihood 1
+    write, _ = files
+    constraints = write_json(
+        write, "c.json",
+        [{"type": "mean_bound", "m": 0.0}, {"type": "perfection_confidence", "theta": 1.0}],
+    )
+    observation = write_json(write, "o.json", {"n": 10, "k": 0})
+    objective = write_json(write, "obj.json", {"type": "posterior_expected_pfd"})
+    code = main(
+        ["solve", "--constraints", constraints, "--observation", observation,
+         "--objective", objective, "--grid", "200"]
+    )
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["bound"] == 0.0
+    assert out["witness"] == {"support": [0.0], "masses": [1.0]}
+
+
 def _solve_exit(write, capsys, constraints, observation, objective):
     code = main(
         ["solve", "--constraints", write_json(write, "c.json", constraints),

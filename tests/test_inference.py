@@ -29,6 +29,17 @@ class TestObservation:
         with pytest.raises(ValueError):
             Observation(-1, 0)
 
+    def test_counts_follow_the_cli_rule(self):
+        # integral floats are stored as ints; booleans, fractions and
+        # non-numbers are refused, as the CLI's count parser refuses them
+        obs = Observation(1000.0, 2.0)
+        assert type(obs.n) is int and type(obs.k) is int
+        assert obs.to_dict() == {"n": 1000, "k": 2}
+        assert obs == Observation(1000, 2)
+        for n, k in [(True, False), (10, True), (10.5, 2), (10, 2.5), ("10", 2), (float("nan"), 0)]:
+            with pytest.raises(ValueError, match="must be an integer count"):
+                Observation(n, k)
+
 
 class TestLikelihood:
     def test_zero_pfd_failure_free(self):
@@ -82,6 +93,13 @@ class TestObjectives:
     )
     def test_json_roundtrip(self, objective):
         assert objective_from_dict(objective_to_dict(objective)) == objective
+
+    def test_future_reliability_count_follows_the_cli_rule(self):
+        assert type(FutureReliability(100.0).t) is int
+        assert objective_to_dict(FutureReliability(100.0)) == {"type": "future_reliability", "t": 100}
+        for t in (True, 99.5, "100", float("inf")):
+            with pytest.raises(ValueError, match="t must be an integer count"):
+                FutureReliability(t)
 
 
 class TestPosteriorValue:

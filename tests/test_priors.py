@@ -45,6 +45,13 @@ class TestConstraintTypes:
     def test_json_roundtrip(self, constraint):
         assert constraint_from_dict(constraint_to_dict(constraint)) == constraint
 
+    def test_prior_reliability_count_follows_the_cli_rule(self):
+        assert type(PriorReliability(10.0, 0.5).n0) is int
+        assert constraint_to_dict(PriorReliability(10.0, 0.5))["n0"] == 10
+        for n0 in (True, 10.7, "10"):
+            with pytest.raises(ValueError, match="n0 must be an integer count"):
+                PriorReliability(n0, 0.5)
+
     def test_unknown_type_rejected(self):
         with pytest.raises(ParseError):
             constraint_from_dict({"type": "mystery", "x": 1})

@@ -729,14 +729,19 @@ def test_replayed_sign_tests_match_reference(monkeypatch):
     assert whole and early
 
 
-def test_only_a_start_passed_back_records():
-    # a start built within solve_lp has served no phase 2, and its caller
-    # may never pass it back: the phase 2 run with it records nothing
+def test_every_start_records_its_walk():
+    # a start built within solve_lp, from phase 1 or from a basis, records
+    # the walk of the phase 2 run with it, and a warm solve from that start
+    # replays it to the cold solve's result
     n, constraints = CONSTRAINT_SETS["window"]
     for cost in _objectives(n, 4):
         cold = solve_lp(cost, **constraints)
-        assert cold.start._path == []
-        assert solve_lp(cost, **constraints, basis=cold.start.basis).start._path == []
+        crashed = solve_lp(cost, **constraints, basis=cold.start.basis)
+        for start in (cold.start, crashed.start):
+            steps = []
+            phase_two_cost = np.concatenate([cost, np.zeros(start.n_cols - n)])
+            _reference_phase_two(start, phase_two_cost, steps=steps)
+            _assert_record_is_path(start, steps)
         warm = solve_lp(cost, **constraints, start=cold.start)
         assert warm.start is cold.start
         _assert_same(warm, cold)

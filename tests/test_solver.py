@@ -27,6 +27,7 @@ from relbound.priors import (
     MeanBound,
     PerfectionConfidence,
     PfdGrid,
+    PriorDistribution,
     PriorReliability,
     build_grid,
     constraint_rows,
@@ -101,6 +102,19 @@ class TestCbiResultContract:
         # perfection is certain, yet a failure was observed
         with pytest.raises(ZeroEvidenceError):
             run([PerfectionConfidence(1.0)], Observation(10, 1), PosteriorExpectedPfd())
+
+    @pytest.mark.parametrize(
+        "objective, bound",
+        [(PosteriorExpectedPfd(), 0.0), (PosteriorConfidence(1e-3), 1.0), (FutureReliability(5), 1.0)],
+    )
+    def test_best_case_optimum_has_a_witness(self, objective, bound):
+        # the only admissible prior is the point mass at 0, which scores the
+        # objective's best case: no sign test inside [0, 1] beats that
+        constraints = [MeanBound(0.0), PerfectionConfidence(1.0)]
+        result, _ = run(constraints, Observation(10, 0), objective)
+        assert result.bound == bound
+        assert result.witness == PriorDistribution((0.0,), (1.0,))
+        assert result.solver_status == "optimal"
 
     def test_interior_optimum_reports_grid_limited(self):
         # the free 1-theta mass settles at an interior lattice point above
@@ -498,6 +512,8 @@ def _reference_window_masses(window, maximize):
                 witness, lo = x, mid
             else:
                 hi = mid
+        if witness is None:
+            witness = achievable(lo - step)
     else:
         lo, hi = 0.0, 1.0
         probe = None if proposal is None else achievable(proposal + step)
@@ -517,6 +533,8 @@ def _reference_window_masses(window, maximize):
                 witness, hi = x, mid
             else:
                 lo = mid
+        if witness is None:
+            witness = achievable(hi + step)
     if witness is None:
         return None, case, late_passes
     x = np.zeros(window.n_grid)
@@ -531,14 +549,11 @@ def _windows(constraints, obs, objective, resolution):
     """Every window ``solve`` searches on this instance."""
     points = build_grid(constraints, objective, resolution).as_array()
     rows = constraint_rows(constraints, points)
-    feas_witness = max_mean_prior(points, rows)
-    if feas_witness is None:
+    if max_mean_prior(points, rows) is None:
         return []
     log_lik = log_likelihood_vector(points, obs)
     gains = objective_gain(objective, points)
-    anchors = solver._anchor_shifts(
-        constraints, rows, objective, obs, points, log_lik, feas_witness
-    )
+    anchors = solver._anchor_shifts(constraints, rows, objective, obs, points, log_lik)
     windows = (solver._make_window(rows, points, log_lik, a, gains) for a in anchors)
     return [w for w in windows if w is not None]
 
@@ -575,7 +590,7 @@ class TestWindowBisection:
         want, case, late_passes = _reference_window_masses(window, maximize)
         reference_costs = costs.copy()
         costs.clear()
-        got = solver._window_masses(window, maximize)
+        got = solver._window_masses(window, maximize, solver._LatestPhaseOne())
         assert costs == reference_costs
         if want is None:
             assert got is None
@@ -653,7 +668,7 @@ class TestWindowBisection:
         costs = self._record_sign_tests(monkeypatch)
         case, _ = self._assert_matches_reference(window, True, costs)
         assert case == "no proposal"
-        masses = solver._window_masses(window, True)
+        masses = solver._window_masses(window, True, solver._LatestPhaseOne())
         witness = solver._witness_from_masses(points, masses, constraints)
         assert witness.satisfies_all(constraints)
         assert witness.support == pytest.approx((0.0, 1e-12, 0.12484), rel=1e-9)
@@ -706,7 +721,7 @@ class TestSharedPhaseOne:
         seen = []
         window_masses = solver._window_masses
 
-        def recording_window_masses(window, maximize, latest=None):
+        def recording_window_masses(window, maximize, latest):
             masses = window_masses(window, maximize, latest)
             seen.append((window, maximize, masses))
             return masses
@@ -716,7 +731,7 @@ class TestSharedPhaseOne:
         assert len(seen) == 5
         for window, maximize, masses in seen:
             # its own phase 1, with nothing recorded from earlier sign tests
-            fresh = window_masses(window, maximize)
+            fresh = window_masses(window, maximize, solver._LatestPhaseOne())
             if masses is None:
                 assert fresh is None
             else:
@@ -790,7 +805,9 @@ def _reference_threshold_points(constraints, objective):
     return [p for p in thresholds if 0.0 <= p <= 1.0]
 
 
-def _reference_anchor_shifts(constraints, rows, objective, obs, points, log_lik, feas_witness):
+def _reference_anchor_shifts(constraints, rows, objective, obs, points, log_lik, feas_witness=None):
+    """The anchors read from the constraint classes; with ``feas_witness``,
+    also at that prior's support, as the solver once placed them."""
     finite_mask = np.isfinite(log_lik)
     if not finite_mask.any():
         return []
@@ -812,6 +829,56 @@ def _reference_anchor_shifts(constraints, rows, objective, obs, points, log_lik,
         if not selected or selected[-1] - a > 1e-9:
             selected.append(a)
     return selected
+
+
+class TestMaxMeanAnchors:
+    """The max-mean prior's support was once a set of anchors as well. The
+    threshold anchors sit where that prior puts its atoms, so adding its
+    support back must move no solve."""
+
+    def test_solve_unchanged_without_max_mean_support(self, monkeypatch):
+        rng = random.Random(37)
+        # a mean bound beside a confidence bound puts that prior's free mass
+        # on an interior grid point, which no other anchor names
+        both = [s for s in _KIND_SETS if {"mean", "confidence"} <= set(s)]
+        instances = []
+        for i in range(200):
+            kinds = rng.choice(both if i % 4 == 0 else _KIND_SETS[1:])
+            constraints = [_random_constraint(rng, kind) for kind in kinds]
+            n = int(10 ** rng.uniform(1, 7))
+            obs = Observation(n, 0 if i % 2 == 0 else rng.randint(1, min(n, 60)))
+            objective = rng.choice(
+                [
+                    PosteriorExpectedPfd(),
+                    PosteriorConfidence(10 ** rng.uniform(-6, -1)),
+                    FutureReliability(rng.randint(1, 10**5)),
+                ]
+            )
+            grid = build_grid(constraints, objective, rng.choice((100, 300)))
+            instances.append((constraints, obs, objective, grid))
+
+        def outcome(instance):
+            try:
+                return solve(*instance).to_dict()
+            except ZeroEvidenceError:
+                return "zero-evidence"
+
+        want = [outcome(instance) for instance in instances]
+        anchor_shifts = solver._anchor_shifts
+        added = 0
+
+        def with_max_mean_support(constraints, rows, objective, obs, points, log_lik):
+            nonlocal added
+            anchors = _reference_anchor_shifts(
+                constraints, rows, objective, obs, points, log_lik, max_mean_prior(points, rows)
+            )
+            added += anchors != anchor_shifts(constraints, rows, objective, obs, points, log_lik)
+            return anchors
+
+        monkeypatch.setattr(solver, "_anchor_shifts", with_max_mean_support)
+        assert [outcome(instance) for instance in instances] == want
+        # the support adds anchors to only a few instances (3 of these 200)
+        assert added >= 3
 
 
 def _three_sense_rows(constraints, rows):
@@ -891,12 +958,11 @@ class TestRowsOnly:
             )
             points = build_grid(constraints, objective, rng.choice((12, 200, 2000))).as_array()
             rows = constraint_rows(constraints, points)
-            feas_witness = max_mean_prior(points, rows)
             n = rng.choice((10, 1000, 10**6))
             for k in (0, rng.randint(1, min(30, n - 1)), n):
                 obs = Observation(n, k)
                 log_lik = log_likelihood_vector(points, obs)
-                args = (constraints, rows, objective, obs, points, log_lik, feas_witness)
+                args = (constraints, rows, objective, obs, points, log_lik)
                 assert solver._anchor_shifts(*args) == _reference_anchor_shifts(*args), args[:4]
 
     def test_homogeneous_rows_byte_equal(self):
