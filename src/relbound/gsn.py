@@ -358,6 +358,16 @@ def claim_from_dict(doc: Mapping) -> QuantClaim:
         raise ParseError(f"bad claim binding: {exc}") from None
 
 
+def _text(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{field} must be a string, got {value!r}")
+    return value
+
+
+def _edges(doc: Mapping, field: str) -> tuple[tuple[str, str], ...]:
+    return tuple((_text(a, field), _text(b, field)) for a, b in doc.get(field, []))
+
+
 def case_from_dict(doc: Mapping) -> SafetyCase:
     try:
         nodes = []
@@ -366,21 +376,22 @@ def case_from_dict(doc: Mapping) -> SafetyCase:
             undeveloped = node_doc.get("undeveloped", False)
             if not isinstance(undeveloped, bool):
                 raise ParseError(f"undeveloped must be true or false, got {undeveloped!r}")
+            module_ref = node_doc.get("module_ref")
             nodes.append(
                 GsnNode(
-                    id=str(node_doc["id"]),
-                    kind=str(node_doc["kind"]),
-                    statement=str(node_doc.get("statement", "")),
+                    id=_text(node_doc["id"], "id"),
+                    kind=_text(node_doc["kind"], "kind"),
+                    statement=_text(node_doc.get("statement", ""), "statement"),
                     undeveloped=undeveloped,
-                    module_ref=node_doc.get("module_ref"),
+                    module_ref=None if module_ref is None else _text(module_ref, "module_ref"),
                     claim_binding=None if binding is None else claim_from_dict(binding),
                 )
             )
         return SafetyCase(
             nodes=tuple(nodes),
-            supported_by=tuple((str(a), str(b)) for a, b in doc.get("supported_by", [])),
-            in_context_of=tuple((str(a), str(b)) for a, b in doc.get("in_context_of", [])),
-            root=str(doc["root"]),
+            supported_by=_edges(doc, "supported_by"),
+            in_context_of=_edges(doc, "in_context_of"),
+            root=_text(doc["root"], "root"),
         )
     except KeyError as exc:
         raise ParseError(f"safety case document missing field {exc.args[0]!r}") from None

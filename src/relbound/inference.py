@@ -164,7 +164,9 @@ def _posterior_ratio(
     if evidence <= 0.0:
         raise ZeroEvidenceError("marginal evidence vanished")
     gains = objective_gain(objective, points)
-    return float((masses * scaled) @ gains / evidence)
+    # every gain lies in [0, 1], so the value is at most 1; the numerator
+    # and the evidence round differently and can put it an ulp above
+    return min(float((masses * scaled) @ gains / evidence), 1.0)
 
 
 def posterior_value(

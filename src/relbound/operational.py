@@ -91,22 +91,26 @@ def simulate_demands(true_pfd: float, n: int, seed: int) -> DemandLog:
 
 def _seed_support(constraints, points: np.ndarray, rng: np.random.Generator, size: int):
     """Random support indices, always including a representative for every
-    region an equality constraint pins mass into."""
+    region an equality constraint pins mass into.
+
+    Each equality counts the mass on a prefix of the sorted grid, its first
+    ``cut`` points; a grid starts at 0, so the prefix is never empty. A
+    representative is drawn inside the prefix when the constraint asks for
+    mass there, and past it when it leaves mass outside.
+    """
     n_pts = points.size
     required: set[int] = set()
     for constraint in constraints:
         if isinstance(constraint, PerfectionConfidence):
-            if constraint.theta > 0.0:
-                required.add(0)  # grids always start at 0
-            if constraint.theta < 1.0:
-                required.add(int(rng.integers(1, n_pts)))
+            cut = 1
         elif isinstance(constraint, ConfidenceBound):
-            below = np.nonzero(points <= constraint.epsilon)[0]
-            above = np.nonzero(points > constraint.epsilon)[0]
-            if constraint.theta > 0.0 and below.size:
-                required.add(int(rng.choice(below)))
-            if constraint.theta < 1.0 and above.size:
-                required.add(int(rng.choice(above)))
+            cut = int(np.searchsorted(points, constraint.epsilon, side="right"))
+        else:
+            continue
+        if constraint.theta > 0.0:
+            required.add(int(rng.integers(0, cut)))
+        if constraint.theta < 1.0 and cut < n_pts:
+            required.add(int(rng.integers(cut, n_pts)))
     chosen = set(required)
     while len(chosen) < min(size, n_pts):
         chosen.add(int(rng.integers(0, n_pts)))
@@ -139,7 +143,7 @@ def sample_feasible_prior(
             second = vertices[int(rng.integers(0, len(vertices)))]
             lam = float(rng.random())
             masses = lam * first + (1.0 - lam) * second
-        candidate = prior_from_masses(points[support], masses, 1e-13)
+        candidate = prior_from_masses(points[support], masses)
         if candidate is not None and candidate.satisfies_all(constraints):
             return candidate
     raise SamplingFailureError(

@@ -35,6 +35,8 @@ from .errors import InvalidDistributionError, ParseError
 from .numerics import just_above, survive_prob
 
 MASS_TOL = 1e-9
+#: LP masses at or below this are roundoff, dropped before a prior is built
+MASS_DROP_TOL = 1e-12
 #: slack used when an equality constraint is relaxed to two inequalities
 EQUALITY_SLACK = 1e-12
 
@@ -379,12 +381,10 @@ class FeasibilityResult:
     unsatisfiable: tuple[PartialPriorConstraint, ...]
 
 
-def prior_from_masses(
-    points: np.ndarray, masses: np.ndarray, drop_tol: float
-) -> PriorDistribution | None:
+def prior_from_masses(points: np.ndarray, masses: np.ndarray) -> PriorDistribution | None:
     """The prior with ``masses`` on ``points``, renormalised after every mass
-    at or below ``drop_tol`` is dropped; None if none is left."""
-    cleaned = np.where(masses > drop_tol, masses, 0.0)
+    at or below ``MASS_DROP_TOL`` is dropped; None if none is left."""
+    cleaned = np.where(masses > MASS_DROP_TOL, masses, 0.0)
     total = cleaned.sum()
     if not total > 0.0:
         return None
@@ -412,7 +412,7 @@ def max_mean_prior(points: np.ndarray, rows: Sequence[ConstraintRow]) -> PriorDi
     )
     if result.status != "optimal":
         return None
-    return prior_from_masses(points, result.x, 1e-12)
+    return prior_from_masses(points, result.x)
 
 
 def check_feasible(
@@ -423,15 +423,17 @@ def check_feasible(
     On success the witness is the feasible prior with the largest mean
     pfd (the most pessimistic admissible belief); with no constraints at
     all that is the point mass at 1. On failure the result names an
-    irreducible unsatisfiable subset, found by greedy deletion.
+    irreducible unsatisfiable subset, found by greedy deletion by position,
+    so that a repeated constraint is deleted one copy at a time.
     """
     points = grid.as_array()
-    witness = max_mean_prior(points, constraint_rows(constraints, points))
+    rows = constraint_rows(constraints, points)  # one row per constraint
+    witness = max_mean_prior(points, rows)
     if witness is not None:
         return FeasibilityResult(True, witness, ())
-    remaining = list(constraints)
-    for constraint in list(remaining):
-        trial = [c for c in remaining if c is not constraint]
-        if max_mean_prior(points, constraint_rows(trial, points)) is None:
+    remaining = list(range(len(rows)))
+    for i in range(len(rows)):
+        trial = [j for j in remaining if j != i]
+        if max_mean_prior(points, [rows[j] for j in trial]) is None:
             remaining = trial
-    return FeasibilityResult(False, None, tuple(remaining))
+    return FeasibilityResult(False, None, tuple(constraints[i] for i in remaining))

@@ -112,10 +112,6 @@ class CbiResult:
         }
 
 
-def _scalar_log_likelihood(p: float, obs: Observation) -> float:
-    return float(log_likelihood_vector(np.array([p]), obs)[0])
-
-
 def _singleton_feasible(rows, n_points: int) -> np.ndarray:
     """Which grid points can carry a feasible point-mass prior.
 
@@ -195,7 +191,8 @@ def _anchor_shifts(constraints, rows, objective, obs, points, log_lik) -> list[f
     if not finite_mask.any():
         return []
     anchors = [float(log_lik[finite_mask].max())]
-    anchors.extend(_scalar_log_likelihood(p, obs) for p in threshold_points(constraints, objective))
+    thresholds = np.array(threshold_points(constraints, objective), dtype=float)
+    anchors.extend(log_likelihood_vector(thresholds, obs).tolist())
     singles = _singleton_feasible(rows, points.size) & finite_mask
     if singles.any():
         anchors.append(float(log_lik[singles].min()))
@@ -223,14 +220,14 @@ class _Window:
 
 
 def _make_window(rows, points, log_lik, anchor, gains) -> _Window | None:
+    # log_lik is finite or -inf, so rel is too: parked columns are those
+    # below the live band, zero-likelihood points among them
     rel = log_lik - anchor
-    live = np.isfinite(log_lik) & (rel >= -_BELOW_SPAN) & (rel <= _ABOVE_SPAN)
-    dead = ~np.isfinite(log_lik) | (rel < -_BELOW_SPAN)
-    keep = np.nonzero(live | dead)[0]
-    live_kept = live[keep]
+    keep = np.nonzero(rel <= _ABOVE_SPAN)[0]
+    live_kept = rel[keep] >= -_BELOW_SPAN
     if not live_kept.any():
         return None
-    lik_kept = np.where(live_kept, np.exp(np.minimum(rel[keep], _ABOVE_SPAN)), 0.0)
+    lik_kept = np.where(live_kept, np.exp(rel[keep]), 0.0)
     sub_rows = [ConstraintRow(r.coeffs[keep], r.sense, r.rhs) for r in rows]
     return _Window(
         keep=keep,
@@ -258,7 +255,7 @@ def _window_ratio_value(window: _Window, maximize: bool, b_ub, basis) -> float |
     likelihood, which amplifies tableau roundoff by up to e^30, so the
     witness is extracted separately by the well-scaled sign-test LP.
     """
-    scale = np.where(window.live & (window.lik > 0.0), window.lik, 1.0)
+    scale = np.where(window.live, window.lik, 1.0)  # live columns have lik >= e^-30
     result = solve_lp(
         np.where(window.live, window.gains, 0.0),
         # built inline, so that solve_lp holds the only reference and frees
@@ -375,9 +372,7 @@ def _window_masses(
             witness, lo = probe, target - step
             if achievable(target + step) is None:
                 hi = lo  # proposal verified within 2*step
-    for _ in range(60):
-        if hi - lo <= 1e-11:
-            break
+    while hi - lo > 1e-11:
         mid = (lo + hi) / 2.0
         x = achievable(mid)
         if x is not None:
@@ -399,11 +394,8 @@ def _window_masses(
 
 
 def _witness_from_masses(points, x, constraints) -> PriorDistribution | None:
-    for drop_tol in (1e-12, 0.0):
-        candidate = prior_from_masses(points, x, drop_tol)
-        if candidate is not None and candidate.satisfies_all(constraints):
-            return candidate
-    return None
+    candidate = prior_from_masses(points, x)
+    return candidate if candidate is not None and candidate.satisfies_all(constraints) else None
 
 
 def _status_for(witness: PriorDistribution, constraints, objective) -> str:
@@ -612,12 +604,6 @@ def oracle_solve(
     )
 
 
-def _masses_admissible(x: np.ndarray, ineq_rows) -> bool:
-    if np.any(x < -1e-10):
-        return False
-    return all(float(row.coeffs @ x) <= row.rhs + 1e-9 for row in ineq_rows)
-
-
 @functools.lru_cache(maxsize=None)
 def _vertex_selectors(m: int, n_base: int, n_ineq: int) -> np.ndarray:
     """Row indices of every vertex system over a size-m support, one system
@@ -646,8 +632,8 @@ def feasible_vertices(constraints, points: np.ndarray, support: np.ndarray) -> l
     enumeration order (see ``_vertex_selectors``). Used by the
     feasible-prior sampler, whose random stream depends on that order.
     Every vertex system is a row selection from one stacked matrix, so one
-    batched determinant and one batched solve cover them all; the
-    admissibility check stays per vertex.
+    batched determinant, one batched solve and one batched admissibility
+    check cover them all.
     """
     sub = np.asarray(points, dtype=float)[np.asarray(support, dtype=np.intp)]
     rows = constraint_rows(constraints, sub)
@@ -657,12 +643,19 @@ def feasible_vertices(constraints, points: np.ndarray, support: np.ndarray) -> l
     stack = np.vstack([np.ones(m)] + [r.coeffs for r in eq_rows + ineq_rows] + [np.eye(m)])
     stack_rhs = np.array([1.0] + [r.rhs for r in eq_rows + ineq_rows] + [0.0] * m)
     n_base = 1 + len(eq_rows)
+    ineq = slice(n_base, n_base + len(ineq_rows))
+
+    def admissible(xs: np.ndarray) -> np.ndarray:
+        """Which rows of ``xs`` have no mass below -1e-10 and meet every
+        inequality row within 1e-9."""
+        within = np.all(xs @ stack[ineq].T <= stack_rhs[ineq] + 1e-9, axis=1)
+        return ~(xs < -1e-10).any(axis=1) & within
 
     if n_base > m:
         # more equalities than mass freedoms: at most one consistent point
         mat, rhs = stack[:n_base], stack_rhs[:n_base]
         x, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-        if np.max(np.abs(mat @ x - rhs)) <= 1e-9 and _masses_admissible(x, ineq_rows):
+        if np.max(np.abs(mat @ x - rhs)) <= 1e-9 and admissible(x[None])[0]:
             return [np.maximum(x, 0.0)]
         return []
 
@@ -672,11 +665,7 @@ def feasible_vertices(constraints, points: np.ndarray, support: np.ndarray) -> l
         dets = np.linalg.det(mats)
     regular = ~(np.abs(dets) < 1e-12)
     xs = np.linalg.solve(mats[regular], stack_rhs[selectors[regular]][:, :, None])[:, :, 0]
-    return [
-        np.maximum(x, 0.0)
-        for x in xs[~(xs < -1e-10).any(axis=1)]
-        if _masses_admissible(x, ineq_rows)
-    ]
+    return list(np.maximum(xs[admissible(xs)], 0.0))
 
 
 def curve(constraints, objective, n_values, k: int, *, grid: PfdGrid | None = None):

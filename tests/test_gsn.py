@@ -302,6 +302,53 @@ class TestJsonRoundtrip:
         with pytest.raises(ParseError, match="undeveloped"):
             case_from_dict(doc)
 
+    @pytest.mark.parametrize("field", ["id", "kind", "statement", "module_ref"])
+    @pytest.mark.parametrize("value", [7, ["G2"], True])
+    def test_node_text_fields_must_be_strings(self, field, value):
+        doc = case_to_dict(minimal_chain())
+        (node_doc,) = [n for n in doc["nodes"] if n["id"] == "G2"]
+        node_doc[field] = value
+        with pytest.raises(ParseError, match=f"{field} must be a string"):
+            case_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["id", "kind", "statement"])
+    def test_null_node_text_field_rejected(self, field):
+        # "id": null once became a node named "None"
+        doc = case_to_dict(minimal_chain())
+        (node_doc,) = [n for n in doc["nodes"] if n["id"] == "G2"]
+        node_doc[field] = None
+        with pytest.raises(ParseError, match=f"{field} must be a string"):
+            case_from_dict(doc)
+
+    def test_null_edge_end_cannot_name_a_null_node(self):
+        doc = case_to_dict(minimal_chain())
+        doc["nodes"].append({"id": None, "kind": "context", "statement": "c"})
+        doc["in_context_of"] = [["G1", None]]
+        with pytest.raises(ParseError, match="must be a string"):
+            case_from_dict(doc)
+
+    @pytest.mark.parametrize("edges", ["supported_by", "in_context_of"])
+    def test_edge_ends_must_be_strings(self, edges):
+        doc = case_to_dict(top_level_shape())
+        doc[edges] = doc[edges] + [["G1", 3]]
+        with pytest.raises(ParseError, match=f"{edges} must be a string"):
+            case_from_dict(doc)
+
+    @pytest.mark.parametrize("root", [None, 1])
+    def test_root_must_be_a_string(self, root):
+        doc = case_to_dict(minimal_chain())
+        doc["root"] = root
+        with pytest.raises(ParseError, match="root must be a string"):
+            case_from_dict(doc)
+
+    def test_absent_statement_and_null_module_ref_accepted(self):
+        doc = case_to_dict(minimal_chain())
+        for node_doc in doc["nodes"]:
+            node_doc.pop("statement")
+            node_doc["module_ref"] = None
+        case = case_from_dict(doc)
+        assert all(n.statement == "" and n.module_ref is None for n in case.nodes)
+
     def test_document_shape(self):
         doc = case_to_dict(minimal_chain())
         assert doc["root"] == "G1"

@@ -125,6 +125,18 @@ class TestPosteriorValue:
         value = posterior_value(prior, Observation(0, 0), PosteriorExpectedPfd())
         assert value == pytest.approx(0.25 * 0.1 + 0.75 * 0.3, abs=1e-12)
 
+    def test_value_never_exceeds_one(self):
+        # the numerator and the evidence round differently: unclamped, this
+        # prior read 1.0000000000000002
+        prior = PriorDistribution((0.0, 1e-12), (0.5046868558173903, 0.49531314418260974))
+        assert posterior_value(prior, Observation(9044, 0), FutureReliability(0)) == 1.0
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            a = float(rng.uniform(0.01, 0.99))
+            prior = PriorDistribution((0.0, 1e-12), (a, 1.0 - a))
+            obs = Observation(int(rng.integers(1, 10**5)), 0)
+            assert posterior_value(prior, obs, FutureReliability(0)) <= 1.0
+
     def test_zero_evidence_raises(self):
         prior = PriorDistribution.point_mass(0.0)
         with pytest.raises(ZeroEvidenceError):

@@ -27,7 +27,7 @@ from relbound.priors import (
     build_grid,
     constraint_rows,
 )
-from relbound.solver import _masses_admissible, feasible_vertices, solve
+from relbound.solver import feasible_vertices, solve
 
 
 class TestIngest:
@@ -200,6 +200,12 @@ class TestConservatism:
         assert len(doc["records"]) == 3
 
 
+def _masses_admissible(x, ineq_rows):
+    if np.any(x < -1e-10):
+        return False
+    return all(float(row.coeffs @ x) <= row.rhs + 1e-9 for row in ineq_rows)
+
+
 def _reference_feasible_vertices(constraints, points, support):
     """The one-system-at-a-time enumeration that ``feasible_vertices``
     batches; it must return the same list, in the same order, bit for bit."""
@@ -271,6 +277,66 @@ _KINDS = ("mean", "confidence", "perfection", "reliability")
 _KIND_SETS = [
     kinds for size in range(1, len(_KINDS) + 1) for kinds in itertools.combinations(_KINDS, size)
 ]
+
+
+def _reference_seed_support(constraints, points, rng, size):
+    """``_seed_support`` as it read each equality kind on its own, drawing
+    with ``choice`` from index arrays; it must draw the same indices and
+    leave the generator in the same state."""
+    n_pts = points.size
+    required = set()
+    for constraint in constraints:
+        if isinstance(constraint, PerfectionConfidence):
+            if constraint.theta > 0.0:
+                required.add(0)
+            if constraint.theta < 1.0:
+                required.add(int(rng.integers(1, n_pts)))
+        elif isinstance(constraint, ConfidenceBound):
+            below = np.nonzero(points <= constraint.epsilon)[0]
+            above = np.nonzero(points > constraint.epsilon)[0]
+            if constraint.theta > 0.0 and below.size:
+                required.add(int(rng.choice(below)))
+            if constraint.theta < 1.0 and above.size:
+                required.add(int(rng.choice(above)))
+    chosen = set(required)
+    while len(chosen) < min(size, n_pts):
+        chosen.add(int(rng.integers(0, n_pts)))
+    return np.array(sorted(chosen), dtype=np.intp)
+
+
+class TestSeedSupport:
+    @pytest.mark.parametrize("n_points", [2, 3, 12, 150, 2000, 8000])
+    def test_matches_reference(self, n_points):
+        points = build_grid((), resolution=n_points).as_array()
+        mid = points.size // 2
+        epsilons = (
+            points[1] / 2.0,  # below the first positive point
+            points[mid],  # on a grid point
+            (points[mid - 1] + points[mid]) / 2.0,  # between two points
+            1.0,
+        )
+        cases = 0
+        for theta in (0.0, 0.3, 1.0):
+            for epsilon in epsilons:
+                constraint_sets = (
+                    (PerfectionConfidence(theta),),
+                    (ConfidenceBound(epsilon, theta),),
+                    (MeanBound(0.5), ConfidenceBound(epsilon, theta), PerfectionConfidence(theta)),
+                    (
+                        ConfidenceBound(epsilon, 0.3),
+                        PriorReliability(10, 0.5),
+                        ConfidenceBound(epsilon / 2, theta),
+                    ),
+                )
+                for constraints, seed in itertools.product(constraint_sets, range(4)):
+                    size = len(constraints) + 1 + seed % 2
+                    draws = [np.random.Generator(np.random.PCG64(seed)) for _ in range(2)]
+                    got = _seed_support(constraints, points, draws[0], size)
+                    want = _reference_seed_support(constraints, points, draws[1], size)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                    assert draws[0].bit_generator.state == draws[1].bit_generator.state
+                    cases += 1
+        assert cases == 3 * 4 * 4 * 4
 
 
 class TestFeasibleVertices:

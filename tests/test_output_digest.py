@@ -1,0 +1,44 @@
+"""Smoke test of ``tools/output_digest.py`` on the first inputs of each pool."""
+
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
+
+
+def _run(*args) -> str:
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), *args], capture_output=True, text=True, check=True, timeout=300
+    )
+    return proc.stdout
+
+
+def test_three_inputs_per_workload(tmp_path):
+    dump = tmp_path / "outputs.json"
+    first = _run("--limit", "3", "--dump", str(dump))
+    lines = [line.split() for line in first.splitlines()]
+    assert [line[0] for line in lines] == ["solve-mix"] * 4 + ["audit"] * 4 + ["gsn-case"] * 4
+    outputs = json.loads(dump.read_text())
+    pool_hash = hashlib.sha256()
+    for workload, seed, inst_id, sha, *count in lines:
+        assert seed == "5"
+        if inst_id == "*":
+            assert (sha, count) == (pool_hash.hexdigest(), ["3"])
+            pool_hash = hashlib.sha256()
+            continue
+        pool_hash.update(f"{workload} {seed} {inst_id} {sha}\n".encode())
+        doc = outputs[workload][seed][inst_id]
+        assert sha == hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        expected_keys = {"solve-mix": "bound", "audit": "records", "gsn-case": "claims"}
+        assert expected_keys[workload] in doc or "raised" in doc
+    # a second run prints the same digests
+    assert _run("--limit", "3") == first
+
+
+def test_seeds_give_different_pools():
+    five = _run("--workload", "solve-mix", "--limit", "2")
+    seven = _run("--workload", "solve-mix", "--seed", "7", "--limit", "2")
+    assert five.splitlines()[-1].split()[3] != seven.splitlines()[-1].split()[3]

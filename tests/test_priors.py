@@ -317,6 +317,18 @@ class TestCheckFeasible:
         assert not result.feasible
         assert result.unsatisfiable == (ConfidenceBound(1.0, 0.3),)
 
+    def test_repeated_constraint_object_deleted_one_copy_at_a_time(self):
+        # one copy of c with cb is already infeasible, so the second copy goes
+        c, cb = PerfectionConfidence(0.5), ConfidenceBound(1e-3, 0.3)
+        grid = build_grid([c, cb], resolution=100)
+        result = check_feasible([c, c, cb], grid)
+        assert not result.feasible
+        assert result.unsatisfiable == (c, cb)
+        assert result.unsatisfiable[0] is c
+        # equal but distinct objects give the same answer
+        equal = check_feasible([c, PerfectionConfidence(0.5), cb], grid)
+        assert equal.unsatisfiable == result.unsatisfiable
+
     def test_witness_revalidates_on_every_constraint(self):
         constraints = [ConfidenceBound(0.01, 0.6), MeanBound(0.2), PriorReliability(5, 0.5)]
         grid = build_grid(constraints, resolution=300)

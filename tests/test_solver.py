@@ -813,13 +813,16 @@ def _reference_anchor_shifts(constraints, rows, objective, obs, points, log_lik,
         return []
     anchors = [float(log_lik[finite_mask].max())]
     anchors.extend(
-        solver._scalar_log_likelihood(p, obs) for p in _reference_threshold_points(constraints, objective)
+        float(log_likelihood_vector(np.array([p]), obs)[0])
+        for p in _reference_threshold_points(constraints, objective)
     )
     singles = _reference_singleton_feasible(constraints, points) & finite_mask
     if singles.any():
         anchors.append(float(log_lik[singles].min()))
     if feas_witness is not None:
-        anchors.extend(solver._scalar_log_likelihood(p, obs) for p in feas_witness.support)
+        anchors.extend(
+            float(log_likelihood_vector(np.array([p]), obs)[0]) for p in feas_witness.support
+        )
     deepest = solver._deepest_dominant_level(rows, log_lik)
     if deepest is not None:
         anchors.append(deepest)
@@ -879,6 +882,31 @@ class TestMaxMeanAnchors:
         assert [outcome(instance) for instance in instances] == want
         # the support adds anchors to only a few instances (3 of these 200)
         assert added >= 3
+
+
+class TestAnchorGuards:
+    """Bounds that a single anchor source alone finds: without that source,
+    ``solve`` reads the lower number in each comment, on the optimistic side."""
+
+    @pytest.mark.parametrize(
+        "constraints, obs, resolution, bound",
+        [
+            # the deepest single-atom placement; 0.01 without it
+            ([PriorReliability(10, 1e-9)], Observation(1000, 0), 200, 0.8713),
+            # the same, on an off-grid reliability boundary (ROADMAP Open
+            # item 1); 4.6e-7 without it
+            ([PriorReliability(1000, 1e-9)], Observation(10**7, 0), 2000, 0.0199),
+            # the reliability boundary 1 - gamma**(1/n0) among the
+            # thresholds; 0.9802 without it
+            ([PriorReliability(10, 0.9)], Observation(10, 3), 200, 0.9901),
+        ],
+    )
+    def test_bound_needs_its_anchor(self, constraints, obs, resolution, bound):
+        objective = PosteriorExpectedPfd()
+        grid = build_grid(constraints, objective, resolution)
+        result = solve(constraints, obs, objective, grid)
+        assert result.bound == pytest.approx(bound, rel=1e-9)
+        assert result.witness.satisfies_all(constraints)
 
 
 def _three_sense_rows(constraints, rows):

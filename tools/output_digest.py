@@ -1,0 +1,125 @@
+"""SHA-256 digests of every benchmark op's full output.
+
+Runs every input of the named workloads' pools once, in pool order, and
+prints one line per op and one per pool::
+
+    solve-mix 5 s17 <sha256 of that op's output>
+    solve-mix 5 * <sha256 over the pool's op lines> 434
+
+An op's output is its full result as canonical JSON (sorted keys, floats
+written so that they read back bit for bit):
+
+* solve-mix: the solve's ``to_dict()``;
+* audit: the conservatism report's ``to_dict()``;
+* gsn-case: the goal status map, plus each bound claim's own solve.
+
+An op that raises a relbound error records its type and message instead;
+any other exception stops the run. Two
+trees give equal digests exactly when every op's output is equal, so a
+claim that a change keeps outputs bit for bit is checked by running this
+on both and comparing the lines. ``--dump PATH`` also writes every op's
+output as JSON, keyed by workload, seed and input id, to show what moved.
+
+The pools come from ``benchmark/workloads.py``, which is only imported.
+
+    python3 tools/output_digest.py --workload solve-mix --seed 5 --seed 7
+    python3 tools/output_digest.py --limit 3 --dump outputs.json
+"""
+
+from __future__ import annotations
+
+import os
+
+# as in benchmark/run.py: fixed before numpy is imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "benchmark"), str(ROOT / "src")]
+
+import workloads as wl  # noqa: E402
+from relbound import priors, solver  # noqa: E402
+from relbound.errors import RelboundError  # noqa: E402
+
+WORKLOAD_NAMES = tuple(wl.WORKLOADS)
+
+
+def _solve_doc(constraints, obs, objective, resolution) -> dict:
+    grid = priors.build_grid(constraints, objective, resolution)
+    try:
+        return solver.solve(constraints, obs, objective, grid).to_dict()
+    except RelboundError as exc:  # a raised error is part of the output
+        return _raised(exc)
+
+
+def _raised(exc: RelboundError) -> dict:
+    return {"raised": type(exc).__name__, "message": str(exc)}
+
+
+def op_output(workload: str, inst) -> dict:
+    """The full output of one op, as a JSON-ready document."""
+    try:
+        output = wl.WORKLOADS[workload].op(inst)
+    except RelboundError as exc:
+        return _raised(exc)
+    if workload != "gsn-case":
+        return output.to_dict()
+    case, obs = inst.args
+    claims = {
+        node.id: _solve_doc(
+            node.claim_binding.constraints, obs, node.claim_binding.objective, wl.GSN_RESOLUTION
+        )
+        for node in case.nodes
+        if node.claim_binding is not None
+    }
+    return {"statuses": output, "claims": claims}
+
+
+def canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True)
+
+
+def digest_pool(workload: str, seed: int, limit: int | None = None):
+    """Yield ``(input id, output document, sha256)`` for each op of one pool."""
+    pool = wl.WORKLOADS[workload].make_pool(random.Random(seed))[:limit]
+    for inst in pool:
+        doc = op_output(workload, inst)
+        yield inst.id, doc, hashlib.sha256(canonical(doc).encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", action="append", choices=WORKLOAD_NAMES,
+                        help="a workload to run (repeatable; default: all)")
+    parser.add_argument("--seed", action="append", type=int,
+                        help="a pool seed (repeatable; default: 5)")
+    parser.add_argument("--limit", type=int, default=None,
+                        help="run only the first N inputs of each pool")
+    parser.add_argument("--dump", default=None,
+                        help="also write every op's output to this JSON file")
+    args = parser.parse_args(argv)
+    dump: dict = {}
+    for workload in args.workload or WORKLOAD_NAMES:
+        for seed in args.seed or [5]:
+            pool_hash = hashlib.sha256()
+            outputs = dump.setdefault(workload, {}).setdefault(str(seed), {})
+            for inst_id, doc, sha in digest_pool(workload, seed, args.limit):
+                line = f"{workload} {seed} {inst_id} {sha}"
+                print(line, flush=True)
+                pool_hash.update((line + "\n").encode())
+                outputs[inst_id] = doc
+            print(f"{workload} {seed} * {pool_hash.hexdigest()} {len(outputs)}", flush=True)
+    if args.dump is not None:
+        Path(args.dump).write_text(canonical(dump) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
