@@ -14,7 +14,7 @@ import sys
 from typing import Sequence
 
 from . import gsn, measures, operational, verification
-from .errors import InfeasibleConstraintsError, ParseError, RelboundError, ZeroEvidenceError
+from .errors import InfeasibleConstraintsError, ParseError, RelboundError, ZeroEvidenceError, parsing
 from .inference import Observation, objective_from_dict
 from .priors import DEFAULT_RESOLUTION, build_grid, check_feasible, constraints_from_list, count_field
 from .solver import STATUS_INFEASIBLE, curve, solve
@@ -78,10 +78,16 @@ def _load_observation(path: str) -> Observation:
     doc = _read_json(path)
     if isinstance(doc, dict) and "observation" in doc:
         doc = doc["observation"]
-    try:
+    with parsing("observation document", at=path):
         return Observation(n=count_field(doc, "n"), k=count_field(doc, "k"))
-    except (KeyError, TypeError, ValueError, ParseError) as exc:
-        raise ParseError(f"{path}: bad observation document: {exc}") from None
+
+
+def _load_modules(path: str) -> tuple[str, ...]:
+    """A module registry: a JSON list of module names."""
+    doc = _read_json(path)
+    if not isinstance(doc, list) or not all(isinstance(name, str) for name in doc):
+        raise ParseError(f"{path}: module registry must be a JSON list of strings")
+    return tuple(doc)
 
 
 def _cmd_solve(args) -> int:
@@ -148,7 +154,7 @@ def _cmd_measure(args) -> int:
 
 def _cmd_gsn(args) -> int:
     case = gsn.case_from_dict(_read_json(args.case))
-    registry = tuple(_read_json(args.modules)) if args.modules else ()
+    registry = _load_modules(args.modules) if args.modules else ()
     if args.action == "validate":
         violations = gsn.validate(case, registry)
         _write_output(

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class RelboundError(Exception):
     """Base class for all relbound errors."""
@@ -39,3 +41,19 @@ class SamplingFailureError(RelboundError):
 
 class ParseError(RelboundError):
     """An input document could not be parsed; the message carries position info."""
+
+
+@contextmanager
+def parsing(what: str, at: str | None = None):
+    """Turn a malformed document's ``KeyError`` into "<what> missing field
+    'x'" and its ``TypeError``, ``ValueError``, ``AttributeError`` or
+    ``OverflowError`` (a number too large for a float) into "bad <what>:
+    <reason>", after "<at>: " when given (a path or path:line). Every other
+    error, ``ParseError`` and the domain errors among them, passes through."""
+    prefix = "" if at is None else f"{at}: "
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{prefix}{what} missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ParseError(f"{prefix}bad {what}: {exc}") from None

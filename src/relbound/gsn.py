@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import ParseError, ZeroEvidenceError
+from .errors import ParseError, ZeroEvidenceError, parsing
 from .inference import Observation, ObjectiveSpec, objective_from_dict, objective_to_dict
 from .priors import (
     DEFAULT_RESOLUTION,
@@ -97,8 +97,12 @@ class SafetyCase:
     def node_map(self) -> dict[str, GsnNode]:
         return {node.id: node for node in self.nodes}
 
-    def children(self, node_id: str) -> list[str]:
-        return [dst for src, dst in self.supported_by if src == node_id]
+    def children(self) -> dict[str, list[str]]:
+        """Each supporting node's ``supported_by`` children, in edge order."""
+        out: dict[str, list[str]] = {}
+        for src, dst in self.supported_by:
+            out.setdefault(src, []).append(dst)
+        return out
 
 
 @dataclass(frozen=True)
@@ -111,33 +115,29 @@ class Violation:
         return f"[{self.code}] {self.subject}: {self.message}"
 
 
-def _find_cycle(case: SafetyCase) -> list[str] | None:
-    graph: dict[str, list[str]] = {node.id: [] for node in case.nodes}
-    for src, dst in case.supported_by:
-        if src in graph and dst in graph:
-            graph[src].append(dst)
-    state: dict[str, int] = {}  # 0 visiting, 1 done
-    stack: list[str] = []
-
-    def visit(node_id: str) -> list[str] | None:
-        state[node_id] = 0
-        stack.append(node_id)
-        for nxt in graph[node_id]:
-            if state.get(nxt) == 0:
-                return stack[stack.index(nxt) :] + [nxt]
-            if nxt not in state:
-                found = visit(nxt)
-                if found:
-                    return found
-        state[node_id] = 1
-        stack.pop()
-        return None
-
-    for node_id in sorted(graph):
-        if node_id not in state:
-            found = visit(node_id)
-            if found:
-                return found
+def _find_cycle(case: SafetyCase, children: Mapping[str, list[str]]) -> list[str] | None:
+    """The first ``supported_by`` cycle a depth-first search meets, starting
+    from the node ids in sorted order; the search keeps its path on an
+    explicit stack, so no depth reaches the recursion limit."""
+    state: dict[str, int] = {}  # 0 on the path, 1 done
+    for start in sorted(node.id for node in case.nodes):
+        if start in state:
+            continue
+        state[start] = 0
+        path = [start]
+        pending = [iter(children.get(start, ()))]
+        while pending:
+            for nxt in pending[-1]:
+                if state.get(nxt) == 0:
+                    return path[path.index(nxt) :] + [nxt]
+                if nxt not in state:
+                    state[nxt] = 0
+                    path.append(nxt)
+                    pending.append(iter(children.get(nxt, ())))
+                    break
+            else:
+                state[path.pop()] = 1
+                pending.pop()
     return None
 
 
@@ -162,15 +162,12 @@ def validate(case: SafetyCase, module_registry: Iterable[str] = ()) -> list[Viol
     elif root.kind != "goal":
         violations.append(Violation("root-not-goal", case.root, f"root is a {root.kind}"))
 
-    cycle = _find_cycle(case)
+    supported = case.children()
+    cycle = _find_cycle(case, supported)
     if cycle is not None:
         violations.append(
             Violation("cycle", cycle[0], "supported_by cycle: " + " -> ".join(cycle))
         )
-
-    supported = {}
-    for src, dst in case.supported_by:
-        supported.setdefault(src, []).append(dst)
 
     for node in sorted(case.nodes, key=lambda n: n.id):
         children = [nodes[c] for c in supported.get(node.id, [])]
@@ -275,25 +272,41 @@ def evaluate_case(
     if violations:
         raise ValueError("case is not well formed: " + "; ".join(str(v) for v in violations))
     nodes = case.node_map()
+    children = case.children()
     memo: dict[str, str] = {}
+    next_child: dict[str, int] = {}
 
     def status_of(node_id: str) -> str:
-        if node_id in memo:
-            return memo[node_id]
-        node = nodes[node_id]
-        if node.kind not in ("goal", "strategy"):
-            # annotations never gate satisfaction, and away-goals were
-            # resolved against the registry during validation
-            result = SATISFIED
-        elif node.kind == "goal" and node.claim_binding is not None:
-            result = _evaluate_binding(node.claim_binding, obs, resolution)
-        elif node.kind == "goal" and node.undeveloped:
-            result = UNDEVELOPED
-        else:  # a strategy, or a goal argued through its children
-            children_hold = all(status_of(c) == SATISFIED for c in case.children(node_id))
-            result = SATISFIED if children_hold else UNSATISFIED
-        memo[node_id] = result
-        return result
+        # depth first, children in edge order, and the first child that is
+        # not satisfied settles its parent; the pending nodes sit on an
+        # explicit stack, so no depth reaches the recursion limit
+        stack = [node_id]
+        while stack:
+            current = stack[-1]
+            node = nodes[current]
+            if current in memo:
+                stack.pop()
+            elif node.kind not in ("goal", "strategy"):
+                # annotations never gate satisfaction, and away-goals were
+                # resolved against the registry during validation
+                memo[current] = SATISFIED
+            elif node.kind == "goal" and node.claim_binding is not None:
+                memo[current] = _evaluate_binding(node.claim_binding, obs, resolution)
+            elif node.kind == "goal" and node.undeveloped:
+                memo[current] = UNDEVELOPED
+            else:  # a strategy, or a goal argued through its children
+                kids = children.get(current, [])
+                i = next_child.get(current, 0)
+                while i < len(kids) and memo.get(kids[i]) == SATISFIED:
+                    i += 1
+                next_child[current] = i
+                if i == len(kids):
+                    memo[current] = SATISFIED
+                elif kids[i] in memo:
+                    memo[current] = UNSATISFIED
+                else:
+                    stack.append(kids[i])
+        return memo[node_id]
 
     statuses: dict[str, str] = {}
     for node in case.nodes:
@@ -335,27 +348,25 @@ def export_dot(case: SafetyCase) -> str:
         attrs = _DOT_SHAPES[node.kind]
         marker = " (undeveloped)" if node.undeveloped else ""
         label = _dot_escape(f"{node.id}\n{node.statement}{marker}")
-        lines.append(f'  "{node.id}" {attrs[:-1]}, label="{label}"];')
+        lines.append(f'  "{_dot_escape(node.id)}" {attrs[:-1]}, label="{label}"];')
     for src, dst in sorted(case.supported_by):
-        lines.append(f'  "{src}" -> "{dst}";')
+        lines.append(f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}";')
     for src, dst in sorted(case.in_context_of):
-        lines.append(f'  "{src}" -> "{dst}" [style=dashed, arrowhead=empty];')
+        lines.append(
+            f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}" [style=dashed, arrowhead=empty];'
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def claim_from_dict(doc: Mapping) -> QuantClaim:
-    try:
+    with parsing("claim binding"):
         return QuantClaim(
             constraints=constraints_from_list(doc["constraints"]),
             objective=objective_from_dict(doc["objective"]),
             threshold=float(doc["threshold"]),
             comparison=str(doc["comparison"]),
         )
-    except KeyError as exc:
-        raise ParseError(f"claim binding missing field {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ParseError(f"bad claim binding: {exc}") from None
 
 
 def _text(value, field: str) -> str:
@@ -369,7 +380,7 @@ def _edges(doc: Mapping, field: str) -> tuple[tuple[str, str], ...]:
 
 
 def case_from_dict(doc: Mapping) -> SafetyCase:
-    try:
+    with parsing("safety case document"):
         nodes = []
         for node_doc in doc["nodes"]:
             binding = node_doc.get("claim_binding")
@@ -393,10 +404,6 @@ def case_from_dict(doc: Mapping) -> SafetyCase:
             in_context_of=_edges(doc, "in_context_of"),
             root=_text(doc["root"], "root"),
         )
-    except KeyError as exc:
-        raise ParseError(f"safety case document missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad safety case document: {exc}") from None
 
 
 def case_to_dict(case: SafetyCase) -> dict:

@@ -12,7 +12,7 @@ from typing import ClassVar, Mapping, Union
 
 import numpy as np
 
-from .errors import ParseError, ZeroEvidenceError
+from .errors import ParseError, ZeroEvidenceError, parsing
 from .numerics import EXP_UNDERFLOW, survive_prob
 from .priors import PriorDistribution, as_count, count_field
 
@@ -85,7 +85,7 @@ def objective_to_dict(objective: ObjectiveSpec) -> dict:
 
 
 def objective_from_dict(doc: Mapping) -> ObjectiveSpec:
-    try:
+    with parsing("objective document"):
         kind = doc["type"]
         if kind == "posterior_expected_pfd":
             return PosteriorExpectedPfd()
@@ -93,11 +93,7 @@ def objective_from_dict(doc: Mapping) -> ObjectiveSpec:
             return PosteriorConfidence(p_req=float(doc["p_req"]))
         if kind == "future_reliability":
             return FutureReliability(t=count_field(doc, "t"))
-    except KeyError as exc:
-        raise ParseError(f"objective document missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad objective document: {exc}") from None
-    raise ParseError(f"unknown objective type {doc.get('type')!r}")
+    raise ParseError(f"unknown objective type {kind!r}")
 
 
 def objective_gain(objective: ObjectiveSpec, points: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from .errors import (
     InvalidDecompositionError,
     InvalidProfileError,
     ParseError,
+    parsing,
 )
 
 WEIGHT_TOL = 1e-9
@@ -124,10 +125,8 @@ def load_dataset(path: str) -> MeasuredDataset:
     items: list[tuple[str, float, bool]] = []
     for lineno, row in csv_records(path, ("point_id", "weight", "disagree")):
         pid, weight_text, flag_text = (cell.strip() for cell in row)
-        try:
+        with parsing("weight", at=f"{path}:{lineno}"):
             weight = float(weight_text)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad weight {weight_text!r}") from None
         if flag_text not in ("0", "1"):
             raise ParseError(f"{path}:{lineno}: disagree must be 0 or 1, got {flag_text!r}")
         items.append((pid, weight, flag_text == "1"))
@@ -135,12 +134,10 @@ def load_dataset(path: str) -> MeasuredDataset:
 
 
 def decomposition_from_dict(doc: Mapping) -> ErrorDecomposition:
-    try:
+    with parsing("decomposition document"):
         return ErrorDecomposition(
             bayes_error=float(doc["bayes_error"]),
             approximation_error=float(doc["approximation_error"]),
             estimation_error=float(doc["estimation_error"]),
             provenance=dict(doc.get("provenance", {})),
         )
-    except KeyError as exc:
-        raise ParseError(f"decomposition document missing field {exc.args[0]!r}") from None

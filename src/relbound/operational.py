@@ -14,15 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvio import csv_records
-from .errors import InfeasibleConstraintsError, ParseError, SamplingFailureError, ZeroEvidenceError
-from .inference import CONSERVATIVE_MAX, Observation, ObjectiveSpec, posterior_value
-from .priors import (
-    ConfidenceBound,
-    PerfectionConfidence,
-    PfdGrid,
-    PriorDistribution,
-    prior_from_masses,
+from .errors import (
+    InfeasibleConstraintsError,
+    ParseError,
+    SamplingFailureError,
+    ZeroEvidenceError,
+    parsing,
 )
+from .inference import CONSERVATIVE_MAX, Observation, ObjectiveSpec, posterior_value
+from .priors import PfdGrid, PriorDistribution, constraint_rows, prior_from_masses
 from .solver import feasible_vertices, solve
 
 PASS = "pass"
@@ -59,17 +59,13 @@ def load_demand_log(path: str) -> DemandLog:
     records: list[tuple[int, str]] = []
     for lineno, row in csv_records(path, ("index", "outcome")):
         index_text, outcome = row[0].strip(), row[1].strip()
-        try:
+        with parsing("index", at=f"{path}:{lineno}"):
             index = int(index_text)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad index {index_text!r}") from None
         if outcome not in (PASS, FAIL):
             raise ParseError(f"{path}:{lineno}: outcome must be 'pass' or 'fail', got {outcome!r}")
         records.append((index, outcome))
-    try:
+    with parsing("demand log", at=path):
         return DemandLog(tuple(records))
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
 
 
 def save_demand_log(log: DemandLog, path: str) -> None:
@@ -89,27 +85,23 @@ def simulate_demands(true_pfd: float, n: int, seed: int) -> DemandLog:
     return DemandLog(records)
 
 
-def _seed_support(constraints, points: np.ndarray, rng: np.random.Generator, size: int):
-    """Random support indices, always including a representative for every
-    region an equality constraint pins mass into.
+def _seed_support(rows, n_pts: int, rng: np.random.Generator, size: int):
+    """Random support indices into an ``n_pts``-point grid, always including
+    a representative for every region an equality row pins mass into.
 
-    Each equality counts the mass on a prefix of the sorted grid, its first
-    ``cut`` points; a grid starts at 0, so the prefix is never empty. A
-    representative is drawn inside the prefix when the constraint asks for
-    mass there, and past it when it leaves mass outside.
+    Every ``"eq"`` row is the 0/1 indicator of a prefix of the sorted grid,
+    its first ``cut`` points; a grid starts at 0, so the prefix is never
+    empty. A representative is drawn inside the prefix when the row asks
+    for mass there, and past it when it leaves mass outside.
     """
-    n_pts = points.size
     required: set[int] = set()
-    for constraint in constraints:
-        if isinstance(constraint, PerfectionConfidence):
-            cut = 1
-        elif isinstance(constraint, ConfidenceBound):
-            cut = int(np.searchsorted(points, constraint.epsilon, side="right"))
-        else:
+    for row in rows:
+        if row.sense != "eq":
             continue
-        if constraint.theta > 0.0:
+        cut = int(np.count_nonzero(row.coeffs))
+        if row.rhs > 0.0:
             required.add(int(rng.integers(0, cut)))
-        if constraint.theta < 1.0 and cut < n_pts:
+        if row.rhs < 1.0 and cut < n_pts:
             required.add(int(rng.integers(cut, n_pts)))
     chosen = set(required)
     while len(chosen) < min(size, n_pts):
@@ -129,12 +121,13 @@ def sample_feasible_prior(
     masses.
     """
     points = grid.as_array()
+    rows = constraint_rows(constraints, points)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     size_base = len(constraints) + 1
     for _ in range(max_attempts):
         size = size_base + int(rng.integers(0, 2))
-        support = _seed_support(constraints, points, rng, size)
-        vertices = feasible_vertices(constraints, points, support)
+        support = _seed_support(rows, points.size, rng, size)
+        vertices = feasible_vertices(rows, support)
         if not vertices:
             continue
         first = vertices[int(rng.integers(0, len(vertices)))]

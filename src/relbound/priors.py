@@ -18,8 +18,7 @@ coefficients the 0/1 indicator of a grid prefix. A lower bound is an
 ``"le"`` row negated: prior reliability is -E[(1-pfd)**n0] <= -g. A new
 form supplies its dataclass, tag and parser branch; its exact check in
 ``PriorDistribution.satisfies``; its row in ``constraint_rows``; and its
-thresholds in ``forced_grid_points`` or ``threshold_points``. The one
-other place to edit is ``operational._seed_support``.
+thresholds in ``forced_grid_points`` or ``threshold_points``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidDistributionError, ParseError
+from .errors import InvalidDistributionError, ParseError, parsing
 from .numerics import just_above, survive_prob
 
 MASS_TOL = 1e-9
@@ -128,7 +127,7 @@ def count_field(doc: Mapping, field: str) -> int:
 
 
 def constraint_from_dict(doc: Mapping) -> PartialPriorConstraint:
-    try:
+    with parsing("constraint document"):
         kind = doc["type"]
         if kind == "mean_bound":
             return MeanBound(m=float(doc["m"]))
@@ -138,15 +137,12 @@ def constraint_from_dict(doc: Mapping) -> PartialPriorConstraint:
             return PerfectionConfidence(theta=float(doc["theta"]))
         if kind == "prior_reliability":
             return PriorReliability(n0=count_field(doc, "n0"), gamma=float(doc["gamma"]))
-    except KeyError as exc:
-        raise ParseError(f"constraint document missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad constraint document: {exc}") from None
-    raise ParseError(f"unknown constraint type {doc.get('type')!r}")
+    raise ParseError(f"unknown constraint type {kind!r}")
 
 
 def constraints_from_list(docs: Sequence[Mapping]) -> tuple[PartialPriorConstraint, ...]:
-    return tuple(constraint_from_dict(doc) for doc in docs)
+    with parsing("constraint list"):
+        return tuple(constraint_from_dict(doc) for doc in docs)
 
 
 @dataclass(frozen=True)

@@ -625,9 +625,11 @@ def _vertex_selectors(m: int, n_base: int, n_ineq: int) -> np.ndarray:
     return selectors
 
 
-def feasible_vertices(constraints, points: np.ndarray, support: np.ndarray) -> list[np.ndarray]:
+def feasible_vertices(rows, support: np.ndarray) -> list[np.ndarray]:
     """All vertices of the constraint polytope restricted to one support.
 
+    ``rows`` are the constraints' rows over the whole grid, as
+    ``constraint_rows`` builds them, and ``support`` indexes that grid.
     Returns mass vectors over ``support`` (not the full grid), in
     enumeration order (see ``_vertex_selectors``). Used by the
     feasible-prior sampler, whose random stream depends on that order.
@@ -635,12 +637,13 @@ def feasible_vertices(constraints, points: np.ndarray, support: np.ndarray) -> l
     batched determinant, one batched solve and one batched admissibility
     check cover them all.
     """
-    sub = np.asarray(points, dtype=float)[np.asarray(support, dtype=np.intp)]
-    rows = constraint_rows(constraints, sub)
+    support = np.asarray(support, dtype=np.intp)
     eq_rows = [r for r in rows if r.sense == "eq"]
     ineq_rows = [r for r in rows if r.sense != "eq"]
-    m = sub.size
-    stack = np.vstack([np.ones(m)] + [r.coeffs for r in eq_rows + ineq_rows] + [np.eye(m)])
+    m = support.size
+    stack = np.vstack(
+        [np.ones(m)] + [r.coeffs[support] for r in eq_rows + ineq_rows] + [np.eye(m)]
+    )
     stack_rhs = np.array([1.0] + [r.rhs for r in eq_rows + ineq_rows] + [0.0] * m)
     n_base = 1 + len(eq_rows)
     ineq = slice(n_base, n_base + len(ineq_rows))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 from .csvio import csv_records
-from .errors import InvalidCoverageError, ParseError
+from .errors import InvalidCoverageError, ParseError, parsing
 from .measures import OperationalProfile
 from .priors import ConfidenceBound
 
@@ -142,38 +142,30 @@ def prior_from_verification(epsilon: float, theta: float) -> ConfidenceBound:
 
 
 def density_from_dict(doc: Mapping) -> PiecewiseDensity:
-    kind = doc.get("kind")
-    if kind == "uniform":
-        return PiecewiseDensity.uniform()
-    if kind == "piecewise":
-        try:
-            pieces = tuple(
-                (float(lo), float(hi), float(density)) for lo, hi, density in doc["pieces"]
+    with parsing("density document"):
+        kind = doc.get("kind")
+        if kind == "uniform":
+            return PiecewiseDensity.uniform()
+        if kind == "piecewise":
+            return PiecewiseDensity(
+                tuple((float(lo), float(hi), float(density)) for lo, hi, density in doc["pieces"])
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad piecewise density document: {exc}") from None
-        return PiecewiseDensity(pieces)
     raise ParseError(f"unknown density kind {kind!r}")
 
 
 def profile_from_dict(doc: Mapping) -> OperationalProfile:
-    if doc.get("kind") != "discrete":
-        raise ParseError(f"expected a discrete profile, got kind {doc.get('kind')!r}")
-    try:
-        entries = tuple((str(pid), float(w)) for pid, w in doc["weights"].items())
-    except (KeyError, AttributeError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad discrete profile document: {exc}") from None
-    return OperationalProfile(entries)
+    with parsing("discrete profile document"):
+        if doc.get("kind") != "discrete":
+            raise ParseError(f"expected a discrete profile, got kind {doc.get('kind')!r}")
+        return OperationalProfile(tuple((str(pid), float(w)) for pid, w in doc["weights"].items()))
 
 
 def load_interval_coverage(path: str, density: PiecewiseDensity | None = None) -> IntervalCoverage:
     """Read covered intervals from a CSV with header ``lo,hi``."""
     cells: list[tuple[tuple[float, float], bool]] = []
     for lineno, row in csv_records(path, ("lo", "hi")):
-        try:
+        with parsing("interval", at=f"{path}:{lineno}"):
             lo, hi = float(row[0]), float(row[1])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad interval {row!r}") from None
         cells.append(((lo, hi), True))
     return IntervalCoverage(tuple(cells), density or PiecewiseDensity.uniform())
 

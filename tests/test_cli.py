@@ -475,3 +475,60 @@ def test_usage_error_exit_code(capsys):
 
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 1
+
+
+_GOOD_CASE = {
+    "root": "G1",
+    "nodes": [{"id": "G1", "kind": "goal", "statement": "safe", "undeveloped": True}],
+}
+_SOLVE = ["solve", "--observation", "o.json", "--objective", "obj.json", "--constraints", "c.json"]
+_SOLVE_DOCS = {"o.json": {"n": 10, "k": 0}, "obj.json": _EXPECTED_PFD}
+_FROM_COVERAGE = ["prior-from-verification", "--coverage", "cov.csv", "--profile", "p.json",
+                  "--theta", "0.9"]
+_VALIDATE = ["gsn", "validate", "--case", "case.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, docs",
+    [
+        (_SOLVE, {**_SOLVE_DOCS, "c.json": 5}),
+        (_SOLVE, {**_SOLVE_DOCS, "c.json": [{"type": "mean_bound", "m": 10**400}]}),
+        (_VALIDATE, {"case.json": {**_GOOD_CASE, "nodes": ["G1"]}}),
+        (_FROM_COVERAGE, {"cov.csv": "lo,hi\n0.0,0.5\n", "p.json": [1]}),
+        (_FROM_COVERAGE, {"cov.csv": "point_id,covered\na,1\n", "p.json": [1]}),
+        (["measure", "--decomposition", "d.json"], {"d.json": [1]}),
+        (
+            ["measure", "--decomposition", "d.json"],
+            {"d.json": {"bayes_error": 0.0, "approximation_error": 0.0, "estimation_error": None}},
+        ),
+        (_VALIDATE + ["--modules", "m.json"], {"case.json": _GOOD_CASE, "m.json": 5}),
+        (_VALIDATE + ["--modules", "m.json"], {"case.json": _GOOD_CASE, "m.json": {"A": 1}}),
+    ],
+    ids=[
+        "constraints-number", "constraints-huge-number", "case-node-string", "density-list",
+        "profile-list", "decomposition-list", "decomposition-null", "modules-number",
+        "modules-object",
+    ],
+)
+def test_malformed_document_is_one_parse_error(files, capsys, argv, docs):
+    # each of these once left main with a traceback, or (modules-object)
+    # was read as the registry ("A",)
+    write, _ = files
+    paths = {
+        name: write(name, doc) if isinstance(doc, str) else write_json(write, name, doc)
+        for name, doc in docs.items()
+    }
+    code = main([paths.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("parse error: ")
+
+
+def test_module_registry_list_of_strings_accepted(files, capsys):
+    write, _ = files
+    case = write_json(write, "case.json", _GOOD_CASE)
+    modules = write_json(write, "m.json", ["platform"])
+    assert main(["gsn", "validate", "--case", case, "--modules", modules]) == 0
+    assert json.loads(capsys.readouterr().out) == []

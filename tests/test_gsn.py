@@ -287,6 +287,67 @@ class TestExportDot:
         assert '\\"hi\\"' in text
         assert "\\n" in text
 
+    def test_id_escaping(self):
+        case = make_case(
+            [
+                goal('G"1'),
+                GsnNode("S\\1", "strategy", "argue"),
+                goal("G2", undeveloped=True),
+                GsnNode('C"1', "context", "profile"),
+            ],
+            [('G"1', "S\\1"), ("S\\1", "G2")],
+            [('G"1', 'C"1')],
+            root='G"1',
+        )
+        lines = export_dot(case).splitlines()
+        assert '  "G\\"1" [shape=box, label="G\\"1\\na claim"];' in lines
+        assert '  "G\\"1" -> "S\\\\1";' in lines
+        assert '  "S\\\\1" -> "G2";' in lines
+        assert '  "G\\"1" -> "C\\"1" [style=dashed, arrowhead=empty];' in lines
+
+
+def deep_chain(goals, solved=True):
+    """G0 <- S0 <- G1 <- ... <- G(goals-1), one strategy between each pair
+    of goals; the last goal rests on a solution, or is undeveloped."""
+    nodes, edges = [], []
+    for i in range(goals - 1):
+        nodes += [goal(f"G{i}"), GsnNode(f"S{i}", "strategy", "argue")]
+        edges += [(f"G{i}", f"S{i}"), (f"S{i}", f"G{i + 1}")]
+    last = f"G{goals - 1}"
+    if solved:
+        nodes += [goal(last), GsnNode("Sn", "solution", "evidence")]
+        edges.append((last, "Sn"))
+    else:
+        nodes.append(goal(last, undeveloped=True))
+    return make_case(nodes, edges, root="G0")
+
+
+class TestDeepCase:
+    """A chain deeper than the interpreter's recursion limit."""
+
+    GOALS = 2000
+
+    def test_validate(self):
+        assert validate(deep_chain(self.GOALS)) == []
+
+    def test_cycle_path(self):
+        case = deep_chain(self.GOALS)
+        back_edge = (f"G{self.GOALS - 1}", "G0")
+        (violation,) = validate(make_case(case.nodes, case.supported_by + (back_edge,), root="G0"))
+        assert violation.code == "cycle"
+        path = violation.message.removeprefix("supported_by cycle: ").split(" -> ")
+        assert path[0] == path[-1] == "G0"
+        assert len(path) == 2 * self.GOALS
+
+    def test_evaluate(self):
+        statuses = evaluate_case(deep_chain(self.GOALS), Observation(1, 0))
+        assert statuses == {f"G{i}": "satisfied" for i in range(self.GOALS)}
+
+    def test_undeveloped_bottom_leaves_every_goal_above_unsatisfied(self):
+        statuses = evaluate_case(deep_chain(self.GOALS, solved=False), Observation(1, 0))
+        assert statuses.pop(f"G{self.GOALS - 1}") == "undeveloped"
+        assert set(statuses.values()) == {"unsatisfied"}
+
 
 class TestJsonRoundtrip:
     def test_roundtrip_preserves_case(self):

@@ -331,7 +331,8 @@ class TestSeedSupport:
                 for constraints, seed in itertools.product(constraint_sets, range(4)):
                     size = len(constraints) + 1 + seed % 2
                     draws = [np.random.Generator(np.random.PCG64(seed)) for _ in range(2)]
-                    got = _seed_support(constraints, points, draws[0], size)
+                    rows = constraint_rows(constraints, points)
+                    got = _seed_support(rows, points.size, draws[0], size)
                     want = _reference_seed_support(constraints, points, draws[1], size)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
                     assert draws[0].bit_generator.state == draws[1].bit_generator.state
@@ -348,8 +349,9 @@ class TestFeasibleVertices:
             constraints = _random_constraints(rng, kinds)
             points = build_grid(constraints, resolution=150).as_array()
             size = len(constraints) + 1 + int(rng.integers(0, 3))
-            support = _seed_support(constraints, points, rng, size)
-            got = feasible_vertices(constraints, points, support)
+            rows = constraint_rows(constraints, points)
+            support = _seed_support(rows, points.size, rng, size)
+            got = feasible_vertices(rows, support)
             _assert_same_vertices(got, _reference_feasible_vertices(constraints, points, support))
             found += len(got)
         assert found > 0
@@ -358,23 +360,24 @@ class TestFeasibleVertices:
         # free < 0: two equalities on a two-point support go through lstsq
         constraints = (ConfidenceBound(0.01, 0.4), PerfectionConfidence(0.4))
         points = np.array([0.0, 0.5])
+        rows = constraint_rows(constraints, points)
         for support in (np.arange(2), np.array([1])):
-            got = feasible_vertices(constraints, points, support)
+            got = feasible_vertices(rows, support)
             _assert_same_vertices(got, _reference_feasible_vertices(constraints, points, support))
-        assert len(feasible_vertices(constraints, points, np.arange(2))) == 1
+        assert len(feasible_vertices(rows, np.arange(2))) == 1
 
     def test_no_freedom_left(self):
         # free == 0: the equalities alone fix the masses
         constraints = (ConfidenceBound(0.01, 0.3),)
         points = np.array([0.001, 0.2])
-        got = feasible_vertices(constraints, points, np.arange(2))
+        got = feasible_vertices(constraint_rows(constraints, points), np.arange(2))
         _assert_same_vertices(got, _reference_feasible_vertices(constraints, points, np.arange(2)))
         assert len(got) == 1 and got[0] == pytest.approx([0.3, 0.7])
 
     def test_no_inequality_rows(self):
         constraints = (PerfectionConfidence(0.2), ConfidenceBound(0.01, 0.5))
         points = np.array([0.0, 0.001, 0.005, 0.1, 0.4])
-        got = feasible_vertices(constraints, points, np.arange(5))
+        got = feasible_vertices(constraint_rows(constraints, points), np.arange(5))
         _assert_same_vertices(got, _reference_feasible_vertices(constraints, points, np.arange(5)))
         assert len(got) == 4
 
@@ -383,14 +386,14 @@ class TestFeasibleVertices:
         # repeats the normalisation row in the only vertex system
         constraints = (ConfidenceBound(0.5, 0.3),)
         points = np.array([0.1, 0.2])
-        assert feasible_vertices(constraints, points, np.arange(2)) == []
+        assert feasible_vertices(constraint_rows(constraints, points), np.arange(2)) == []
         assert _reference_feasible_vertices(constraints, points, np.arange(2)) == []
 
     def test_small_determinant_still_solved(self):
         # the last vertex's system has determinant 1e-10, above the 1e-12 cut
         constraints = (MeanBound(1.5e-10),)
         points = np.array([1e-10, 2e-10, 0.5])
-        got = feasible_vertices(constraints, points, np.arange(3))
+        got = feasible_vertices(constraint_rows(constraints, points), np.arange(3))
         _assert_same_vertices(got, _reference_feasible_vertices(constraints, points, np.arange(3)))
         assert len(got) == 4
         assert got[-1] == pytest.approx([0.5, 0.5, 0.0])
@@ -404,7 +407,7 @@ class TestFeasibleVertices:
         points = np.array([2.442168083044748e-06, 0.009682153059967075, 0.10603, 0.35848, 0.51589])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = feasible_vertices(constraints, points, np.arange(5))
+            got = feasible_vertices(constraint_rows(constraints, points), np.arange(5))
         assert len(got) == 4
         _assert_same_vertices(got, _reference_feasible_vertices(constraints, points, np.arange(5)))
 
@@ -421,6 +424,11 @@ class TestFeasibleVertices:
         grid = build_grid(constraints, objective, resolution=300)
         args = (constraints, obs, objective, 15, seed, grid)
         batched = check_conservatism(*args).to_dict()
-        monkeypatch.setattr(operational, "feasible_vertices", _reference_feasible_vertices)
+        points = grid.as_array()
+        monkeypatch.setattr(
+            operational,
+            "feasible_vertices",
+            lambda rows, support: _reference_feasible_vertices(constraints, points, support),
+        )
         assert check_conservatism(*args).to_dict() == batched
         assert any(r["margin"] is not None for r in batched["records"])

@@ -42,3 +42,21 @@ def test_seeds_give_different_pools():
     five = _run("--workload", "solve-mix", "--limit", "2")
     seven = _run("--workload", "solve-mix", "--seed", "7", "--limit", "2")
     assert five.splitlines()[-1].split()[3] != seven.splitlines()[-1].split()[3]
+
+
+def test_extreme_pool(tmp_path):
+    dump = tmp_path / "outputs.json"
+    lines = [line.split() for line in _run("--extreme", "20", "--dump", str(dump)).splitlines()]
+    # given alone, --extreme runs only its own pool
+    assert [line[:2] for line in lines] == [["extreme", "5"]] * 21
+    assert [line[2] for line in lines] == [f"e{i}" for i in range(20)] + ["*"]
+    outputs = json.loads(dump.read_text())["extreme"]["5"]
+    pool_hash = hashlib.sha256()
+    for workload, seed, inst_id, sha in lines[:-1]:
+        doc = outputs[inst_id]
+        assert sha == hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert "bound" in doc or "raised" in doc
+        pool_hash.update(f"{workload} {seed} {inst_id} {sha}\n".encode())
+    assert lines[-1][3:] == [pool_hash.hexdigest(), "20"]
+    # another seed draws other inputs
+    assert _run("--extreme", "20", "--seed", "7") != _run("--extreme", "20")

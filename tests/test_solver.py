@@ -909,6 +909,19 @@ class TestAnchorGuards:
         assert result.witness.satisfies_all(constraints)
 
 
+def test_ratio_lp_never_undercuts_an_admissible_point_mass():
+    # The point mass at 1e-9 is admissible and scores exactly 1e-9. A ratio
+    # LP whose scaled rows read (coeffs - rhs - delta) / lik, instead of
+    # coeffs / lik - rhs / lik - delta / lik, reads 0.0 here.
+    constraints = [ConfidenceBound(0.5, 1.0), MeanBound(1e-9)]
+    objective = PosteriorExpectedPfd()
+    obs = Observation(10**9, 0)
+    point_mass = PriorDistribution.point_mass(1e-9)
+    assert point_mass.satisfies_all(constraints)
+    assert posterior_value(point_mass, obs, objective) == 1e-9
+    assert solve(constraints, obs, objective, build_grid(constraints, objective, 50)).bound >= 1e-9
+
+
 def _three_sense_rows(constraints, rows):
     """``rows`` in the older form, where prior reliability was the ``"ge"``
     row E[(1-pfd)**n0] >= gamma; negation is exact, so this is that row."""

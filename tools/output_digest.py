@@ -11,7 +11,8 @@ written so that they read back bit for bit):
 
 * solve-mix: the solve's ``to_dict()``;
 * audit: the conservatism report's ``to_dict()``;
-* gsn-case: the goal status map, plus each bound claim's own solve.
+* gsn-case: the goal status map, plus each bound claim's own solve;
+* extreme: the solve's ``to_dict()``.
 
 An op that raises a relbound error records its type and message instead;
 any other exception stops the run. Two
@@ -21,9 +22,13 @@ on both and comparing the lines. ``--dump PATH`` also writes every op's
 output as JSON, keyed by workload, seed and input id, to show what moved.
 
 The pools come from ``benchmark/workloads.py``, which is only imported.
+``--extreme N`` adds a pool named ``extreme`` of N solves per seed at
+the edges of every parameter's range (see ``extreme_cases``); given
+alone, it runs only that pool.
 
     python3 tools/output_digest.py --workload solve-mix --seed 5 --seed 7
     python3 tools/output_digest.py --limit 3 --dump outputs.json
+    python3 tools/output_digest.py --extreme 4000
 """
 
 from __future__ import annotations
@@ -47,8 +52,24 @@ sys.path[:0] = [str(ROOT / "benchmark"), str(ROOT / "src")]
 import workloads as wl  # noqa: E402
 from relbound import priors, solver  # noqa: E402
 from relbound.errors import RelboundError  # noqa: E402
+from relbound.inference import (  # noqa: E402
+    FutureReliability,
+    Observation,
+    PosteriorConfidence,
+    PosteriorExpectedPfd,
+)
 
 WORKLOAD_NAMES = tuple(wl.WORKLOADS)
+
+#: the extreme pool's values: every probability-like parameter (theta,
+#: gamma, m, epsilon), prior-reliability n0, demand count n, p_req, t and
+#: grid resolution
+EXTREME_UNIT = (0.0, 1e-12, 1e-9, 0.5, 1.0 - 1e-12, 1.0)
+EXTREME_N0 = (1, 10, 10**3, 10**6)
+EXTREME_N = (1, 10, 100, 10**4, 10**6, 10**9)
+EXTREME_P_REQ = (1e-9, 1e-4, 0.5)
+EXTREME_T = (0, 10, 10**6)
+EXTREME_RESOLUTIONS = (50, 200, 500)
 
 
 def _solve_doc(constraints, obs, objective, resolution) -> dict:
@@ -82,16 +103,52 @@ def op_output(workload: str, inst) -> dict:
     return {"statuses": output, "claims": claims}
 
 
+def _extreme_constraint(rng: random.Random, kind: str):
+    unit = EXTREME_UNIT
+    if kind == "mean":
+        return priors.MeanBound(rng.choice(unit))
+    if kind == "confidence":
+        return priors.ConfidenceBound(rng.choice(unit), rng.choice(unit))
+    if kind == "perfection":
+        return priors.PerfectionConfidence(rng.choice(unit))
+    return priors.PriorReliability(rng.choice(EXTREME_N0), rng.choice(unit))
+
+
+def extreme_cases(seed: int, count: int):
+    """``count`` solve inputs ``(id, constraints, obs, objective, resolution)``
+    drawn by ``random.Random(seed)``: 1 to 4 distinct constraint kinds, each
+    parameter from its ``EXTREME_*`` values, k from {0, 1, n // 2, n} and
+    each objective kind equally often in expectation."""
+    rng = random.Random(seed)
+    for index in range(count):
+        kinds = rng.sample(wl.KINDS, rng.randint(1, len(wl.KINDS)))
+        constraints = tuple(_extreme_constraint(rng, kind) for kind in kinds)
+        n = rng.choice(EXTREME_N)
+        obs = Observation(n=n, k=rng.choice((0, 1, n // 2, n)))
+        objective = rng.choice(
+            (
+                PosteriorExpectedPfd(),
+                PosteriorConfidence(rng.choice(EXTREME_P_REQ)),
+                FutureReliability(rng.choice(EXTREME_T)),
+            )
+        )
+        yield f"e{index}", constraints, obs, objective, rng.choice(EXTREME_RESOLUTIONS)
+
+
+def extreme_outputs(seed: int, count: int):
+    """Yield ``(input id, output document)`` for each extreme solve."""
+    for inst_id, constraints, obs, objective, resolution in extreme_cases(seed, count):
+        yield inst_id, _solve_doc(constraints, obs, objective, resolution)
+
+
 def canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def digest_pool(workload: str, seed: int, limit: int | None = None):
-    """Yield ``(input id, output document, sha256)`` for each op of one pool."""
-    pool = wl.WORKLOADS[workload].make_pool(random.Random(seed))[:limit]
-    for inst in pool:
-        doc = op_output(workload, inst)
-        yield inst.id, doc, hashlib.sha256(canonical(doc).encode()).hexdigest()
+def pool_outputs(workload: str, seed: int, limit: int | None = None):
+    """Yield ``(input id, output document)`` for each op of one pool."""
+    for inst in wl.WORKLOADS[workload].make_pool(random.Random(seed))[:limit]:
+        yield inst.id, op_output(workload, inst)
 
 
 def main(argv=None) -> int:
@@ -104,13 +161,22 @@ def main(argv=None) -> int:
                         help="run only the first N inputs of each pool")
     parser.add_argument("--dump", default=None,
                         help="also write every op's output to this JSON file")
+    parser.add_argument("--extreme", type=int, default=None, metavar="N",
+                        help="also run N extreme solves per seed (alone: only those)")
     args = parser.parse_args(argv)
+    pools = [
+        (workload, lambda seed, w=workload: pool_outputs(w, seed, args.limit))
+        for workload in args.workload or ([] if args.extreme else WORKLOAD_NAMES)
+    ]
+    if args.extreme:
+        pools.append(("extreme", lambda seed: extreme_outputs(seed, args.extreme)))
     dump: dict = {}
-    for workload in args.workload or WORKLOAD_NAMES:
+    for workload, outputs_of in pools:
         for seed in args.seed or [5]:
             pool_hash = hashlib.sha256()
             outputs = dump.setdefault(workload, {}).setdefault(str(seed), {})
-            for inst_id, doc, sha in digest_pool(workload, seed, args.limit):
+            for inst_id, doc in outputs_of(seed):
+                sha = hashlib.sha256(canonical(doc).encode()).hexdigest()
                 line = f"{workload} {seed} {inst_id} {sha}"
                 print(line, flush=True)
                 pool_hash.update((line + "\n").encode())
