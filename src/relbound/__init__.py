@@ -43,6 +43,7 @@ from .operational import (
     check_conservatism,
     ingest,
     sample_feasible_prior,
+    sample_feasible_priors,
     simulate_demands,
 )
 from .priors import (
@@ -124,6 +125,7 @@ __all__ = [
     "posterior_value",
     "prior_from_verification",
     "sample_feasible_prior",
+    "sample_feasible_priors",
     "simulate_demands",
     "solve",
     "total_error",

@@ -3,12 +3,15 @@
 Under the i.i.d. demand model only the pass/fail counts matter, so logs
 reduce to an Observation. Random generation uses numpy's PCG64 with
 explicit seeding (audit trials derive per-trial seeds from the pair
-(seed, trial index)), so every report is bit-reproducible.
+(seed, trial index)), so every report is bit-reproducible. An audit
+samples its trials' priors in lock-step, sharing one vertex enumeration
+per round and support size, while each trial draws from its own stream.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +33,12 @@ FAIL = "fail"
 
 #: a margin below this counts as a conservatism violation
 VIOLATION_TOL = -1e-9
+#: attempts the sampler makes per prior before it gives up
+MAX_ATTEMPTS = 200
+#: trials sampled in lock-step at once: ``relbound audit``'s default of
+#: 100, so a default audit is one block, while memory stays flat in the
+#: trial count (a block's stacked vertex systems take up to ~16 KB a trial)
+SAMPLER_BLOCK = 100
 
 
 @dataclass(frozen=True)
@@ -109,40 +118,94 @@ def _seed_support(rows, n_pts: int, rng: np.random.Generator, size: int):
     return np.array(sorted(chosen), dtype=np.intp)
 
 
-def sample_feasible_prior(
-    constraints, grid: PfdGrid, seed: int, max_attempts: int = 200
-) -> PriorDistribution:
-    """A random grid-supported prior satisfying every constraint.
+def sample_feasible_priors(
+    constraints, grid: PfdGrid, seeds, max_attempts: int = MAX_ATTEMPTS
+) -> Iterator[PriorDistribution | None]:
+    """Yield, per seed in order, a random grid-supported prior satisfying
+    every constraint, or None when all ``max_attempts`` attempts failed.
 
-    Picks a random small support, enumerates the feasible vertices of the
-    constraint polytope restricted to it, and returns a random convex
-    blend of up to two vertices (vertices alone would under-represent the
-    interior). Rejects and retries when the support admits no feasible
-    masses.
+    Each attempt picks a random small support, enumerates the feasible
+    vertices of the constraint polytope restricted to it, and takes a
+    random convex blend of up to two vertices (vertices alone would
+    under-represent the interior). It fails when the support admits no
+    feasible masses or the blend misses a constraint.
+
+    The seeds run in lock-step, in blocks of ``SAMPLER_BLOCK``: each round,
+    every seed of the block still without a prior draws its support from
+    its own PCG64 stream, the round's supports go through one vertex
+    enumeration per support size, and each seed then blends with its own
+    stream. A seed's prior is therefore the one it would get sampled
+    alone, and memory holds one block's priors at a time.
     """
     points = grid.as_array()
     rows = constraint_rows(constraints, points)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    seeds = list(seeds)
+    for start in range(0, len(seeds), SAMPLER_BLOCK):
+        yield from _sample_block(
+            constraints, rows, points, seeds[start : start + SAMPLER_BLOCK], max_attempts
+        )
+
+
+def _sample_block(constraints, rows, points, seeds, max_attempts):
+    """``sample_feasible_priors`` for one block of seeds, as a list."""
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
+    found: list[PriorDistribution | None] = [None] * len(seeds)
     size_base = len(constraints) + 1
+    pending = range(len(seeds))
     for _ in range(max_attempts):
-        size = size_base + int(rng.integers(0, 2))
-        support = _seed_support(rows, points.size, rng, size)
-        vertices = feasible_vertices(rows, support)
-        if not vertices:
-            continue
-        first = vertices[int(rng.integers(0, len(vertices)))]
-        masses = first
-        if len(vertices) > 1 and rng.random() < 0.5:
-            second = vertices[int(rng.integers(0, len(vertices)))]
-            lam = float(rng.random())
-            masses = lam * first + (1.0 - lam) * second
-        candidate = prior_from_masses(points[support], masses)
-        if candidate is not None and candidate.satisfies_all(constraints):
-            return candidate
-    raise SamplingFailureError(
+        if not pending:
+            break
+        supports = {}
+        groups: dict[int, list[int]] = {}  # pending trials by support size
+        for t in pending:
+            size = size_base + int(rngs[t].integers(0, 2))
+            supports[t] = _seed_support(rows, points.size, rngs[t], size)
+            groups.setdefault(supports[t].size, []).append(t)
+        vertices = {}
+        for group in groups.values():
+            stacked = np.stack([supports[t] for t in group])
+            vertices.update(zip(group, feasible_vertices(rows, stacked)))
+        failed = []
+        for t in pending:
+            candidate = _blend(points[supports[t]], vertices[t], rngs[t])
+            if candidate is not None and candidate.satisfies_all(constraints):
+                found[t] = candidate
+            else:
+                failed.append(t)
+        pending = failed
+    return found
+
+
+def _blend(points, vertices, rng: np.random.Generator) -> PriorDistribution | None:
+    """A random vertex, or with probability 1/2 a random blend of two, as a
+    prior on ``points``; None when there are no vertices."""
+    if not vertices:
+        return None
+    first = vertices[int(rng.integers(0, len(vertices)))]
+    masses = first
+    if len(vertices) > 1 and rng.random() < 0.5:
+        second = vertices[int(rng.integers(0, len(vertices)))]
+        lam = float(rng.random())
+        masses = lam * first + (1.0 - lam) * second
+    return prior_from_masses(points, masses)
+
+
+def _sampling_failure(max_attempts: int) -> SamplingFailureError:
+    return SamplingFailureError(
         f"no feasible prior found in {max_attempts} attempts; "
         "the constraint set may be infeasible or extremely tight"
     )
+
+
+def sample_feasible_prior(
+    constraints, grid: PfdGrid, seed: int, max_attempts: int = MAX_ATTEMPTS
+) -> PriorDistribution:
+    """``sample_feasible_priors`` for one seed; raises
+    ``SamplingFailureError`` when every attempt failed."""
+    (prior,) = sample_feasible_priors(constraints, grid, [seed], max_attempts)
+    if prior is None:
+        raise _sampling_failure(max_attempts)
+    return prior
 
 
 @dataclass(frozen=True)
@@ -201,10 +264,11 @@ def check_conservatism(
     maximize = objective.direction == CONSERVATIVE_MAX
     records: list[TrialRecord] = []
     margins: list[float] = []
-    for index in range(trials):
-        child_seed = int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
+    seeds = [int(np.random.SeedSequence([seed, i]).generate_state(1)[0]) for i in range(trials)]
+    for index, prior in enumerate(sample_feasible_priors(constraints, grid, seeds)):
         try:
-            prior = sample_feasible_prior(constraints, grid, child_seed)
+            if prior is None:
+                raise _sampling_failure(MAX_ATTEMPTS)
             value = posterior_value(prior, obs, objective)
         except (SamplingFailureError, ZeroEvidenceError) as exc:
             records.append(TrialRecord(index=index, margin=None, error=str(exc)))

@@ -112,13 +112,19 @@ def constraint_to_dict(constraint: PartialPriorConstraint) -> dict:
 
 
 def as_count(value, name: str, error: type[Exception] = ValueError) -> int:
-    """``value`` as an int: an integer or an integral float, not a bool."""
+    """``value`` as an int: an integer or an integral float, not a bool,
+    and small enough to convert to a float (the likelihoods use it as one)."""
     integral = isinstance(value, numbers.Integral) or (
         isinstance(value, float) and value.is_integer()
     )
     if isinstance(value, bool) or not integral:
         raise error(f"{name} must be an integer count, got {value!r}")
-    return int(value)
+    count = int(value)
+    try:
+        float(count)
+    except OverflowError:
+        raise error(f"{name} must be a count within the float range") from None
+    return count
 
 
 def count_field(doc: Mapping, field: str) -> int:

@@ -625,50 +625,68 @@ def _vertex_selectors(m: int, n_base: int, n_ineq: int) -> np.ndarray:
     return selectors
 
 
-def feasible_vertices(rows, support: np.ndarray) -> list[np.ndarray]:
-    """All vertices of the constraint polytope restricted to one support.
+def feasible_vertices(rows, supports: np.ndarray) -> list:
+    """All vertices of the constraint polytope restricted to each support.
 
     ``rows`` are the constraints' rows over the whole grid, as
-    ``constraint_rows`` builds them, and ``support`` indexes that grid.
-    Returns mass vectors over ``support`` (not the full grid), in
-    enumeration order (see ``_vertex_selectors``). Used by the
-    feasible-prior sampler, whose random stream depends on that order.
-    Every vertex system is a row selection from one stacked matrix, so one
-    batched determinant, one batched solve and one batched admissibility
-    check cover them all.
+    ``constraint_rows`` builds them, and ``supports`` is a ``(count, m)``
+    array whose rows each index that grid. Returns one list per support of
+    its vertices' mass vectors over that support (not the full grid), in
+    enumeration order (see ``_vertex_selectors``); a single support of
+    shape ``(m,)`` gets its list alone. Used by the feasible-prior
+    sampler, whose random streams depend on that order. Every vertex
+    system is a row selection from its support's stacked matrix
+    ``[1; rows; eye(m)]``, so one batched determinant, one batched solve
+    and one batched admissibility check cover every support's systems.
     """
-    support = np.asarray(support, dtype=np.intp)
+    supports = np.asarray(supports, dtype=np.intp)
+    single = supports.ndim == 1
+    supports = supports.reshape(-1, supports.shape[-1])
+    count, m = supports.shape
     eq_rows = [r for r in rows if r.sense == "eq"]
     ineq_rows = [r for r in rows if r.sense != "eq"]
-    m = support.size
-    stack = np.vstack(
-        [np.ones(m)] + [r.coeffs[support] for r in eq_rows + ineq_rows] + [np.eye(m)]
+    ordered = eq_rows + ineq_rows
+    stack = np.concatenate(
+        [
+            np.stack([np.ones((count, m))] + [r.coeffs[supports] for r in ordered], axis=1),
+            np.broadcast_to(np.eye(m), (count, m, m)),
+        ],
+        axis=1,
     )
-    stack_rhs = np.array([1.0] + [r.rhs for r in eq_rows + ineq_rows] + [0.0] * m)
+    stack_rhs = np.array([1.0] + [r.rhs for r in ordered] + [0.0] * m)
     n_base = 1 + len(eq_rows)
     ineq = slice(n_base, n_base + len(ineq_rows))
 
-    def admissible(xs: np.ndarray) -> np.ndarray:
+    def admissible(xs: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Which rows of ``xs`` have no mass below -1e-10 and meet every
-        inequality row within 1e-9."""
-        within = np.all(xs @ stack[ineq].T <= stack_rhs[ineq] + 1e-9, axis=1)
+        inequality row of their support (``owners`` indexes ``supports``)
+        within 1e-9."""
+        values = (stack[owners, ineq] @ xs[:, :, None])[:, :, 0]
+        within = np.all(values <= stack_rhs[ineq] + 1e-9, axis=1)
         return ~(xs < -1e-10).any(axis=1) & within
 
     if n_base > m:
         # more equalities than mass freedoms: at most one consistent point
-        mat, rhs = stack[:n_base], stack_rhs[:n_base]
-        x, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-        if np.max(np.abs(mat @ x - rhs)) <= 1e-9 and admissible(x[None])[0]:
-            return [np.maximum(x, 0.0)]
-        return []
-
-    selectors = _vertex_selectors(m, n_base, len(ineq_rows))
-    mats = stack[selectors]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dets = np.linalg.det(mats)
-    regular = ~(np.abs(dets) < 1e-12)
-    xs = np.linalg.solve(mats[regular], stack_rhs[selectors[regular]][:, :, None])[:, :, 0]
-    return list(np.maximum(xs[admissible(xs)], 0.0))
+        # per support
+        found = []
+        rhs = stack_rhs[:n_base]
+        for owner in range(count):
+            mat = stack[owner, :n_base]
+            x, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+            ok = np.max(np.abs(mat @ x - rhs)) <= 1e-9 and admissible(x[None], [owner])[0]
+            found.append([np.maximum(x, 0.0)] if ok else [])
+    else:
+        selectors = _vertex_selectors(m, n_base, len(ineq_rows))
+        mats = stack[:, selectors]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dets = np.linalg.det(mats)
+        regular = ~(np.abs(dets) < 1e-12)
+        owners, systems = np.nonzero(regular)
+        xs = np.linalg.solve(mats[regular], stack_rhs[selectors[systems]][:, :, None])[:, :, 0]
+        keep = admissible(xs, owners)
+        ends = np.cumsum(np.bincount(owners[keep], minlength=count))
+        found = [list(part) for part in np.split(np.maximum(xs[keep], 0.0), ends[:-1])]
+    return found[0] if single else found
 
 
 def curve(constraints, objective, n_values, k: int, *, grid: PfdGrid | None = None):

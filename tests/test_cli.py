@@ -168,6 +168,33 @@ def test_solve_rejects_malformed_counts(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "constraints, observation, objective, field",
+    [
+        (_RELIABILITY, {"n": 1000, "k": 0}, {"type": "future_reliability", "t": 10**400}, "t"),
+        (_RELIABILITY, {"n": 10**400, "k": 0}, _EXPECTED_PFD, "n"),
+        (
+            [{"type": "prior_reliability", "n0": 10**400, "gamma": 0.5}],
+            {"n": 1000, "k": 0},
+            _EXPECTED_PFD,
+            "n0",
+        ),
+    ],
+    ids=["huge-t", "huge-n", "huge-n0"],
+)
+def test_solve_rejects_counts_beyond_the_float_range(
+    files, capsys, constraints, observation, objective, field
+):
+    # each of these once parsed and then crashed the solve with an OverflowError
+    write, _ = files
+    code, captured = _solve_exit(write, capsys, constraints, observation, objective)
+    assert code == 1
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("parse error: ")
+    assert f"{field} must be a count within the float range" in line
+
+
 def test_solve_accepts_integral_float_counts(files, capsys):
     write, _ = files
     outputs = []
@@ -445,12 +472,11 @@ def test_audit_rejects_no_trials(files, capsys, trials):
 
 def test_audit_without_margins_writes_strict_json(files, capsys, monkeypatch):
     from relbound import operational
-    from relbound.errors import SamplingFailureError
 
-    def failing_sampler(*args, **kwargs):
-        raise SamplingFailureError("no feasible prior found")
+    def failing_sampler(constraints, grid, seeds, max_attempts=operational.MAX_ATTEMPTS):
+        return [None] * len(seeds)
 
-    monkeypatch.setattr(operational, "sample_feasible_prior", failing_sampler)
+    monkeypatch.setattr(operational, "sample_feasible_priors", failing_sampler)
     write, _ = files
     constraints = write_json(write, "c.json", [{"type": "mean_bound", "m": 0.1}])
     observation = write_json(write, "o.json", {"n": 50, "k": 0})

@@ -40,6 +40,11 @@ class TestObservation:
             with pytest.raises(ValueError, match="must be an integer count"):
                 Observation(n, k)
 
+    def test_rejects_counts_beyond_the_float_range(self):
+        for n, k in [(10**400, 0), (10**400, 10**400)]:
+            with pytest.raises(ValueError, match="n must be a count within the float range"):
+                Observation(n, k)
+
 
 class TestLikelihood:
     def test_zero_pfd_failure_free(self):
@@ -100,6 +105,10 @@ class TestObjectives:
         for t in (True, 99.5, "100", float("inf")):
             with pytest.raises(ValueError, match="t must be an integer count"):
                 FutureReliability(t)
+
+    def test_future_reliability_rejects_counts_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="t must be a count within the float range"):
+            FutureReliability(10**400)
 
 
 class TestPosteriorValue:

@@ -16,6 +16,7 @@ from relbound.operational import (
     ingest,
     load_demand_log,
     sample_feasible_prior,
+    sample_feasible_priors,
     save_demand_log,
     simulate_demands,
 )
@@ -23,9 +24,11 @@ from relbound.priors import (
     ConfidenceBound,
     MeanBound,
     PerfectionConfidence,
+    PfdGrid,
     PriorReliability,
     build_grid,
     constraint_rows,
+    prior_from_masses,
 )
 from relbound.solver import feasible_vertices, solve
 
@@ -176,10 +179,10 @@ class TestConservatism:
         assert report.worst_margin == min(r.margin for r in report.records)
 
     def test_no_margin_gives_none(self, monkeypatch):
-        def failing_sampler(*args, **kwargs):
-            raise SamplingFailureError("no feasible prior found")
+        def failing_sampler(constraints, grid, seeds, max_attempts=operational.MAX_ATTEMPTS):
+            return [None] * len(seeds)
 
-        monkeypatch.setattr(operational, "sample_feasible_prior", failing_sampler)
+        monkeypatch.setattr(operational, "sample_feasible_priors", failing_sampler)
         constraints = [MeanBound(0.1)]
         grid = build_grid(constraints, resolution=50)
         report = check_conservatism(
@@ -425,10 +428,140 @@ class TestFeasibleVertices:
         args = (constraints, obs, objective, 15, seed, grid)
         batched = check_conservatism(*args).to_dict()
         points = grid.as_array()
-        monkeypatch.setattr(
-            operational,
-            "feasible_vertices",
-            lambda rows, support: _reference_feasible_vertices(constraints, points, support),
-        )
+        calls = []
+
+        def reference(rows, supports):
+            calls.append(len(supports))
+            return [_reference_feasible_vertices(constraints, points, s) for s in supports]
+
+        monkeypatch.setattr(operational, "feasible_vertices", reference)
         assert check_conservatism(*args).to_dict() == batched
+        assert sum(calls) > len(calls)  # the reference ran, on batches of supports
         assert any(r["margin"] is not None for r in batched["records"])
+
+
+def _reference_sample_feasible_prior(constraints, grid, seed, max_attempts=operational.MAX_ATTEMPTS):
+    """The one-trial-at-a-time sampler loop that ``sample_feasible_priors``
+    runs in lock-step; each seed must get the same prior, bit for bit, or
+    the same ``SamplingFailureError``."""
+    points = grid.as_array()
+    rows = constraint_rows(constraints, points)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    size_base = len(constraints) + 1
+    for _ in range(max_attempts):
+        size = size_base + int(rng.integers(0, 2))
+        support = _seed_support(rows, points.size, rng, size)
+        vertices = feasible_vertices(rows, support)
+        if not vertices:
+            continue
+        first = vertices[int(rng.integers(0, len(vertices)))]
+        masses = first
+        if len(vertices) > 1 and rng.random() < 0.5:
+            second = vertices[int(rng.integers(0, len(vertices)))]
+            lam = float(rng.random())
+            masses = lam * first + (1.0 - lam) * second
+        candidate = prior_from_masses(points[support], masses)
+        if candidate is not None and candidate.satisfies_all(constraints):
+            return candidate
+    raise SamplingFailureError(
+        f"no feasible prior found in {max_attempts} attempts; "
+        "the constraint set may be infeasible or extremely tight"
+    )
+
+
+def _outcome(sample, *args):
+    """A sampler's prior as exact bytes, or its failure's text."""
+    try:
+        prior = sample(*args)
+    except SamplingFailureError as exc:
+        return str(exc)
+    return np.array(prior.support).tobytes(), np.array(prior.masses).tobytes()
+
+
+class TestLockStepSampler:
+    @pytest.fixture
+    def batch_sizes(self, monkeypatch):
+        """The ``(count, m)`` shape of every batch the sampler enumerates."""
+        shapes = []
+        batched = operational.feasible_vertices
+
+        def recording(rows, supports):
+            shapes.append(np.shape(supports))
+            return batched(rows, supports)
+
+        monkeypatch.setattr(operational, "feasible_vertices", recording)
+        return shapes
+
+    def _assert_matches_reference(self, constraints, grid, seeds, max_attempts=operational.MAX_ATTEMPTS):
+        got = list(sample_feasible_priors(constraints, grid, seeds, max_attempts))
+        assert len(got) == len(seeds)
+        failures = 0
+        for seed, prior in zip(seeds, got):
+            want = _outcome(_reference_sample_feasible_prior, constraints, grid, seed, max_attempts)
+            if prior is None:
+                failures += 1
+                with pytest.raises(SamplingFailureError) as raised:
+                    sample_feasible_prior(constraints, grid, seed, max_attempts)
+                assert str(raised.value) == want
+            else:
+                assert _outcome(lambda: prior) == want
+        return failures
+
+    def test_seeds_across_blocks(self, batch_sizes):
+        constraints = (MeanBound(0.01), ConfidenceBound(1e-3, 0.6), PriorReliability(1000, 0.5))
+        grid = build_grid(constraints, resolution=300)
+        seeds = list(range(1000, 1300))
+        assert len(seeds) > 2 * operational.SAMPLER_BLOCK
+        assert self._assert_matches_reference(constraints, grid, seeds) == 0
+        assert max(count for count, _ in batch_sizes) <= operational.SAMPLER_BLOCK
+
+    @pytest.mark.parametrize("kinds", _KIND_SETS, ids="+".join)
+    def test_every_kind_set(self, kinds, batch_sizes):
+        rng = np.random.default_rng(100 + _KIND_SETS.index(kinds))
+        constraints = _random_constraints(rng, kinds)
+        grid = build_grid(constraints, resolution=150)
+        self._assert_matches_reference(constraints, grid, list(range(40)))
+        # a round draws two support sizes, each its own batch
+        assert len({m for _, m in batch_sizes}) > 1
+
+    def test_required_representatives_exceed_size(self, batch_sizes):
+        # three equality rows, each asking for mass inside and outside its
+        # prefix: up to six required points against a size of four or five
+        constraints = (
+            ConfidenceBound(1e-3, 0.3),
+            ConfidenceBound(1e-2, 0.6),
+            PerfectionConfidence(0.2),
+        )
+        grid = build_grid(constraints, resolution=100)
+        self._assert_matches_reference(constraints, grid, list(range(60)))
+        assert max(m for _, m in batch_sizes) > len(constraints) + 2
+
+    @pytest.mark.parametrize("points", [(0.0, 1.0), (0.0, 0.5, 1.0)])
+    def test_more_equalities_than_freedoms(self, points, batch_sizes):
+        # three equality rows and the normalisation row over at most three
+        # points: every support goes through the lstsq branch
+        constraints = (
+            ConfidenceBound(0.5, 0.6),
+            PerfectionConfidence(0.6),
+            ConfidenceBound(0.7, 0.6),
+            MeanBound(0.9),
+        )
+        assert self._assert_matches_reference(constraints, PfdGrid(points), list(range(30))) == 0
+        assert batch_sizes and all(m < 4 for _, m in batch_sizes)
+
+    def test_failures_and_successes_share_a_block(self):
+        # tight enough that a few attempts often fail and sometimes succeed
+        constraints = (MeanBound(0.004), ConfidenceBound(1e-3, 0.7), PriorReliability(300, 0.6))
+        grid = build_grid(constraints, resolution=200)
+        seeds = list(range(80))
+        failures = self._assert_matches_reference(constraints, grid, seeds, max_attempts=2)
+        assert 0 < failures < len(seeds)
+
+    def test_audit_batches_stay_within_one_block(self, batch_sizes):
+        constraints = (MeanBound(0.01), PerfectionConfidence(0.2))
+        objective = PosteriorExpectedPfd()
+        grid = build_grid(constraints, objective, resolution=200)
+        report = check_conservatism(constraints, Observation(500, 0), objective, 1000, 9, grid)
+        assert report.trials == 1000
+        assert max(count for count, _ in batch_sizes) <= operational.SAMPLER_BLOCK
+        assert sum(count for count, _ in batch_sizes) >= 1000

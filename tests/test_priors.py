@@ -52,6 +52,10 @@ class TestConstraintTypes:
             with pytest.raises(ValueError, match="n0 must be an integer count"):
                 PriorReliability(n0, 0.5)
 
+    def test_prior_reliability_rejects_counts_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="n0 must be a count within the float range"):
+            PriorReliability(10**400, 0.5)
+
     def test_unknown_type_rejected(self):
         with pytest.raises(ParseError):
             constraint_from_dict({"type": "mystery", "x": 1})
