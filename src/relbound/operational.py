@@ -163,8 +163,9 @@ def _sample_block(constraints, rows, points, seeds, max_attempts):
             groups.setdefault(supports[t].size, []).append(t)
         vertices = {}
         for group in groups.values():
-            stacked = np.stack([supports[t] for t in group])
-            vertices.update(zip(group, feasible_vertices(rows, stacked)))
+            masses, owners = feasible_vertices(rows, np.stack([supports[t] for t in group]))
+            ends = np.cumsum(np.bincount(owners, minlength=len(group)))
+            vertices.update(zip(group, np.split(masses, ends[:-1])))
         failed = []
         for t in pending:
             candidate = _blend(points[supports[t]], vertices[t], rngs[t])
@@ -177,9 +178,10 @@ def _sample_block(constraints, rows, points, seeds, max_attempts):
 
 
 def _blend(points, vertices, rng: np.random.Generator) -> PriorDistribution | None:
-    """A random vertex, or with probability 1/2 a random blend of two, as a
-    prior on ``points``; None when there are no vertices."""
-    if not vertices:
+    """A random vertex (a row of ``vertices``), or with probability 1/2 a
+    random blend of two, as a prior on ``points``; None when there are no
+    vertices."""
+    if len(vertices) == 0:
         return None
     first = vertices[int(rng.integers(0, len(vertices)))]
     masses = first

@@ -6,12 +6,14 @@ ratio transformation (y = x / evidence) turns the worst case into a
 linear program over non-negative transformed masses, solved with the
 bespoke dense simplex; the normalisation constant is absorbed into the
 transformed variables. Basic feasible solutions of that program carry at
-most (constraints + 2) support points, matching the moment-problem
+most (constraints + 1) support points, matching the moment-problem
 structure of the continuum problem.
 
 ``oracle_solve`` is an independent check: it exhaustively enumerates the
-vertices of the constraint polytope restricted to every small support,
-without going through the ratio transformation or the simplex.
+vertices of the constraint polytope restricted to every support of up to
+(constraints + 1) points, without going through the ratio transformation
+or the simplex. It shares its vertex enumerator, ``feasible_vertices``,
+with the audit's prior sampler.
 
 Likelihood scaling: the posterior ratio is invariant under a common
 rescaling of the likelihood vector, but a single scaling cannot make a
@@ -461,50 +463,19 @@ def solve(
     )
 
 
-def _vertex_batch(points, mandatory_rows, slack_rows, log_lik, gains, m, maximize):
-    """Best posterior value over all size-m supports whose masses solve the
-    mandatory rows exactly; returns (value, support, masses, saw_feasible)."""
-    n_pts = points.size
-    combos = np.array(list(itertools.combinations(range(n_pts), m)), dtype=np.intp)
-    if combos.size == 0:
-        return None, None, None, False
-    coeff = np.stack([r.coeffs for r in mandatory_rows])
-    rhs = np.array([r.rhs for r in mandatory_rows])
-    n_rows = len(mandatory_rows)
-    systems = np.moveaxis(coeff[:, combos], 1, 0)  # (N, n_rows, m)
+#: supports per ``feasible_vertices`` call in ``oracle_solve``
+_ORACLE_CHUNK = 4096
 
-    if n_rows == m:
-        mats = systems
-        targets = np.broadcast_to(rhs, (combos.shape[0], m))
-    else:  # overdetermined: normal equations, then residuals gate acceptance
-        transposed = np.swapaxes(systems, 1, 2)
-        mats = transposed @ systems
-        targets = transposed @ rhs
 
-    with np.errstate(all="ignore"):
-        dets = np.linalg.det(mats)
-    solvable = np.abs(dets) > 1e-12
-    x = np.full((combos.shape[0], m), np.nan)
-    if solvable.any():
-        rhs_col = np.ascontiguousarray(targets[solvable])[:, :, None]
-        try:
-            x[solvable] = np.linalg.solve(mats[solvable], rhs_col)[:, :, 0]
-        except np.linalg.LinAlgError:
-            x[solvable] = np.einsum(
-                "nij,nj->ni", np.linalg.pinv(mats[solvable]), targets[solvable]
-            )
+def _best_vertex(masses, lls, gains, maximize):
+    """The row and posterior value of the best-scoring vertex, or None when
+    none gives the observation positive probability.
 
-    feasible = solvable & np.all(np.nan_to_num(x, nan=-1.0) >= -1e-10, axis=1)
-    residuals = np.einsum("nrm,nm->nr", systems, np.nan_to_num(x)) - rhs
-    feasible &= np.all(np.abs(residuals) <= 1e-9, axis=1)
-    for row in slack_rows:  # every inequality row is "le"
-        vals = np.einsum("nm,nm->n", row.coeffs[combos], np.nan_to_num(x))
-        feasible &= vals <= row.rhs + 1e-9
-    if not feasible.any():
-        return None, None, None, False
-
-    masses = np.where(np.nan_to_num(x) > 0.0, x, 0.0)
-    lls = log_lik[combos]
+    Row i of ``masses`` is a vertex's masses on its support, and row i of
+    ``lls`` and of ``gains`` are the log-likelihoods and objective gains of
+    that support's points. Each ratio is taken in log space, after shifting
+    by the vertex's largest log-likelihood.
+    """
     active = (masses > 1e-15) & np.isfinite(lls)
     shifts = np.max(np.where(active, lls, -np.inf), axis=1)
     with np.errstate(invalid="ignore"):
@@ -512,16 +483,13 @@ def _vertex_batch(points, mandatory_rows, slack_rows, log_lik, gains, m, maximiz
             active, np.exp(np.clip(lls - shifts[:, None], EXP_UNDERFLOW, 0.0)), 0.0
         )
     evidence = np.sum(masses * scaled, axis=1)
-    usable = feasible & np.isfinite(shifts) & (evidence > 0.0)
+    usable = np.isfinite(shifts) & (evidence > 0.0)
     if not usable.any():
-        return None, None, None, True
-    values = np.sum(masses * scaled * gains[combos], axis=1) / np.where(
-        usable, evidence, 1.0
-    )
-    sentinel = -np.inf if maximize else np.inf
-    ranked = np.where(usable, values, sentinel)
+        return None
+    values = np.sum(masses * scaled * gains, axis=1) / np.where(usable, evidence, 1.0)
+    ranked = np.where(usable, values, -np.inf if maximize else np.inf)
     idx = int(np.argmax(ranked) if maximize else np.argmin(ranked))
-    return float(values[idx]), combos[idx], masses[idx], True
+    return idx, float(values[idx])
 
 
 def oracle_solve(
@@ -532,43 +500,41 @@ def oracle_solve(
 ) -> CbiResult:
     """Exhaustive small-support enumeration, independent of the simplex path.
 
-    Every prior polytope vertex has at most (constraints + 1) support
-    points, so enumerating supports up to the cap (constraints + 2) and
-    solving each small linear system covers the optimum. Support sizes
-    that admit no all-positive vertex are skipped a priori.
+    Every vertex of the prior polytope has at most (constraints + 1)
+    support points, and a linear-fractional optimum sits at a vertex. So
+    the oracle runs ``feasible_vertices`` over every support of up to
+    (constraints + 1) grid points, in chunks of ``_ORACLE_CHUNK``, and
+    scores every vertex found. On each support it keeps only the systems
+    with no zero-mass row: a vertex with a zero mass is found again on the
+    smaller support.
     """
     points = coarse_grid.as_array()
     n_pts = points.size
-    cap = min(len(constraints) + 2, n_pts)
+    cap = min(len(constraints) + 1, n_pts)
     if math.comb(n_pts, cap) > 1e8:
         raise ValueError(
             f"combination guard: C({n_pts}, {cap}) exceeds 1e8; use a coarser grid"
         )
     rows = constraint_rows(constraints, points)
-    eq_rows = [r for r in rows if r.sense == "eq"]
-    ineq_rows = [r for r in rows if r.sense != "eq"]
     log_lik = log_likelihood_vector(points, obs)
     gains = objective_gain(objective, points)
     maximize = objective.direction == CONSERVATIVE_MAX
-    normalisation = ConstraintRow(np.ones(n_pts), "eq", 1.0)
 
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     saw_feasible = False
     for m in range(1, cap + 1):
-        needed = m - 1 - len(eq_rows)
-        if needed > len(ineq_rows):
-            continue
-        for tight in itertools.combinations(range(len(ineq_rows)), max(needed, 0)):
-            mandatory = [normalisation, *eq_rows, *(ineq_rows[t] for t in tight)]
-            slack = [ineq_rows[t] for t in range(len(ineq_rows)) if t not in tight]
-            value, support, masses, feas = _vertex_batch(
-                points, mandatory, slack, log_lik, gains, m, maximize
-            )
-            saw_feasible |= feas
-            if value is None:
+        combos = itertools.chain.from_iterable(itertools.combinations(range(n_pts), m))
+        while (flat := np.fromiter(itertools.islice(combos, _ORACLE_CHUNK * m), np.intp)).size:
+            supports = flat.reshape(-1, m)
+            masses, owners = feasible_vertices(rows, supports, exact_support=True)
+            saw_feasible |= owners.size > 0
+            supports = supports[owners]  # one row per vertex
+            found = _best_vertex(masses, log_lik[supports], gains[supports], maximize)
+            if found is None:
                 continue
+            idx, value = found
             if best is None or (value > best[0] if maximize else value < best[0]):
-                best = (value, support, masses)
+                best = (value, supports[idx], masses[idx])
 
     if best is None:
         if saw_feasible:
@@ -625,25 +591,29 @@ def _vertex_selectors(m: int, n_base: int, n_ineq: int) -> np.ndarray:
     return selectors
 
 
-def feasible_vertices(rows, supports: np.ndarray) -> list:
-    """All vertices of the constraint polytope restricted to each support.
+def feasible_vertices(rows, supports: np.ndarray, exact_support: bool = False):
+    """The vertices of the constraint polytope restricted to each support.
 
     ``rows`` are the constraints' rows over the whole grid, as
     ``constraint_rows`` builds them, and ``supports`` is a ``(count, m)``
-    array whose rows each index that grid. Returns one list per support of
-    its vertices' mass vectors over that support (not the full grid), in
-    enumeration order (see ``_vertex_selectors``); a single support of
-    shape ``(m,)`` gets its list alone. Used by the feasible-prior
-    sampler, whose random streams depend on that order. Every vertex
-    system is a row selection from its support's stacked matrix
-    ``[1; rows; eye(m)]``, so one batched determinant, one batched solve
-    and one batched admissibility check cover every support's systems.
+    array whose rows each index that grid. Returns ``(masses, owners)``: a
+    ``(vertices, m)`` array of vertex masses over their supports (not the
+    full grid), and each vertex's row in ``supports``. Vertices come by
+    owner, and within an owner in enumeration order (see
+    ``_vertex_selectors``), on which the feasible-prior sampler's random
+    streams depend. Every vertex system is a row selection from its
+    support's stacked matrix ``[1; rows; eye(m)]``, so one batched
+    determinant, one batched solve and one batched admissibility check
+    cover every support's systems. An ``"eq"`` row repeated exactly is
+    stacked once, since a repeat would make every square system singular.
+
+    ``exact_support`` keeps only the systems with no zero-mass row. That
+    suffices for ``oracle_solve``, which runs over every smaller support
+    too, where a vertex with a zero mass is found again.
     """
     supports = np.asarray(supports, dtype=np.intp)
-    single = supports.ndim == 1
-    supports = supports.reshape(-1, supports.shape[-1])
     count, m = supports.shape
-    eq_rows = [r for r in rows if r.sense == "eq"]
+    eq_rows = list({(r.rhs, r.coeffs.tobytes()): r for r in rows if r.sense == "eq"}.values())
     ineq_rows = [r for r in rows if r.sense != "eq"]
     ordered = eq_rows + ineq_rows
     stack = np.concatenate(
@@ -656,37 +626,29 @@ def feasible_vertices(rows, supports: np.ndarray) -> list:
     stack_rhs = np.array([1.0] + [r.rhs for r in ordered] + [0.0] * m)
     n_base = 1 + len(eq_rows)
     ineq = slice(n_base, n_base + len(ineq_rows))
-
-    def admissible(xs: np.ndarray, owners: np.ndarray) -> np.ndarray:
-        """Which rows of ``xs`` have no mass below -1e-10 and meet every
-        inequality row of their support (``owners`` indexes ``supports``)
-        within 1e-9."""
-        values = (stack[owners, ineq] @ xs[:, :, None])[:, :, 0]
-        within = np.all(values <= stack_rhs[ineq] + 1e-9, axis=1)
-        return ~(xs < -1e-10).any(axis=1) & within
-
     if n_base > m:
         # more equalities than mass freedoms: at most one consistent point
         # per support
-        found = []
-        rhs = stack_rhs[:n_base]
-        for owner in range(count):
-            mat = stack[owner, :n_base]
-            x, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-            ok = np.max(np.abs(mat @ x - rhs)) <= 1e-9 and admissible(x[None], [owner])[0]
-            found.append([np.maximum(x, 0.0)] if ok else [])
+        mats, rhs = stack[:, :n_base], stack_rhs[:n_base]
+        xs = np.stack([np.linalg.lstsq(mat, rhs, rcond=None)[0] for mat in mats])
+        residuals = np.abs((mats @ xs[:, :, None])[:, :, 0] - rhs)
+        owners = np.nonzero(residuals.max(axis=1) <= 1e-9)[0]
+        xs = xs[owners]
     else:
         selectors = _vertex_selectors(m, n_base, len(ineq_rows))
+        if exact_support:
+            selectors = selectors[np.all(selectors < n_base + len(ineq_rows), axis=1)]
         mats = stack[:, selectors]
         with np.errstate(divide="ignore", invalid="ignore"):
             dets = np.linalg.det(mats)
         regular = ~(np.abs(dets) < 1e-12)
         owners, systems = np.nonzero(regular)
         xs = np.linalg.solve(mats[regular], stack_rhs[selectors[systems]][:, :, None])[:, :, 0]
-        keep = admissible(xs, owners)
-        ends = np.cumsum(np.bincount(owners[keep], minlength=count))
-        found = [list(part) for part in np.split(np.maximum(xs[keep], 0.0), ends[:-1])]
-    return found[0] if single else found
+    # admissible: no mass below -1e-10, and every inequality row of the
+    # owner's support met within 1e-9
+    values = (stack[owners, ineq] @ xs[:, :, None])[:, :, 0]
+    keep = ~(xs < -1e-10).any(axis=1) & np.all(values <= stack_rhs[ineq] + 1e-9, axis=1)
+    return np.maximum(xs[keep], 0.0), owners[keep]
 
 
 def curve(constraints, objective, n_values, k: int, *, grid: PfdGrid | None = None):

@@ -22,6 +22,7 @@ from relbound.operational import (
 )
 from relbound.priors import (
     ConfidenceBound,
+    ConstraintRow,
     MeanBound,
     PerfectionConfidence,
     PfdGrid,
@@ -154,6 +155,17 @@ class TestConservatism:
         assert report.violations == 0
         assert report.worst_margin >= -1e-9
 
+    def test_repeated_equality_constraint_samples(self):
+        # stacked twice, the equality row would leave every square vertex
+        # system singular, and every trial would fail to sample
+        constraints = [PerfectionConfidence(0.5)] * 2
+        objective = PosteriorExpectedPfd()
+        grid = build_grid(constraints, objective, resolution=200)
+        report = check_conservatism(constraints, Observation(100, 1), objective, 10, 1, grid)
+        assert all(r.error is None for r in report.records)
+        priors = list(sample_feasible_priors(constraints, grid, range(10)))
+        assert all(p is not None and p.satisfies_all(constraints) for p in priors)
+
     def test_corrupted_bound_is_caught(self):
         constraints = [PerfectionConfidence(1.0)]
         grid = build_grid(constraints, resolution=50)
@@ -209,15 +221,22 @@ def _masses_admissible(x, ineq_rows):
     return all(float(row.coeffs @ x) <= row.rhs + 1e-9 for row in ineq_rows)
 
 
-def _reference_feasible_vertices(constraints, points, support):
+def _reference_feasible_vertices(constraints, points, support, exact_support=False):
     """The one-system-at-a-time enumeration that ``feasible_vertices``
-    batches; it must return the same list, in the same order, bit for bit."""
-    sub = np.asarray(points, dtype=float)[np.asarray(support, dtype=np.intp)]
-    rows = constraint_rows(constraints, sub)
-    eq_rows = [r for r in rows if r.sense == "eq"]
-    ineq_rows = [r for r in rows if r.sense != "eq"]
-    m = sub.size
-    base_mat = [np.ones(m)] + [r.coeffs for r in eq_rows]
+    batches; it must return the same list, in the same order, bit for bit.
+    An ``"eq"`` row equal over the whole grid to an earlier one is dropped,
+    and ``exact_support`` drops every system with a zero-mass row."""
+    support = np.asarray(support, dtype=np.intp)
+    rows = constraint_rows(constraints, np.asarray(points, dtype=float))
+    eq_rows = []
+    for row in rows:
+        if row.sense == "eq" and not any(
+            np.array_equal(row.coeffs, r.coeffs) and row.rhs == r.rhs for r in eq_rows
+        ):
+            eq_rows.append(row)
+    ineq_rows = [ConstraintRow(r.coeffs[support], r.sense, r.rhs) for r in rows if r.sense != "eq"]
+    m = support.size
+    base_mat = [np.ones(m)] + [r.coeffs[support] for r in eq_rows]
     base_rhs = [1.0] + [r.rhs for r in eq_rows]
     vertices = []
     free = m - 1 - len(eq_rows)
@@ -232,6 +251,8 @@ def _reference_feasible_vertices(constraints, points, support):
 
     for n_tight in range(min(len(ineq_rows), free) + 1):
         n_zero = free - n_tight
+        if exact_support and n_zero:
+            continue
         for tight in itertools.combinations(range(len(ineq_rows)), n_tight):
             for zeros in itertools.combinations(range(m), n_zero):
                 mats = list(base_mat) + [ineq_rows[t].coeffs for t in tight]
@@ -250,6 +271,19 @@ def _reference_feasible_vertices(constraints, points, support):
                 if _masses_admissible(x, ineq_rows):
                     vertices.append(np.maximum(x, 0.0))
     return vertices
+
+
+def _vertex_list(rows, support, exact_support=False):
+    """``feasible_vertices`` on the one support, as a list of mass vectors."""
+    masses, owners = feasible_vertices(rows, np.asarray(support)[None], exact_support)
+    assert masses.shape == (owners.size, np.size(support)) and not owners.any()
+    return list(masses)
+
+
+def _as_batch(found, m):
+    """Per-support vertex lists as ``feasible_vertices`` returns them."""
+    owners = np.array([i for i, vertices in enumerate(found) for _ in vertices], dtype=np.intp)
+    return np.array([v for vertices in found for v in vertices]).reshape(-1, m), owners
 
 
 def _assert_same_vertices(got, want):
@@ -354,33 +388,57 @@ class TestFeasibleVertices:
             size = len(constraints) + 1 + int(rng.integers(0, 3))
             rows = constraint_rows(constraints, points)
             support = _seed_support(rows, points.size, rng, size)
-            got = feasible_vertices(rows, support)
-            _assert_same_vertices(got, _reference_feasible_vertices(constraints, points, support))
-            found += len(got)
+            for exact_support in (False, True):
+                got = _vertex_list(rows, support, exact_support)
+                want = _reference_feasible_vertices(constraints, points, support, exact_support)
+                _assert_same_vertices(got, want)
+                found += len(got)
         assert found > 0
 
-    def test_more_equalities_than_freedoms(self):
-        # free < 0: two equalities on a two-point support go through lstsq
+    def test_more_equalities_than_freedoms(self, monkeypatch):
+        # free < 0: the two equality rows differ on the grid but coincide on
+        # the support {0, 0.5}, so three rows fix two masses through lstsq
         constraints = (ConfidenceBound(0.01, 0.4), PerfectionConfidence(0.4))
-        points = np.array([0.0, 0.5])
+        points = np.array([0.0, 0.005, 0.5])
         rows = constraint_rows(constraints, points)
-        for support in (np.arange(2), np.array([1])):
-            got = feasible_vertices(rows, support)
+        for support in (np.array([0, 2]), np.array([1]), np.array([2])):
+            got = _vertex_list(rows, support)
             _assert_same_vertices(got, _reference_feasible_vertices(constraints, points, support))
-        assert len(feasible_vertices(rows, np.arange(2))) == 1
+        shapes = []
+        lstsq = np.linalg.lstsq
+
+        def recording(mat, *args, **kwargs):
+            shapes.append(mat.shape)
+            return lstsq(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording)
+        assert len(_vertex_list(rows, np.array([0, 2]))) == 1
+        assert shapes == [(3, 2)]
+
+    def test_repeated_equality_stacked_once(self):
+        # a repeat of an equality row would leave every square system
+        # singular; stacked once, the repeat changes no vertex
+        points = np.array([0.0, 0.001, 0.2, 0.5])
+        once = (PerfectionConfidence(0.4), MeanBound(0.1))
+        twice = (PerfectionConfidence(0.4), MeanBound(0.1), PerfectionConfidence(0.4))
+        support = np.arange(4)
+        got = _vertex_list(constraint_rows(twice, points), support)
+        _assert_same_vertices(got, _vertex_list(constraint_rows(once, points), support))
+        _assert_same_vertices(got, _reference_feasible_vertices(twice, points, support))
+        assert len(got) > 0
 
     def test_no_freedom_left(self):
         # free == 0: the equalities alone fix the masses
         constraints = (ConfidenceBound(0.01, 0.3),)
         points = np.array([0.001, 0.2])
-        got = feasible_vertices(constraint_rows(constraints, points), np.arange(2))
+        got = _vertex_list(constraint_rows(constraints, points), np.arange(2))
         _assert_same_vertices(got, _reference_feasible_vertices(constraints, points, np.arange(2)))
         assert len(got) == 1 and got[0] == pytest.approx([0.3, 0.7])
 
     def test_no_inequality_rows(self):
         constraints = (PerfectionConfidence(0.2), ConfidenceBound(0.01, 0.5))
         points = np.array([0.0, 0.001, 0.005, 0.1, 0.4])
-        got = feasible_vertices(constraint_rows(constraints, points), np.arange(5))
+        got = _vertex_list(constraint_rows(constraints, points), np.arange(5))
         _assert_same_vertices(got, _reference_feasible_vertices(constraints, points, np.arange(5)))
         assert len(got) == 4
 
@@ -389,14 +447,14 @@ class TestFeasibleVertices:
         # repeats the normalisation row in the only vertex system
         constraints = (ConfidenceBound(0.5, 0.3),)
         points = np.array([0.1, 0.2])
-        assert feasible_vertices(constraint_rows(constraints, points), np.arange(2)) == []
+        assert _vertex_list(constraint_rows(constraints, points), np.arange(2)) == []
         assert _reference_feasible_vertices(constraints, points, np.arange(2)) == []
 
     def test_small_determinant_still_solved(self):
         # the last vertex's system has determinant 1e-10, above the 1e-12 cut
         constraints = (MeanBound(1.5e-10),)
         points = np.array([1e-10, 2e-10, 0.5])
-        got = feasible_vertices(constraint_rows(constraints, points), np.arange(3))
+        got = _vertex_list(constraint_rows(constraints, points), np.arange(3))
         _assert_same_vertices(got, _reference_feasible_vertices(constraints, points, np.arange(3)))
         assert len(got) == 4
         assert got[-1] == pytest.approx([0.5, 0.5, 0.0])
@@ -410,7 +468,7 @@ class TestFeasibleVertices:
         points = np.array([2.442168083044748e-06, 0.009682153059967075, 0.10603, 0.35848, 0.51589])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = feasible_vertices(constraint_rows(constraints, points), np.arange(5))
+            got = _vertex_list(constraint_rows(constraints, points), np.arange(5))
         assert len(got) == 4
         _assert_same_vertices(got, _reference_feasible_vertices(constraints, points, np.arange(5)))
 
@@ -432,7 +490,8 @@ class TestFeasibleVertices:
 
         def reference(rows, supports):
             calls.append(len(supports))
-            return [_reference_feasible_vertices(constraints, points, s) for s in supports]
+            found = [_reference_feasible_vertices(constraints, points, s) for s in supports]
+            return _as_batch(found, supports.shape[1])
 
         monkeypatch.setattr(operational, "feasible_vertices", reference)
         assert check_conservatism(*args).to_dict() == batched
@@ -451,7 +510,7 @@ def _reference_sample_feasible_prior(constraints, grid, seed, max_attempts=opera
     for _ in range(max_attempts):
         size = size_base + int(rng.integers(0, 2))
         support = _seed_support(rows, points.size, rng, size)
-        vertices = feasible_vertices(rows, support)
+        vertices = _vertex_list(rows, support)
         if not vertices:
             continue
         first = vertices[int(rng.integers(0, len(vertices)))]
@@ -538,16 +597,18 @@ class TestLockStepSampler:
 
     @pytest.mark.parametrize("points", [(0.0, 1.0), (0.0, 0.5, 1.0)])
     def test_more_equalities_than_freedoms(self, points, batch_sizes):
-        # three equality rows and the normalisation row over at most three
-        # points: every support goes through the lstsq branch
+        # repeats stacked once, each grid keeps one equality row per point,
+        # the last all ones; with the normalisation row they outnumber the
+        # points, so every support goes through lstsq
         constraints = (
             ConfidenceBound(0.5, 0.6),
             PerfectionConfidence(0.6),
             ConfidenceBound(0.7, 0.6),
+            ConfidenceBound(1.0, 1.0),
             MeanBound(0.9),
         )
         assert self._assert_matches_reference(constraints, PfdGrid(points), list(range(30))) == 0
-        assert batch_sizes and all(m < 4 for _, m in batch_sizes)
+        assert batch_sizes and all(m <= len(points) for _, m in batch_sizes)
 
     def test_failures_and_successes_share_a_block(self):
         # tight enough that a few attempts often fail and sometimes succeed

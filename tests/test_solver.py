@@ -170,10 +170,40 @@ class TestOracleAgreement:
     def test_oracle_guard_rejects_huge_grids(self):
         constraints = [MeanBound(0.1), ConfidenceBound(0.01, 0.5), PriorReliability(10, 0.5)]
         pts = tuple(np.linspace(0.0, 1.0, 2000))
-        with pytest.raises(ValueError, match="guard"):
+        with pytest.raises(ValueError, match=r"guard: C\(2000, 4\)"):
             oracle_solve(
                 constraints, Observation(10, 0), PosteriorExpectedPfd(), PfdGrid(pts)
             )
+
+    def test_oracle_covers_one_constraint_full_grid(self):
+        # C(2000, 2) supports pass the guard, so one constraint needs no
+        # sub-grid. ``solve`` reads 0.99505 here, as its windows miss this
+        # worst case (ROADMAP Open item 1), so only the oracle is asserted
+        constraints = [PriorReliability(9498, 0.43781)]
+        obs = Observation(134, 48)
+        objective = PosteriorExpectedPfd()
+        grid = build_grid(constraints, objective, 2000)
+        assert len(grid) == 2000
+        result = oracle_solve(constraints, obs, objective, grid)
+        assert result.bound == pytest.approx(0.99901, rel=1e-12)
+        assert result.witness.satisfies_all(constraints)
+        assert set(result.witness.support) <= set(grid.points)
+        assert posterior_value(result.witness, obs, objective) == result.bound
+
+    def test_repeated_equality_constraint_changes_nothing(self):
+        # stacked twice, the equality row would leave every square vertex
+        # system singular, and the oracle would read 0.142 here
+        objective = PosteriorExpectedPfd()
+        obs = Observation(100, 1)
+        once = [ConfidenceBound(0.01, 0.5), MeanBound(0.1)]
+        twice = [ConfidenceBound(0.01, 0.5), *once]
+        grid = build_grid(twice, objective, 30)
+        want = oracle_solve(once, obs, objective, grid)
+        got = oracle_solve(twice, obs, objective, grid)
+        assert got.bound == want.bound and got.witness == want.witness
+        assert got.bound == pytest.approx(0.1422527, rel=1e-6)
+        assert got.witness.satisfies_all(twice)
+        assert solve(twice, obs, objective, grid).bound == pytest.approx(got.bound, rel=1e-9)
 
 
 class TestSoundness:
