@@ -133,42 +133,56 @@ def log_likelihood_vector(points: np.ndarray, obs: Observation) -> np.ndarray:
 
 
 def _posterior_ratio(
-    points: np.ndarray,
-    masses: np.ndarray,
-    obs: Observation,
-    objective: ObjectiveSpec,
-) -> float:
-    """Posterior functional for raw (not necessarily normalised) masses.
+    log_lik: np.ndarray, gains: np.ndarray, masses: np.ndarray, obs: Observation
+) -> tuple[np.ndarray, list[ZeroEvidenceError | None]]:
+    """Posterior functional of each row of raw (not necessarily normalised)
+    masses.
 
-    The ratio is invariant under positive scaling of the masses. The
-    likelihood is shifted by its maximum over the carried support before
-    exponentiation, so the result stays exact even when the absolute
-    likelihood scale underflows float64.
+    Row i of ``log_lik`` and of ``gains`` holds the log-likelihoods and the
+    objective gains of the points that row i of ``masses`` weighs. The
+    ratio is invariant under positive scaling of a row. Each row's
+    likelihood is shifted by its maximum over the row's carried support
+    before exponentiation, so the result stays exact even when the
+    absolute likelihood scale underflows float64. Both sums of a row are
+    that row's own dot product (``np.matmul`` over a stack of rows), so a
+    row gets the same bits in any batch.
+
+    Returns ``(values, errors)``. A row that carries no point of positive
+    likelihood has value NaN and, in ``errors``, the ``ZeroEvidenceError``
+    that ``posterior_value`` raises for it; every other row has None.
     """
-    points = np.asarray(points, dtype=float)
-    masses = np.asarray(masses, dtype=float)
-    log_lik = log_likelihood_vector(points, obs)
-    active = masses > 0.0
-    finite = active & np.isfinite(log_lik)
-    if not np.any(finite):
-        raise ZeroEvidenceError(
+    finite = (masses > 0.0) & np.isfinite(log_lik)
+    shifts = np.max(np.where(finite, log_lik, -np.inf), axis=1, keepdims=True)
+    # a row with no carried point of finite likelihood reads -inf - -inf
+    # and then 0 / 0; every other row has evidence of at least the mass of
+    # its largest-likelihood point, whose scaled likelihood is exp(0) = 1
+    with np.errstate(invalid="ignore"):
+        scaled = np.where(finite, np.exp(np.clip(log_lik - shifts, EXP_UNDERFLOW, 0.0)), 0.0)
+        evidence = np.matmul(masses[:, None, :], scaled[:, :, None])[:, 0, 0]
+        numerator = np.matmul((masses * scaled)[:, None, :], gains[:, :, None])[:, 0, 0]
+        # every gain lies in [0, 1], so a value is at most 1; the numerator
+        # and the evidence round differently and can put it an ulp above
+        values = np.minimum(numerator / evidence, 1.0)
+    errors: list[ZeroEvidenceError | None] = [None] * len(values)
+    for row in np.flatnonzero(~finite.any(axis=1)).tolist():
+        errors[row] = ZeroEvidenceError(
             f"observation n={obs.n}, k={obs.k} has zero probability under the prior"
         )
-    shift = float(np.max(log_lik[finite]))
-    scaled = np.where(finite, np.exp(np.clip(log_lik - shift, EXP_UNDERFLOW, 0.0)), 0.0)
-    evidence = float(masses @ scaled)
-    if evidence <= 0.0:
-        raise ZeroEvidenceError("marginal evidence vanished")
-    gains = objective_gain(objective, points)
-    # every gain lies in [0, 1], so the value is at most 1; the numerator
-    # and the evidence round differently and can put it an ulp above
-    return min(float((masses * scaled) @ gains / evidence), 1.0)
+    return values, errors
 
 
 def posterior_value(
     prior: PriorDistribution, obs: Observation, objective: ObjectiveSpec
 ) -> float:
-    """Exact posterior functional of a fully specified discrete prior."""
-    return _posterior_ratio(
-        np.asarray(prior.support), np.asarray(prior.masses), obs, objective
+    """Exact posterior functional of a fully specified discrete prior: the
+    one-row case of ``_posterior_ratio``."""
+    points = np.asarray(prior.support, dtype=float)
+    values, (error,) = _posterior_ratio(
+        log_likelihood_vector(points, obs)[None],
+        objective_gain(objective, points)[None],
+        np.asarray(prior.masses, dtype=float)[None],
+        obs,
     )
+    if error is not None:
+        raise error
+    return float(values[0])

@@ -3,14 +3,23 @@
 Under the i.i.d. demand model only the pass/fail counts matter, so logs
 reduce to an Observation. Random generation uses numpy's PCG64 with
 explicit seeding (audit trials derive per-trial seeds from the pair
-(seed, trial index)), so every report is bit-reproducible. An audit
-samples its trials' priors in lock-step, sharing one vertex enumeration
-per round and support size, while each trial draws from its own stream.
+(seed, trial index)), so every report is bit-reproducible.
+
+An audit is an array program over its trials. The sampler runs a block
+of trials in lock-step: each round, every trial still without a prior
+draws its support, its vertices and its blend weight from its own
+stream, while the round's supports of one size share one vertex
+enumeration, and their blends, mass drops, renormalisation and
+admissibility test run as arrays over ``(trials, m)``. The accepted
+``(grid indices, masses)`` rows are scored against the grid's
+log-likelihoods and gains, computed once per audit, by the batched
+posterior scorer; no ``PriorDistribution`` is built.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -21,11 +30,25 @@ from .errors import (
     InfeasibleConstraintsError,
     ParseError,
     SamplingFailureError,
-    ZeroEvidenceError,
     parsing,
 )
-from .inference import CONSERVATIVE_MAX, Observation, ObjectiveSpec, posterior_value
-from .priors import PfdGrid, PriorDistribution, constraint_rows, prior_from_masses
+from .inference import (
+    CONSERVATIVE_MAX,
+    Observation,
+    ObjectiveSpec,
+    _posterior_ratio,
+    log_likelihood_vector,
+    objective_gain,
+    posterior_value,  # noqa: F401  (bound by name in benchmark/spans.py)
+)
+from .priors import (
+    MASS_DROP_TOL,
+    PfdGrid,
+    PriorDistribution,
+    as_count,
+    constraint_rows,
+    rows_admit,
+)
 from .solver import feasible_vertices, solve
 
 PASS = "pass"
@@ -94,23 +117,26 @@ def simulate_demands(true_pfd: float, n: int, seed: int) -> DemandLog:
     return DemandLog(records)
 
 
-def _seed_support(rows, n_pts: int, rng: np.random.Generator, size: int):
+def _equality_cuts(rows) -> list[tuple[int, float]]:
+    """``(cut, rhs)`` for every ``"eq"`` row, in row order: the row is the
+    0/1 indicator of the sorted grid's first ``cut`` points."""
+    return [(int(np.count_nonzero(row.coeffs)), row.rhs) for row in rows if row.sense == "eq"]
+
+
+def _seed_support(cuts, n_pts: int, rng: np.random.Generator, size: int):
     """Random support indices into an ``n_pts``-point grid, always including
     a representative for every region an equality row pins mass into.
 
-    Every ``"eq"`` row is the 0/1 indicator of a prefix of the sorted grid,
-    its first ``cut`` points; a grid starts at 0, so the prefix is never
-    empty. A representative is drawn inside the prefix when the row asks
-    for mass there, and past it when it leaves mass outside.
+    ``cuts`` are the equality rows' ``(cut, rhs)``, as ``_equality_cuts``
+    reads them; a grid starts at 0, so a row's prefix is never empty. A
+    representative is drawn inside the prefix when the row asks for mass
+    there, and past it when it leaves mass outside.
     """
     required: set[int] = set()
-    for row in rows:
-        if row.sense != "eq":
-            continue
-        cut = int(np.count_nonzero(row.coeffs))
-        if row.rhs > 0.0:
+    for cut, rhs in cuts:
+        if rhs > 0.0:
             required.add(int(rng.integers(0, cut)))
-        if row.rhs < 1.0 and cut < n_pts:
+        if rhs < 1.0 and cut < n_pts:
             required.add(int(rng.integers(cut, n_pts)))
     chosen = set(required)
     while len(chosen) < min(size, n_pts):
@@ -118,11 +144,14 @@ def _seed_support(rows, n_pts: int, rng: np.random.Generator, size: int):
     return np.array(sorted(chosen), dtype=np.intp)
 
 
-def sample_feasible_priors(
+def sample_feasible_masses(
     constraints, grid: PfdGrid, seeds, max_attempts: int = MAX_ATTEMPTS
-) -> Iterator[PriorDistribution | None]:
-    """Yield, per seed in order, a random grid-supported prior satisfying
-    every constraint, or None when all ``max_attempts`` attempts failed.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield, per block of ``SAMPLER_BLOCK`` seeds, a random grid-supported
+    prior satisfying every constraint for each seed, as two arrays of one
+    row per seed: grid indices, and the normalised masses on them. A seed
+    whose ``max_attempts`` attempts all failed gets a row of zero masses;
+    rows are padded with index 0 at mass 0.
 
     Each attempt picks a random small support, enumerates the feasible
     vertices of the constraint polytope restricted to it, and takes a
@@ -130,27 +159,32 @@ def sample_feasible_priors(
     under-represent the interior). It fails when the support admits no
     feasible masses or the blend misses a constraint.
 
-    The seeds run in lock-step, in blocks of ``SAMPLER_BLOCK``: each round,
-    every seed of the block still without a prior draws its support from
-    its own PCG64 stream, the round's supports go through one vertex
-    enumeration per support size, and each seed then blends with its own
-    stream. A seed's prior is therefore the one it would get sampled
-    alone, and memory holds one block's priors at a time.
+    The seeds of a block run in lock-step: each round, every seed still
+    without a prior draws its support from its own PCG64 stream, the
+    round's supports go through one vertex enumeration per support size,
+    and each seed draws its vertices and blend weight from its stream. The
+    blend, the drop of masses at or below ``MASS_DROP_TOL``, the
+    renormalisation and the admissibility test then run as arrays over the
+    size's trials. A seed's prior is therefore the one it would get
+    sampled alone, and memory holds one block at a time.
     """
     points = grid.as_array()
     rows = constraint_rows(constraints, points)
+    cuts = _equality_cuts(rows)
     seeds = list(seeds)
     for start in range(0, len(seeds), SAMPLER_BLOCK):
-        yield from _sample_block(
-            constraints, rows, points, seeds[start : start + SAMPLER_BLOCK], max_attempts
-        )
+        block = seeds[start : start + SAMPLER_BLOCK]
+        yield _sample_block(rows, cuts, points.size, block, max_attempts)
 
 
-def _sample_block(constraints, rows, points, seeds, max_attempts):
-    """``sample_feasible_priors`` for one block of seeds, as a list."""
+def _sample_block(rows, cuts, n_pts, seeds, max_attempts):
+    """``sample_feasible_masses`` for one block of seeds."""
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
-    found: list[PriorDistribution | None] = [None] * len(seeds)
-    size_base = len(constraints) + 1
+    size_base = len(rows) + 1
+    # a support holds the larger of its size and its required points
+    width = min(n_pts, max(size_base + 1, 2 * len(cuts)))
+    indices = np.zeros((len(seeds), width), dtype=np.intp)
+    masses = np.zeros((len(seeds), width))
     pending = range(len(seeds))
     for _ in range(max_attempts):
         if not pending:
@@ -159,37 +193,70 @@ def _sample_block(constraints, rows, points, seeds, max_attempts):
         groups: dict[int, list[int]] = {}  # pending trials by support size
         for t in pending:
             size = size_base + int(rngs[t].integers(0, 2))
-            supports[t] = _seed_support(rows, points.size, rngs[t], size)
+            supports[t] = _seed_support(cuts, n_pts, rngs[t], size)
             groups.setdefault(supports[t].size, []).append(t)
-        vertices = {}
-        for group in groups.values():
-            masses, owners = feasible_vertices(rows, np.stack([supports[t] for t in group]))
-            ends = np.cumsum(np.bincount(owners, minlength=len(group)))
-            vertices.update(zip(group, np.split(masses, ends[:-1])))
         failed = []
-        for t in pending:
-            candidate = _blend(points[supports[t]], vertices[t], rngs[t])
-            if candidate is not None and candidate.satisfies_all(constraints):
-                found[t] = candidate
-            else:
-                failed.append(t)
-        pending = failed
-    return found
+        for m, group in groups.items():
+            group_supports = np.stack([supports[t] for t in group])
+            candidates, ok = _attempt(rows, group_supports, [rngs[t] for t in group])
+            group = np.array(group)
+            indices[group[ok], :m] = group_supports[ok]
+            masses[group[ok], :m] = candidates[ok]
+            failed.extend(group[~ok].tolist())
+        pending = sorted(failed)
+    return indices, masses
 
 
-def _blend(points, vertices, rng: np.random.Generator) -> PriorDistribution | None:
-    """A random vertex (a row of ``vertices``), or with probability 1/2 a
-    random blend of two, as a prior on ``points``; None when there are no
-    vertices."""
-    if len(vertices) == 0:
-        return None
-    first = vertices[int(rng.integers(0, len(vertices)))]
-    masses = first
-    if len(vertices) > 1 and rng.random() < 0.5:
-        second = vertices[int(rng.integers(0, len(vertices)))]
-        lam = float(rng.random())
-        masses = lam * first + (1.0 - lam) * second
-    return prior_from_masses(points, masses)
+def _attempt(rows, supports, rngs):
+    """One attempt's candidate per support: ``(masses, ok)``.
+
+    Each support's stream picks a random vertex, or with probability 1/2 a
+    random blend of two; a support with no vertex draws nothing. Masses at
+    or below ``MASS_DROP_TOL`` are dropped and the rest renormalised. A
+    row is ok when it had a vertex, kept some mass and meets every
+    constraint row.
+    """
+    vertices, owners = feasible_vertices(rows, supports)
+    counts = np.bincount(owners, minlength=len(supports))
+    starts = np.cumsum(counts) - counts
+    first = np.zeros(len(supports), dtype=np.intp)
+    second = np.zeros(len(supports), dtype=np.intp)
+    lam = np.ones(len(supports))  # an unblended row is 1.0 * first + 0.0 * first
+    for i, (rng, count) in enumerate(zip(rngs, counts.tolist())):
+        if count == 0:
+            continue
+        first[i] = second[i] = starts[i] + int(rng.integers(0, count))
+        if count > 1 and rng.random() < 0.5:
+            second[i] = starts[i] + int(rng.integers(0, count))
+            lam[i] = rng.random()
+    ok = counts > 0
+    if not ok.any():
+        return np.zeros(supports.shape), ok
+    lam = lam[:, None]
+    blend = lam * vertices[first] + (1.0 - lam) * vertices[second]
+    kept = np.where(blend > MASS_DROP_TOL, blend, 0.0)
+    totals = kept.sum(axis=1)
+    ok &= totals > 0.0
+    kept /= np.where(ok, totals, 1.0)[:, None]
+    ok[ok] = rows_admit(rows, supports[ok], kept[ok])
+    return kept, ok
+
+
+def sample_feasible_priors(
+    constraints, grid: PfdGrid, seeds, max_attempts: int = MAX_ATTEMPTS
+) -> Iterator[PriorDistribution | None]:
+    """Yield, per seed in order, the prior ``sample_feasible_masses`` draws
+    for it, or None when all ``max_attempts`` attempts failed."""
+    points = grid.as_array()
+    for indices, masses in sample_feasible_masses(constraints, grid, seeds, max_attempts):
+        for row_indices, row_masses in zip(indices, masses):
+            carried = np.nonzero(row_masses)[0]
+            if not carried.size:
+                yield None
+                continue
+            yield PriorDistribution(
+                tuple(points[row_indices[carried]]), tuple(row_masses[carried])
+            )
 
 
 def _sampling_failure(max_attempts: int) -> SamplingFailureError:
@@ -254,30 +321,37 @@ def check_conservatism(
     A positive margin means the bound was conservative for that trial;
     ``bound`` can be overridden to demonstrate that the audit catches a
     corrupted (anti-conservative) bound. Per-trial errors are recorded,
-    not raised.
+    not raised. The grid's log-likelihoods and gains are computed once,
+    and each block of sampled masses is scored in batches, each trial's
+    value bit for bit ``posterior_value`` of its prior.
     """
+    trials = as_count(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if bound is not None and not math.isfinite(bound):
+        raise ValueError(f"bound must be a finite number, got {bound!r}")
     if bound is None:
         result = solve(constraints, obs, objective, grid)
         if result.solver_status == "infeasible":
             raise InfeasibleConstraintsError("cannot audit an infeasible constraint set")
         bound = result.bound
     maximize = objective.direction == CONSERVATIVE_MAX
+    points = grid.as_array()
+    log_lik = log_likelihood_vector(points, obs)
+    gains = objective_gain(objective, points)
     records: list[TrialRecord] = []
     margins: list[float] = []
     seeds = [int(np.random.SeedSequence([seed, i]).generate_state(1)[0]) for i in range(trials)]
-    for index, prior in enumerate(sample_feasible_priors(constraints, grid, seeds)):
-        try:
-            if prior is None:
-                raise _sampling_failure(MAX_ATTEMPTS)
-            value = posterior_value(prior, obs, objective)
-        except (SamplingFailureError, ZeroEvidenceError) as exc:
-            records.append(TrialRecord(index=index, margin=None, error=str(exc)))
-            continue
-        margin = (bound - value) if maximize else (value - bound)
-        margins.append(margin)
-        records.append(TrialRecord(index=index, margin=margin))
+    for indices, masses in sample_feasible_masses(constraints, grid, seeds):
+        values, errors = _score(log_lik, gains, indices, masses, obs)
+        for value, error in zip(values.tolist(), errors):
+            index = len(records)
+            if error is not None:
+                records.append(TrialRecord(index=index, margin=None, error=str(error)))
+                continue
+            margin = (bound - value) if maximize else (value - bound)
+            margins.append(margin)
+            records.append(TrialRecord(index=index, margin=margin))
     violations = sum(1 for m in margins if m < VIOLATION_TOL)
     worst = min(margins) if margins else None
     return ConservatismReport(
@@ -286,3 +360,29 @@ def check_conservatism(
         worst_margin=worst,
         records=tuple(records),
     )
+
+
+def _score(log_lik, gains, indices, masses, obs: Observation):
+    """Posterior value and error per row of sampled ``(indices, masses)``,
+    as ``_posterior_ratio`` returns them; a row of zero masses gets the
+    sampling failure. Rows are scored in one batch per count of carried
+    points, on those points alone, so each row's value is bit for bit
+    ``posterior_value`` of its prior.
+    """
+    values = np.full(len(masses), np.nan)
+    errors: list[Exception | None] = [_sampling_failure(MAX_ATTEMPTS)] * len(masses)
+    carried = masses > 0.0
+    sizes = carried.sum(axis=1)
+    for size in np.unique(sizes[sizes > 0]).tolist():
+        batch = np.nonzero(sizes == size)[0]
+        keep = carried[batch]
+        batch_indices = indices[batch][keep].reshape(-1, size)
+        values[batch], batch_errors = _posterior_ratio(
+            log_lik[batch_indices],
+            gains[batch_indices],
+            masses[batch][keep].reshape(-1, size),
+            obs,
+        )
+        for row, error in zip(batch.tolist(), batch_errors):
+            errors[row] = error
+    return values, errors

@@ -334,6 +334,27 @@ def constraint_rows(
     return rows
 
 
+def rows_admit(
+    rows: Sequence[ConstraintRow], supports: np.ndarray, masses: np.ndarray
+) -> np.ndarray:
+    """Whether each row of ``masses`` meets every constraint row, with the
+    tolerances of ``PriorDistribution.satisfies``: an ``"le"`` row passes at
+    a value up to rhs + ``MASS_TOL``, an ``"eq"`` row within ``MASS_TOL`` of
+    rhs.
+
+    Row i of ``masses`` weighs the grid indices in row i of ``supports``;
+    both are ``(count, m)`` arrays.
+    """
+    if not rows:
+        return np.ones(len(masses), dtype=bool)
+    coeffs = np.stack([row.coeffs[supports] for row in rows], axis=1)
+    values = np.matmul(coeffs, masses[:, :, None])[:, :, 0]
+    rhs = np.array([row.rhs for row in rows])
+    eq = np.array([row.sense == "eq" for row in rows])
+    meets = np.where(eq, np.abs(values - rhs) <= MASS_TOL, values <= rhs + MASS_TOL)
+    return meets.all(axis=1)
+
+
 def rows_as_ub(rows: Sequence[ConstraintRow]):
     """Express rows as A x <= b, relaxing equalities by ±``EQUALITY_SLACK``."""
     a_list: list[np.ndarray] = []

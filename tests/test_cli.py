@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relbound.cli import main
@@ -474,9 +475,9 @@ def test_audit_without_margins_writes_strict_json(files, capsys, monkeypatch):
     from relbound import operational
 
     def failing_sampler(constraints, grid, seeds, max_attempts=operational.MAX_ATTEMPTS):
-        return [None] * len(seeds)
+        yield np.zeros((len(seeds), 1), dtype=np.intp), np.zeros((len(seeds), 1))
 
-    monkeypatch.setattr(operational, "sample_feasible_priors", failing_sampler)
+    monkeypatch.setattr(operational, "sample_feasible_masses", failing_sampler)
     write, _ = files
     constraints = write_json(write, "c.json", [{"type": "mean_bound", "m": 0.1}])
     observation = write_json(write, "o.json", {"n": 50, "k": 0})

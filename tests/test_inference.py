@@ -17,6 +17,7 @@ from relbound.inference import (
     objective_to_dict,
     posterior_value,
 )
+from relbound.numerics import EXP_UNDERFLOW
 from relbound.priors import PriorDistribution
 
 
@@ -171,8 +172,10 @@ class TestPosteriorValue:
         masses = np.array([0.5, 0.3, 0.2])
         obs = Observation(20, 1)
         objective = FutureReliability(10)
-        base = _posterior_ratio(pts, masses, obs, objective)
-        scaled = _posterior_ratio(pts, masses * factor, obs, objective)
+        lls = log_likelihood_vector(pts, obs)[None]
+        gains = objective_gain(objective, pts)[None]
+        (base,), _ = _posterior_ratio(lls, gains, masses[None], obs)
+        (scaled,), _ = _posterior_ratio(lls, gains, masses[None] * factor, obs)
         assert scaled == pytest.approx(base, rel=1e-12)
 
     @given(
@@ -202,3 +205,111 @@ class TestPosteriorValue:
             posterior_value(prior, Observation(n, 0), objective) for n in ns[: step + 1]
         ]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def _reference_posterior_value(prior, obs, objective):
+    """The one-prior scorer that ``_posterior_ratio`` batches; ``posterior_value``
+    must give its bits exactly."""
+    points = np.asarray(prior.support, dtype=float)
+    masses = np.asarray(prior.masses, dtype=float)
+    log_lik = log_likelihood_vector(points, obs)
+    finite = (masses > 0.0) & np.isfinite(log_lik)
+    if not np.any(finite):
+        raise ZeroEvidenceError(
+            f"observation n={obs.n}, k={obs.k} has zero probability under the prior"
+        )
+    shift = float(np.max(log_lik[finite]))
+    scaled = np.where(finite, np.exp(np.clip(log_lik - shift, EXP_UNDERFLOW, 0.0)), 0.0)
+    evidence = float(masses @ scaled)
+    if evidence <= 0.0:
+        raise ZeroEvidenceError("marginal evidence vanished")
+    gains = objective_gain(objective, points)
+    return min(float((masses * scaled) @ gains / evidence), 1.0)
+
+
+_OBJECTIVES = (PosteriorExpectedPfd(), PosteriorConfidence(0.01), FutureReliability(40))
+_OBSERVATIONS = (
+    Observation(0, 0),
+    Observation(50, 0),
+    Observation(50, 3),
+    Observation(20, 20),
+    Observation(10**6, 7),
+)
+
+
+def _error_text(fn, *args):
+    try:
+        return np.float64(fn(*args)).tobytes()
+    except ZeroEvidenceError as exc:
+        return str(exc)
+
+
+class TestBatchedScorer:
+    """``_posterior_ratio`` over a stack of rows, on rows with zero masses
+    and on points of zero likelihood (0 and 1), gives each row the bits
+    of ``posterior_value`` on that row's prior."""
+
+    def _random_rows(self, rng, count, width):
+        grid = np.concatenate([[0.0, 1.0], np.geomspace(1e-9, 0.9, 40)])
+        chosen = [rng.choice(grid, width, replace=False) for _ in range(count)]
+        points = np.sort(np.stack(chosen), axis=1)
+        masses = rng.random((count, width)) * (rng.random((count, width)) < 0.6)
+        # one carried point at least
+        masses[np.arange(count), rng.integers(0, width, count)] += 0.1
+        # the first rows carry only 0 and 1, where a failure, or a
+        # success, has zero likelihood
+        for i in range(5):
+            inner = rng.choice(grid[2:], max(width - 2, 0), replace=False)
+            points[i] = np.sort(np.concatenate([[0.0, 1.0][:width], inner]))
+            masses[i] = 0.0
+            masses[i, [0, -1]] = 0.5
+        return points, masses / masses.sum(axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 8])
+    def test_rows_match_posterior_value(self, width):
+        rng = np.random.default_rng(width)
+        points, masses = self._random_rows(rng, 60, width)
+        errors_seen = 0
+        for obs in _OBSERVATIONS:
+            for objective in _OBJECTIVES:
+                lls = log_likelihood_vector(points, obs)
+                assert np.isneginf(lls).any() or obs.n == 0
+                gains = objective_gain(objective, points)
+                values, errors = _posterior_ratio(lls, gains, masses, obs)
+                for row_points, row_masses, value, error in zip(points, masses, values, errors):
+                    carried = row_masses > 0.0
+                    prior = PriorDistribution(
+                        tuple(row_points[carried]), tuple(row_masses[carried])
+                    )
+                    want = _error_text(posterior_value, prior, obs, objective)
+                    if error is None:
+                        assert value.tobytes() == want
+                    else:
+                        errors_seen += 1
+                        assert np.isnan(value) and str(error) == want
+        assert errors_seen > 0
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 7])
+    def test_posterior_value_matches_reference(self, width):
+        rng = np.random.default_rng(10 + width)
+        points, masses = self._random_rows(rng, 60, width)
+        for obs in _OBSERVATIONS:
+            for objective in _OBJECTIVES:
+                for row_points, row_masses in zip(points, masses):
+                    carried = row_masses > 0.0
+                    prior = PriorDistribution(
+                        tuple(row_points[carried]), tuple(row_masses[carried])
+                    )
+                    assert _error_text(posterior_value, prior, obs, objective) == _error_text(
+                        _reference_posterior_value, prior, obs, objective
+                    )
+
+    def test_cancelling_raw_masses_keep_their_evidence(self):
+        # a negative raw mass is not carried, so it adds nothing to the
+        # evidence: a row with a carried point of positive likelihood
+        # always has a value
+        lls = np.zeros((2, 2))
+        masses = np.array([[1.0, -1.0], [0.5, 0.5]])
+        gains = np.array([[0.2, 0.9]] * 2)
+        values, errors = _posterior_ratio(lls, gains, masses, Observation(5, 0))
+        assert values.tolist() == [0.2, 0.55] and errors == [None, None]

@@ -1,4 +1,5 @@
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -6,11 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relbound.errors import ParseError, SamplingFailureError
+from relbound.errors import ParseError, SamplingFailureError, ZeroEvidenceError
 from relbound import operational
-from relbound.inference import FutureReliability, Observation, PosteriorExpectedPfd, posterior_value
+from relbound.inference import (
+    CONSERVATIVE_MAX,
+    FutureReliability,
+    Observation,
+    PosteriorConfidence,
+    PosteriorExpectedPfd,
+    posterior_value,
+)
 from relbound.operational import (
     DemandLog,
+    _equality_cuts,
     _seed_support,
     check_conservatism,
     ingest,
@@ -26,10 +35,12 @@ from relbound.priors import (
     MeanBound,
     PerfectionConfidence,
     PfdGrid,
+    PriorDistribution,
     PriorReliability,
     build_grid,
     constraint_rows,
     prior_from_masses,
+    rows_admit,
 )
 from relbound.solver import feasible_vertices, solve
 
@@ -192,9 +203,9 @@ class TestConservatism:
 
     def test_no_margin_gives_none(self, monkeypatch):
         def failing_sampler(constraints, grid, seeds, max_attempts=operational.MAX_ATTEMPTS):
-            return [None] * len(seeds)
+            yield np.zeros((len(seeds), 1), dtype=np.intp), np.zeros((len(seeds), 1))
 
-        monkeypatch.setattr(operational, "sample_feasible_priors", failing_sampler)
+        monkeypatch.setattr(operational, "sample_feasible_masses", failing_sampler)
         constraints = [MeanBound(0.1)]
         grid = build_grid(constraints, resolution=50)
         report = check_conservatism(
@@ -203,6 +214,29 @@ class TestConservatism:
         assert report.violations == 0
         assert report.worst_margin is None
         assert all(r.margin is None and r.error for r in report.records)
+
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_bound_refused(self, bound):
+        # a NaN bound would report no violation and a NaN worst margin
+        constraints = [MeanBound(0.1)]
+        grid = build_grid(constraints, resolution=50)
+        with pytest.raises(ValueError, match="bound must be a finite number"):
+            check_conservatism(
+                constraints, Observation(10, 0), FutureReliability(5), 3, 0, grid, bound=bound
+            )
+
+    @pytest.mark.parametrize("trials", [True, 2.5, "3"])
+    def test_trials_must_be_a_count(self, trials):
+        constraints = [MeanBound(0.1)]
+        grid = build_grid(constraints, resolution=50)
+        with pytest.raises(ValueError, match="trials must be an integer count"):
+            check_conservatism(constraints, Observation(10, 0), FutureReliability(5), trials, 0, grid)
+
+    def test_integral_float_trials_reported_as_int(self):
+        constraints = [MeanBound(0.1)]
+        grid = build_grid(constraints, resolution=50)
+        report = check_conservatism(constraints, Observation(10, 0), FutureReliability(5), 2.0, 0, grid)
+        assert report.to_dict()["trials"] == 2 and type(report.trials) is int
 
     def test_report_serialises(self):
         constraints = [PerfectionConfidence(1.0)]
@@ -369,7 +403,7 @@ class TestSeedSupport:
                     size = len(constraints) + 1 + seed % 2
                     draws = [np.random.Generator(np.random.PCG64(seed)) for _ in range(2)]
                     rows = constraint_rows(constraints, points)
-                    got = _seed_support(rows, points.size, draws[0], size)
+                    got = _seed_support(_equality_cuts(rows), points.size, draws[0], size)
                     want = _reference_seed_support(constraints, points, draws[1], size)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
                     assert draws[0].bit_generator.state == draws[1].bit_generator.state
@@ -387,7 +421,7 @@ class TestFeasibleVertices:
             points = build_grid(constraints, resolution=150).as_array()
             size = len(constraints) + 1 + int(rng.integers(0, 3))
             rows = constraint_rows(constraints, points)
-            support = _seed_support(rows, points.size, rng, size)
+            support = _seed_support(_equality_cuts(rows), points.size, rng, size)
             for exact_support in (False, True):
                 got = _vertex_list(rows, support, exact_support)
                 want = _reference_feasible_vertices(constraints, points, support, exact_support)
@@ -509,7 +543,7 @@ def _reference_sample_feasible_prior(constraints, grid, seed, max_attempts=opera
     size_base = len(constraints) + 1
     for _ in range(max_attempts):
         size = size_base + int(rng.integers(0, 2))
-        support = _seed_support(rows, points.size, rng, size)
+        support = _seed_support(_equality_cuts(rows), points.size, rng, size)
         vertices = _vertex_list(rows, support)
         if not vertices:
             continue
@@ -626,3 +660,126 @@ class TestLockStepSampler:
         assert report.trials == 1000
         assert max(count for count, _ in batch_sizes) <= operational.SAMPLER_BLOCK
         assert sum(count for count, _ in batch_sizes) >= 1000
+
+
+def _reference_check_conservatism(constraints, obs, objective, trials, seed, grid, bound=None):
+    """``check_conservatism`` one trial at a time: the per-trial sampler loop
+    and ``posterior_value`` on each trial's prior. The batched audit must
+    give the same report, bit for bit."""
+    if bound is None:
+        bound = solve(constraints, obs, objective, grid).bound
+    maximize = objective.direction == CONSERVATIVE_MAX
+    records, margins = [], []
+    for index in range(trials):
+        trial_seed = int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
+        try:
+            prior = _reference_sample_feasible_prior(constraints, grid, trial_seed)
+            value = posterior_value(prior, obs, objective)
+        except (SamplingFailureError, ZeroEvidenceError) as exc:
+            records.append({"index": index, "margin": None, "error": str(exc)})
+            continue
+        margin = (bound - value) if maximize else (value - bound)
+        margins.append(margin)
+        records.append({"index": index, "margin": margin, "error": None})
+    return {
+        "trials": trials,
+        "violations": sum(1 for m in margins if m < operational.VIOLATION_TOL),
+        "worst_margin": min(margins) if margins else None,
+        "records": records,
+    }
+
+
+def _assert_same_report(args, **kwargs):
+    got = check_conservatism(*args, **kwargs).to_dict()
+    want = _reference_check_conservatism(*args, **kwargs)
+    # JSON text tells -0.0 from 0.0, and float repr is exact
+    assert json.dumps(got) == json.dumps(want)
+    return got
+
+
+class TestArrayAudit:
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("kinds", _KIND_SETS, ids="+".join)
+    def test_matches_per_trial_reference(self, kinds, k):
+        rng = np.random.default_rng(300 + _KIND_SETS.index(kinds))
+        constraints = _random_constraints(rng, kinds)
+        objectives = (PosteriorExpectedPfd(), PosteriorConfidence(1e-3), FutureReliability(300))
+        for objective in objectives:
+            grid = build_grid(constraints, objective, resolution=150)
+            args = (constraints, Observation(2000, k), objective, 12, 5, grid)
+            report = _assert_same_report(args)
+            assert any(r["margin"] is not None for r in report["records"])
+
+    def test_zero_evidence_trials(self):
+        # a support of {0, 1} carries no likelihood for one failure in ten
+        # demands; a support holding 0.5 does
+        constraints = (PerfectionConfidence(0.5),)
+        grid = PfdGrid((0.0, 0.5, 1.0))
+        args = (constraints, Observation(10, 1), PosteriorExpectedPfd(), 40, 3, grid)
+        report = _assert_same_report(args)
+        errors = {r["error"] for r in report["records"]}
+        assert "observation n=10, k=1 has zero probability under the prior" in errors
+        assert None in errors
+
+    def test_every_trial_without_evidence(self):
+        constraints = (PerfectionConfidence(1.0),)
+        grid = build_grid(constraints, resolution=50)
+        args = (constraints, Observation(10, 1), FutureReliability(5), 5, 0, grid)
+        report = _assert_same_report(args, bound=0.5)
+        assert report["worst_margin"] is None
+        assert all("zero probability" in r["error"] for r in report["records"])
+
+    def test_sampling_failures(self):
+        # infeasible, so every trial exhausts its attempts; the bound is given
+        constraints = (ConfidenceBound(0.1, 0.9), MeanBound(0.005))
+        grid = build_grid(constraints, resolution=100)
+        args = (constraints, Observation(100, 0), PosteriorExpectedPfd(), 3, 1, grid)
+        report = _assert_same_report(args, bound=0.01)
+        message = "no feasible prior found in 200 attempts"
+        assert all(r["error"].startswith(message) for r in report["records"])
+
+    def test_trials_across_blocks(self):
+        constraints = (MeanBound(0.01), PerfectionConfidence(0.2))
+        objective = FutureReliability(50)
+        grid = build_grid(constraints, objective, resolution=120)
+        trials = 2 * operational.SAMPLER_BLOCK + 7
+        args = (constraints, Observation(400, 1), objective, trials, 8, grid)
+        report = _assert_same_report(args)
+        assert [r["index"] for r in report["records"]] == list(range(trials))
+
+    def test_admissibility_matches_satisfies_all(self, monkeypatch):
+        """The array verdict is ``PriorDistribution.satisfies_all``'s on every
+        candidate the sampler draws, and on each one with mass moved between
+        its outer points, which pushes rows past their tolerance."""
+        drawn = []
+
+        def recording(rows, supports, masses):
+            drawn.append((rows, supports, masses))
+            return rows_admit(rows, supports, masses)
+
+        monkeypatch.setattr(operational, "rows_admit", recording)
+        rng = np.random.default_rng(12)
+        cases = [_random_constraints(rng, kinds) for kinds in _KIND_SETS for _ in range(3)]
+        cases.append((MeanBound(0.004), ConfidenceBound(1e-3, 0.7), PriorReliability(300, 0.6)))
+        outcomes = []
+        for constraints in cases:
+            grid = build_grid(constraints, resolution=150)
+            points = grid.as_array()
+            del drawn[:]
+            list(sample_feasible_priors(constraints, grid, range(30)))
+            assert drawn
+            for rows, supports, masses in drawn:
+                for shift in (0.0, 4e-10, 3e-9, 1e-6):
+                    moved = masses.copy()
+                    take = np.minimum(moved[:, 0], shift)
+                    moved[:, 0] -= take
+                    moved[:, -1] += take
+                    verdicts = rows_admit(rows, supports, moved)
+                    for support, row_masses, verdict in zip(supports, moved, verdicts):
+                        carried = row_masses > 0.0
+                        prior = PriorDistribution(
+                            tuple(points[support[carried]]), tuple(row_masses[carried])
+                        )
+                        assert bool(verdict) == prior.satisfies_all(constraints)
+                        outcomes.append((shift, bool(verdict)))
+        assert {verdict for _, verdict in outcomes} == {True, False}
