@@ -64,9 +64,7 @@ class FutureReliability:
     direction: ClassVar[str] = CONSERVATIVE_MIN
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", as_count(self.t, "t"))
-        if self.t < 0:
-            raise ValueError(f"t must be a non-negative integer, got {self.t!r}")
+        object.__setattr__(self, "t", as_count(self.t, "t", least=0))
 
 
 ObjectiveSpec = Union[PosteriorExpectedPfd, PosteriorConfidence, FutureReliability]

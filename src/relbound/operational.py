@@ -42,11 +42,12 @@ from .inference import (
     posterior_value,  # noqa: F401  (bound by name in benchmark/spans.py)
 )
 from .priors import (
-    MASS_DROP_TOL,
     PfdGrid,
     PriorDistribution,
     as_count,
+    carried_prior,
     constraint_rows,
+    drop_roundoff,
     rows_admit,
 )
 from .solver import feasible_vertices, solve
@@ -111,6 +112,8 @@ def simulate_demands(true_pfd: float, n: int, seed: int) -> DemandLog:
     """n i.i.d. Bernoulli(true_pfd) demands; reproducible per seed (PCG64)."""
     if not 0.0 <= true_pfd <= 1.0:
         raise ValueError(f"true_pfd must lie in [0, 1], got {true_pfd!r}")
+    n = as_count(n, "n", least=0)
+    seed = as_count(seed, "seed", least=0)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     fails = rng.random(n) < true_pfd
     records = tuple((i + 1, FAIL if fails[i] else PASS) for i in range(n))
@@ -229,15 +232,11 @@ def _attempt(rows, supports, rngs):
         if count > 1 and rng.random() < 0.5:
             second[i] = starts[i] + int(rng.integers(0, count))
             lam[i] = rng.random()
-    ok = counts > 0
-    if not ok.any():
-        return np.zeros(supports.shape), ok
+    if not counts.any():
+        return np.zeros(supports.shape), counts > 0
     lam = lam[:, None]
-    blend = lam * vertices[first] + (1.0 - lam) * vertices[second]
-    kept = np.where(blend > MASS_DROP_TOL, blend, 0.0)
-    totals = kept.sum(axis=1)
-    ok &= totals > 0.0
-    kept /= np.where(ok, totals, 1.0)[:, None]
+    kept, ok = drop_roundoff(lam * vertices[first] + (1.0 - lam) * vertices[second])
+    ok &= counts > 0
     ok[ok] = rows_admit(rows, supports[ok], kept[ok])
     return kept, ok
 
@@ -250,13 +249,7 @@ def sample_feasible_priors(
     points = grid.as_array()
     for indices, masses in sample_feasible_masses(constraints, grid, seeds, max_attempts):
         for row_indices, row_masses in zip(indices, masses):
-            carried = np.nonzero(row_masses)[0]
-            if not carried.size:
-                yield None
-                continue
-            yield PriorDistribution(
-                tuple(points[row_indices[carried]]), tuple(row_masses[carried])
-            )
+            yield carried_prior(points, row_indices, row_masses) if row_masses.any() else None
 
 
 def _sampling_failure(max_attempts: int) -> SamplingFailureError:
@@ -325,9 +318,8 @@ def check_conservatism(
     and each block of sampled masses is scored in batches, each trial's
     value bit for bit ``posterior_value`` of its prior.
     """
-    trials = as_count(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = as_count(trials, "trials", least=1)
+    seed = as_count(seed, "seed", least=0)
     if bound is not None and not math.isfinite(bound):
         raise ValueError(f"bound must be a finite number, got {bound!r}")
     if bound is None:

@@ -15,10 +15,12 @@ Only this module says what a form means; the solver reads nothing but
 the ``ConstraintRow``s built here. A row has one of two senses: ``"le"``,
 with coefficients non-decreasing along the sorted grid, or ``"eq"``, with
 coefficients the 0/1 indicator of a grid prefix. A lower bound is an
-``"le"`` row negated: prior reliability is -E[(1-pfd)**n0] <= -g. A new
-form supplies its dataclass, tag and parser branch; its exact check in
-``PriorDistribution.satisfies``; its row in ``constraint_rows``; and its
-thresholds in ``forced_grid_points`` or ``threshold_points``.
+``"le"`` row negated: prior reliability is -E[(1-pfd)**n0] <= -g. The
+rows are also the one admission rule: ``rows_admit`` judges a prior by
+them, and ``PriorDistribution.satisfies_all`` is ``rows_admit`` over the
+rows built on the prior's own support. A new form supplies its
+dataclass, tag and parser branch; its row in ``constraint_rows``; and
+its thresholds in ``forced_grid_points`` or ``threshold_points``.
 """
 
 from __future__ import annotations
@@ -89,9 +91,7 @@ class PriorReliability:
     gamma: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n0", as_count(self.n0, "n0"))
-        if self.n0 < 0:
-            raise ValueError(f"n0 must be a non-negative integer, got {self.n0!r}")
+        object.__setattr__(self, "n0", as_count(self.n0, "n0", least=0))
         _check_unit("gamma", self.gamma)
 
 
@@ -111,9 +111,12 @@ def constraint_to_dict(constraint: PartialPriorConstraint) -> dict:
     return doc
 
 
-def as_count(value, name: str, error: type[Exception] = ValueError) -> int:
+def as_count(
+    value, name: str, error: type[Exception] = ValueError, least: int | None = None
+) -> int:
     """``value`` as an int: an integer or an integral float, not a bool,
-    and small enough to convert to a float (the likelihoods use it as one)."""
+    small enough to convert to a float (the likelihoods use it as one)
+    and, given ``least``, no smaller than that."""
     integral = isinstance(value, numbers.Integral) or (
         isinstance(value, float) and value.is_integer()
     )
@@ -124,6 +127,8 @@ def as_count(value, name: str, error: type[Exception] = ValueError) -> int:
         float(count)
     except OverflowError:
         raise error(f"{name} must be a count within the float range") from None
+    if least is not None and count < least:
+        raise error(f"{name} must be at least {least}, got {count}")
     return count
 
 
@@ -196,18 +201,14 @@ class PriorDistribution:
         return math.fsum(w * survive_prob(p, t) for p, w in zip(self.support, self.masses))
 
     def satisfies(self, constraint: PartialPriorConstraint) -> bool:
-        if isinstance(constraint, MeanBound):
-            return self.mean() <= constraint.m + MASS_TOL
-        if isinstance(constraint, ConfidenceBound):
-            return abs(self.prob_at_most(constraint.epsilon) - constraint.theta) <= MASS_TOL
-        if isinstance(constraint, PerfectionConfidence):
-            return abs(self.prob_of_zero() - constraint.theta) <= MASS_TOL
-        if isinstance(constraint, PriorReliability):
-            return self.reliability_moment(constraint.n0) >= constraint.gamma - MASS_TOL
-        raise TypeError(f"unknown constraint {constraint!r}")
+        return self.satisfies_all((constraint,))
 
     def satisfies_all(self, constraints: Iterable[PartialPriorConstraint]) -> bool:
-        return all(self.satisfies(c) for c in constraints)
+        """``rows_admit`` over the constraints' rows on this prior's support."""
+        support = np.asarray(self.support)
+        rows = constraint_rows(tuple(constraints), support)
+        masses = np.asarray(self.masses)[None]
+        return bool(rows_admit(rows, np.arange(support.size)[None], masses)[0])
 
     def to_dict(self) -> dict:
         return {"support": list(self.support), "masses": list(self.masses)}
@@ -286,8 +287,7 @@ def build_grid(
     log-spaced below 1e-2 (pfd claims of interest reach 1e-9, so relative
     spacing matters there) and linear above.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    resolution = as_count(resolution, "resolution", least=2)
     interior = resolution - 2
     n_log = interior // 2
     n_lin = interior - n_log
@@ -337,10 +337,9 @@ def constraint_rows(
 def rows_admit(
     rows: Sequence[ConstraintRow], supports: np.ndarray, masses: np.ndarray
 ) -> np.ndarray:
-    """Whether each row of ``masses`` meets every constraint row, with the
-    tolerances of ``PriorDistribution.satisfies``: an ``"le"`` row passes at
-    a value up to rhs + ``MASS_TOL``, an ``"eq"`` row within ``MASS_TOL`` of
-    rhs.
+    """Whether each row of ``masses`` meets every constraint row: an
+    ``"le"`` row passes at a value up to rhs + ``MASS_TOL``, an ``"eq"`` row
+    within ``MASS_TOL`` of rhs.
 
     Row i of ``masses`` weighs the grid indices in row i of ``supports``;
     both are ``(count, m)`` arrays.
@@ -404,16 +403,31 @@ class FeasibilityResult:
     unsatisfiable: tuple[PartialPriorConstraint, ...]
 
 
-def prior_from_masses(points: np.ndarray, masses: np.ndarray) -> PriorDistribution | None:
-    """The prior with ``masses`` on ``points``, renormalised after every mass
-    at or below ``MASS_DROP_TOL`` is dropped; None if none is left."""
+def drop_roundoff(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``masses`` with every mass at or below ``MASS_DROP_TOL``
+    dropped and the rest renormalised, and whether each row kept any mass.
+    A row that kept none is all zero."""
     cleaned = np.where(masses > MASS_DROP_TOL, masses, 0.0)
-    total = cleaned.sum()
-    if not total > 0.0:
-        return None
-    cleaned = cleaned / total
-    idx = np.nonzero(cleaned)[0]
-    return PriorDistribution(tuple(points[idx]), tuple(cleaned[idx]))
+    totals = cleaned.sum(axis=1)
+    kept = totals > 0.0
+    cleaned /= np.where(kept, totals, 1.0)[:, None]
+    return cleaned, kept
+
+
+def carried_prior(
+    points: np.ndarray, support: np.ndarray, masses: np.ndarray
+) -> PriorDistribution:
+    """The prior with ``masses`` on grid indices ``support``, over its
+    positive masses only."""
+    carried = masses > 0.0
+    return PriorDistribution(tuple(points[support[carried]]), tuple(masses[carried]))
+
+
+def prior_from_masses(points: np.ndarray, masses: np.ndarray) -> PriorDistribution | None:
+    """The prior ``drop_roundoff`` leaves of ``masses`` on ``points``; None
+    if no mass is left."""
+    (cleaned,), (kept,) = drop_roundoff(masses[None])
+    return carried_prior(points, np.arange(points.size), cleaned) if kept else None
 
 
 def max_mean_prior(points: np.ndarray, rows: Sequence[ConstraintRow]) -> PriorDistribution | None:

@@ -13,7 +13,10 @@ structure of the continuum problem.
 vertices of the constraint polytope restricted to every support of up to
 (constraints + 1) points, without going through the ratio transformation
 or the simplex. It shares its vertex enumerator, ``feasible_vertices``,
-with the audit's prior sampler.
+with the audit's prior sampler, and judges and scores vertices as
+``solve`` judges and scores its candidates: masses cleaned by
+``drop_roundoff``, admitted by ``rows_admit`` and valued by the batched
+posterior scorer.
 
 Likelihood scaling: the posterior ratio is invariant under a common
 rescaling of the likelihood vector, but a single scaling cannot make a
@@ -37,8 +40,10 @@ else, and windows that keep the same columns come in a row, so each
 reuses the latest window's. Both programs range over the same cone of
 masses, so the ratio LP starts from that feasible basis and runs no
 phase 1 of its own, unless roundoff makes the basis singular or
-infeasible there. Every candidate witness is re-valued exactly on its
-own support, and the most conservative certified candidate wins.
+infeasible there. Every candidate witness loses its roundoff masses
+(``drop_roundoff``), must pass ``rows_admit`` on the solve's own rows,
+and is re-valued exactly on its own support; the most conservative
+certified candidate wins.
 """
 
 from __future__ import annotations
@@ -55,24 +60,27 @@ from .inference import (
     CONSERVATIVE_MAX,
     Observation,
     ObjectiveSpec,
+    _posterior_ratio,
     log_likelihood_vector,
     objective_gain,
     objective_to_dict,
     posterior_value,
 )
-from .numerics import EXP_UNDERFLOW
 from .priors import (
     DEFAULT_RESOLUTION,
+    MASS_TOL,
     ConstraintRow,
     PfdGrid,
     PriorDistribution,
     build_grid,
+    carried_prior,
     check_feasible,  # noqa: F401  importable from here, though solve does not call it
     constraint_rows,
+    drop_roundoff,
     forced_grid_points,
     homogeneous_ub,
     max_mean_prior,
-    prior_from_masses,
+    rows_admit,
     rows_as_ub,
     threshold_points,
 )
@@ -395,9 +403,14 @@ def _window_masses(
     return x / total
 
 
-def _witness_from_masses(points, x, constraints) -> PriorDistribution | None:
-    candidate = prior_from_masses(points, x)
-    return candidate if candidate is not None and candidate.satisfies_all(constraints) else None
+def _witness_from_masses(rows, points, x) -> PriorDistribution | None:
+    """The prior ``drop_roundoff`` leaves of grid masses ``x``, if
+    ``rows_admit`` accepts it on its carried points; otherwise None."""
+    (masses,), (kept,) = drop_roundoff(x[None])
+    support = np.flatnonzero(masses)
+    if not kept or not rows_admit(rows, support[None], masses[None, support])[0]:
+        return None
+    return carried_prior(points, support, masses[support])
 
 
 def _status_for(witness: PriorDistribution, constraints, objective) -> str:
@@ -438,7 +451,7 @@ def solve(
         x = _window_masses(window, maximize, latest)
         if x is None:
             continue
-        witness = _witness_from_masses(points, x, constraints)
+        witness = _witness_from_masses(rows, points, x)
         if witness is None:
             continue
         try:
@@ -467,31 +480,6 @@ def solve(
 _ORACLE_CHUNK = 4096
 
 
-def _best_vertex(masses, lls, gains, maximize):
-    """The row and posterior value of the best-scoring vertex, or None when
-    none gives the observation positive probability.
-
-    Row i of ``masses`` is a vertex's masses on its support, and row i of
-    ``lls`` and of ``gains`` are the log-likelihoods and objective gains of
-    that support's points. Each ratio is taken in log space, after shifting
-    by the vertex's largest log-likelihood.
-    """
-    active = (masses > 1e-15) & np.isfinite(lls)
-    shifts = np.max(np.where(active, lls, -np.inf), axis=1)
-    with np.errstate(invalid="ignore"):
-        scaled = np.where(
-            active, np.exp(np.clip(lls - shifts[:, None], EXP_UNDERFLOW, 0.0)), 0.0
-        )
-    evidence = np.sum(masses * scaled, axis=1)
-    usable = np.isfinite(shifts) & (evidence > 0.0)
-    if not usable.any():
-        return None
-    values = np.sum(masses * scaled * gains, axis=1) / np.where(usable, evidence, 1.0)
-    ranked = np.where(usable, values, -np.inf if maximize else np.inf)
-    idx = int(np.argmax(ranked) if maximize else np.argmin(ranked))
-    return idx, float(values[idx])
-
-
 def oracle_solve(
     constraints,
     obs: Observation,
@@ -503,10 +491,14 @@ def oracle_solve(
     Every vertex of the prior polytope has at most (constraints + 1)
     support points, and a linear-fractional optimum sits at a vertex. So
     the oracle runs ``feasible_vertices`` over every support of up to
-    (constraints + 1) grid points, in chunks of ``_ORACLE_CHUNK``, and
-    scores every vertex found. On each support it keeps only the systems
-    with no zero-mass row: a vertex with a zero mass is found again on the
-    smaller support.
+    (constraints + 1) grid points, in chunks of ``_ORACLE_CHUNK``. On each
+    support it keeps only the systems with no zero-mass row: a vertex with
+    a zero mass is found again on the smaller support. Each chunk's
+    vertices go through ``drop_roundoff``; those that ``rows_admit``
+    accepts are scored by ``_posterior_ratio``, and the best one's carried
+    points are the witness. With no admitted vertex the constraints are
+    infeasible on the grid; with admitted vertices but none that gives the
+    observation positive probability, ``ZeroEvidenceError`` is raised.
     """
     points = coarse_grid.as_array()
     n_pts = points.size
@@ -527,14 +519,19 @@ def oracle_solve(
         while (flat := np.fromiter(itertools.islice(combos, _ORACLE_CHUNK * m), np.intp)).size:
             supports = flat.reshape(-1, m)
             masses, owners = feasible_vertices(rows, supports, exact_support=True)
-            saw_feasible |= owners.size > 0
+            masses, admitted = drop_roundoff(masses)
             supports = supports[owners]  # one row per vertex
-            found = _best_vertex(masses, log_lik[supports], gains[supports], maximize)
-            if found is None:
+            admitted[admitted] = rows_admit(rows, supports[admitted], masses[admitted])
+            if not admitted.any():
                 continue
-            idx, value = found
-            if best is None or (value > best[0] if maximize else value < best[0]):
-                best = (value, supports[idx], masses[idx])
+            saw_feasible = True
+            supports, masses = supports[admitted], masses[admitted]
+            values, _ = _posterior_ratio(log_lik[supports], gains[supports], masses, obs)
+            if np.isnan(values).all():  # no admitted vertex has evidence
+                continue
+            idx = int(np.nanargmax(values) if maximize else np.nanargmin(values))
+            if best is None or (values[idx] > best[0] if maximize else values[idx] < best[0]):
+                best = (values[idx], supports[idx], masses[idx])
 
     if best is None:
         if saw_feasible:
@@ -550,15 +547,7 @@ def oracle_solve(
             grid_resolution=len(coarse_grid),
             solver_status=STATUS_INFEASIBLE,
         )
-    _, support, masses = best
-    full = np.zeros(n_pts)
-    full[support] = masses
-    witness = _witness_from_masses(points, full, constraints)
-    if witness is None:  # fall back to the raw vertex masses
-        keep = masses > 0.0
-        witness = PriorDistribution(
-            tuple(points[support][keep]), tuple(masses[keep] / masses[keep].sum())
-        )
+    witness = carried_prior(points, best[1], best[2])
     bound = posterior_value(witness, obs, objective)
     return CbiResult(
         bound=bound,
@@ -632,7 +621,7 @@ def feasible_vertices(rows, supports: np.ndarray, exact_support: bool = False):
         mats, rhs = stack[:, :n_base], stack_rhs[:n_base]
         xs = np.stack([np.linalg.lstsq(mat, rhs, rcond=None)[0] for mat in mats])
         residuals = np.abs((mats @ xs[:, :, None])[:, :, 0] - rhs)
-        owners = np.nonzero(residuals.max(axis=1) <= 1e-9)[0]
+        owners = np.nonzero(residuals.max(axis=1) <= MASS_TOL)[0]
         xs = xs[owners]
     else:
         selectors = _vertex_selectors(m, n_base, len(ineq_rows))
@@ -645,9 +634,9 @@ def feasible_vertices(rows, supports: np.ndarray, exact_support: bool = False):
         owners, systems = np.nonzero(regular)
         xs = np.linalg.solve(mats[regular], stack_rhs[selectors[systems]][:, :, None])[:, :, 0]
     # admissible: no mass below -1e-10, and every inequality row of the
-    # owner's support met within 1e-9
+    # owner's support met within MASS_TOL
     values = (stack[owners, ineq] @ xs[:, :, None])[:, :, 0]
-    keep = ~(xs < -1e-10).any(axis=1) & np.all(values <= stack_rhs[ineq] + 1e-9, axis=1)
+    keep = ~(xs < -1e-10).any(axis=1) & np.all(values <= stack_rhs[ineq] + MASS_TOL, axis=1)
     return np.maximum(xs[keep], 0.0), owners[keep]
 
 

@@ -440,6 +440,45 @@ def test_simulate_deterministic(files, capsys):
     assert len(lines) == 21
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--n", "-5"], "n must be at least 0, got -5"),
+        (["--n", "5", "--seed", "-1"], "seed must be at least 0, got -1"),
+    ],
+    ids=["negative-n", "negative-seed"],
+)
+def test_simulate_rejects_negative_counts(capsys, extra, message):
+    code = main(["simulate", "--pfd", "0.3", *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--seed", "-1"], "seed must be at least 0, got -1"),
+        (["--grid", "-4"], "resolution must be at least 2, got -4"),
+    ],
+    ids=["negative-seed", "negative-grid"],
+)
+def test_audit_rejects_negative_counts(files, capsys, extra, message):
+    write, _ = files
+    constraints = write_json(write, "c.json", [{"type": "mean_bound", "m": 0.1}])
+    observation = write_json(write, "o.json", {"n": 50, "k": 0})
+    objective = write_json(write, "obj.json", {"type": "future_reliability", "t": 10})
+    code = main(
+        ["audit", "--constraints", constraints, "--observation", observation,
+         "--objective", objective, "--trials", "3", *extra]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+
+
 def test_audit_round_trip(files, capsys):
     write, _ = files
     constraints = write_json(write, "c.json", [{"type": "perfection_confidence", "theta": 1.0}])

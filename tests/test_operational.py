@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_admission import reference_satisfies_all
 
 from relbound.errors import ParseError, SamplingFailureError, ZeroEvidenceError
 from relbound import operational
@@ -109,6 +110,22 @@ class TestSimulate:
     @settings(max_examples=50)
     def test_demand_count_preserved(self, pfd, n, seed):
         assert ingest(simulate_demands(pfd, n, seed)).n == n
+
+    def test_integral_float_count(self):
+        assert simulate_demands(0.1, 2.0, 0) == simulate_demands(0.1, 2, 0)
+
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [
+            (-5, 0, "n must be at least 0, got -5"),
+            (2.5, 0, "n must be an integer count"),
+            (5, -1, "seed must be at least 0, got -1"),
+            (5, True, "seed must be an integer count"),
+        ],
+    )
+    def test_counts_checked(self, n, seed, message):
+        with pytest.raises(ValueError, match=message):
+            simulate_demands(0.1, n, seed)
 
 
 class TestSampler:
@@ -231,6 +248,16 @@ class TestConservatism:
         grid = build_grid(constraints, resolution=50)
         with pytest.raises(ValueError, match="trials must be an integer count"):
             check_conservatism(constraints, Observation(10, 0), FutureReliability(5), trials, 0, grid)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(True, "seed must be an integer count"), (-1, "seed must be at least 0, got -1")],
+    )
+    def test_seed_must_be_a_count(self, seed, message):
+        constraints = [MeanBound(0.1)]
+        grid = build_grid(constraints, resolution=50)
+        with pytest.raises(ValueError, match=message):
+            check_conservatism(constraints, Observation(10, 0), FutureReliability(5), 3, seed, grid)
 
     def test_integral_float_trials_reported_as_int(self):
         constraints = [MeanBound(0.1)]
@@ -554,7 +581,7 @@ def _reference_sample_feasible_prior(constraints, grid, seed, max_attempts=opera
             lam = float(rng.random())
             masses = lam * first + (1.0 - lam) * second
         candidate = prior_from_masses(points[support], masses)
-        if candidate is not None and candidate.satisfies_all(constraints):
+        if candidate is not None and reference_satisfies_all(candidate, constraints):
             return candidate
     raise SamplingFailureError(
         f"no feasible prior found in {max_attempts} attempts; "
@@ -748,9 +775,10 @@ class TestArrayAudit:
         assert [r["index"] for r in report["records"]] == list(range(trials))
 
     def test_admissibility_matches_satisfies_all(self, monkeypatch):
-        """The array verdict is ``PriorDistribution.satisfies_all``'s on every
-        candidate the sampler draws, and on each one with mass moved between
-        its outer points, which pushes rows past their tolerance."""
+        """The array verdict is that of the per-kind ``fsum`` reference
+        (``reference_admission``) on every candidate the sampler draws, and
+        on each one with mass moved between its outer points, which pushes
+        rows past their tolerance."""
         drawn = []
 
         def recording(rows, supports, masses):
@@ -780,6 +808,6 @@ class TestArrayAudit:
                         prior = PriorDistribution(
                             tuple(points[support[carried]]), tuple(row_masses[carried])
                         )
-                        assert bool(verdict) == prior.satisfies_all(constraints)
+                        assert bool(verdict) == reference_satisfies_all(prior, constraints)
                         outcomes.append((shift, bool(verdict)))
         assert {verdict for _, verdict in outcomes} == {True, False}

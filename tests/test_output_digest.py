@@ -60,3 +60,31 @@ def test_extreme_pool(tmp_path):
     assert lines[-1][3:] == [pool_hash.hexdigest(), "20"]
     # another seed draws other inputs
     assert _run("--extreme", "20", "--seed", "7") != _run("--extreme", "20")
+
+
+def test_oracle_pool(tmp_path):
+    dump = tmp_path / "outputs.json"
+    lines = [
+        line.split()
+        for line in _run("--oracle", "--workload", "solve-mix", "--limit", "3", "--dump", str(dump))
+        .splitlines()
+    ]
+    # beside a workload, --oracle adds its pool over the same solve-mix inputs
+    assert [line[0] for line in lines] == ["solve-mix"] * 4 + ["oracle"] * 4
+    assert [line[2] for line in lines[4:-1]] == [line[2] for line in lines[:3]]
+    outputs = json.loads(dump.read_text())
+    pool_hash = hashlib.sha256()
+    for workload, seed, inst_id, sha in lines[4:-1]:
+        doc = outputs["oracle"][seed][inst_id]
+        assert sha == hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert "raised" in doc or doc["solver_status"] in ("optimal", "grid-limited", "infeasible")
+        solved = outputs["solve-mix"][seed][inst_id]
+        if "raised" not in doc and "raised" not in solved:
+            # the same input: only the grid, a sub-grid of the solve's, differs
+            assert doc["observation"] == solved["observation"]
+            assert doc["objective"] == solved["objective"]
+            assert doc["grid_resolution"] <= solved["grid_resolution"]
+        pool_hash.update(f"{workload} {seed} {inst_id} {sha}\n".encode())
+    assert lines[-1][3:] == [pool_hash.hexdigest(), "3"]
+    # given alone, --oracle runs only its own pool
+    assert _run("--oracle", "--limit", "3").splitlines() == [" ".join(line) for line in lines[4:]]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_admission import reference_satisfies, reference_satisfies_all
 
 from relbound.errors import InvalidDistributionError, ParseError
 from relbound.inference import FutureReliability, PosteriorConfidence
@@ -7,6 +8,7 @@ from relbound.numerics import just_above
 from relbound.priors import (
     GRID_LOG_FLOOR,
     GRID_LOG_KNEE,
+    MASS_TOL,
     ConfidenceBound,
     MeanBound,
     PerfectionConfidence,
@@ -98,6 +100,86 @@ class TestPriorDistribution:
         assert not prior.satisfies(PriorReliability(100, 0.9))
 
 
+#: how far short of or past a constraint's ``MASS_TOL`` edge a test prior sits
+_EDGE_GAP = 1e-11
+
+
+def _edge_cases():
+    """``(constraint, prior, inside)`` per kind and per side of each
+    ``MASS_TOL`` edge: the prior's statistic misses the constraint by
+    ``MASS_TOL`` less (inside) or more (outside) than ``_EDGE_GAP``."""
+    cases = []
+    for inside, excess in ((True, MASS_TOL - _EDGE_GAP), (False, MASS_TOL + _EDGE_GAP)):
+        w = 2.0 * (0.01 + excess)  # mean 0.5 w
+        cases.append((MeanBound(0.01), PriorDistribution((0.0, 0.5), (1.0 - w, w)), inside))
+        for sign in (1.0, -1.0):
+            w = 0.7 + sign * excess
+            prior = PriorDistribution((0.01, 0.5), (w, 1.0 - w))
+            cases.append((ConfidenceBound(0.01, 0.7), prior, inside))
+            w = 0.4 + sign * excess
+            prior = PriorDistribution((0.0, 0.3), (w, 1.0 - w))
+            cases.append((PerfectionConfidence(0.4), prior, inside))
+        w = (0.4 + excess) / (1.0 - 0.98**50)  # moment 1 - w (1 - 0.98**50)
+        prior = PriorDistribution((0.0, 0.02), (1.0 - w, w))
+        cases.append((PriorReliability(50, 0.6), prior, inside))
+    return cases
+
+
+class TestRowAdmission:
+    """``satisfies`` reads constraint rows; the per-kind ``fsum`` checks of
+    ``reference_admission`` must give the same verdicts."""
+
+    @pytest.mark.parametrize("constraint, prior, inside", _edge_cases())
+    def test_each_kind_at_its_edge(self, constraint, prior, inside):
+        assert reference_satisfies(prior, constraint) is inside
+        assert prior.satisfies(constraint) is inside
+        assert prior.satisfies_all([constraint]) is inside
+
+    def test_mixed_sets_at_their_edges(self):
+        # every constraint is set from the prior's own statistic, missed by
+        # an offset on either side of MASS_TOL
+        rng = np.random.default_rng(18)
+        offsets = (0.0, MASS_TOL - _EDGE_GAP, MASS_TOL + _EDGE_GAP)
+        verdicts = []
+        for _ in range(200):
+            eps = float(10 ** rng.uniform(-4, -1))
+            support = (0.0, eps, float(rng.uniform(0.2, 1.0)))
+            prior = PriorDistribution(support, tuple(rng.dirichlet([1.0] * 3)))
+            n0 = int(rng.integers(1, 500))
+
+            def off():
+                return float(offsets[rng.integers(len(offsets))] * rng.choice([-1.0, 1.0]))
+
+            def unit(x):
+                return min(max(x, 0.0), 1.0)
+
+            pool = [
+                MeanBound(unit(prior.mean() - off())),
+                ConfidenceBound(eps, unit(prior.prob_at_most(eps) + off())),
+                PerfectionConfidence(unit(prior.prob_of_zero() + off())),
+                PriorReliability(n0, unit(prior.reliability_moment(n0) + off())),
+            ]
+            chosen = [pool[i] for i in rng.permutation(4)[: rng.integers(2, 5)]]
+            verdict = reference_satisfies_all(prior, chosen)
+            assert prior.satisfies_all(chosen) is verdict
+            for constraint in chosen:
+                assert prior.satisfies(constraint) is reference_satisfies(prior, constraint)
+            verdicts.append(verdict)
+        assert set(verdicts) == {True, False}
+
+    def test_no_constraints_admit_every_prior(self):
+        assert PriorDistribution.point_mass(1.0).satisfies_all([])
+
+    def test_unknown_constraint_raises(self):
+        prior = PriorDistribution.point_mass(0.1)
+        with pytest.raises(TypeError, match="unknown constraint"):
+            prior.satisfies("mean_bound")
+        with pytest.raises(TypeError, match="unknown constraint"):
+            prior.satisfies_all([MeanBound(0.5), object()])
+        with pytest.raises(TypeError, match="unknown constraint"):
+            reference_satisfies(prior, object())
+
+
 class TestBuildGrid:
     def test_minimum_resolution_is_endpoints(self):
         assert build_grid(resolution=2).points == (0.0, 1.0)
@@ -122,6 +204,14 @@ class TestBuildGrid:
     def test_resolution_below_two_rejected(self):
         with pytest.raises(ValueError):
             build_grid(resolution=1)
+
+    @pytest.mark.parametrize("resolution", [2.5, True, "50"])
+    def test_resolution_must_be_a_count(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be an integer count"):
+            build_grid(resolution=resolution)
+
+    def test_integral_float_resolution(self):
+        assert build_grid(resolution=50.0) == build_grid(resolution=50)
 
     def test_refine_is_superset(self):
         grid = build_grid([ConfidenceBound(0.1, 0.9)], resolution=50)

@@ -206,6 +206,64 @@ class TestOracleAgreement:
         assert solve(twice, obs, objective, grid).bound == pytest.approx(got.bound, rel=1e-9)
 
 
+class TestOracleAdmission:
+    """``oracle_solve`` cleans, admits and scores whatever vertices
+    ``feasible_vertices`` hands it; here a stub hands it chosen ones."""
+
+    @staticmethod
+    def stub_vertices(monkeypatch, vertices):
+        """Make ``feasible_vertices`` return, for each support, the masses
+        that ``vertices`` lists under that support's tuple of grid indices."""
+
+        def stub(rows, supports, exact_support=False):
+            found = [
+                (owner, masses)
+                for owner, support in enumerate(supports.tolist())
+                for masses in vertices.get(tuple(support), [])
+            ]
+            masses = np.array([masses for _, masses in found], dtype=float)
+            owners = np.array([owner for owner, _ in found], dtype=np.intp)
+            return masses.reshape(-1, supports.shape[1]), owners
+
+        monkeypatch.setattr(solver, "feasible_vertices", stub)
+
+    def test_inadmissible_top_vertex_ignored(self, monkeypatch):
+        # {0: 0.5, 0.9: 0.5} scores 0.9 but breaks the mean bound
+        self.stub_vertices(monkeypatch, {(1,): [[1.0]], (0, 2): [[0.5, 0.5]]})
+        constraints = [MeanBound(0.1)]
+        obs, objective = Observation(10, 1), PosteriorExpectedPfd()
+        result = oracle_solve(constraints, obs, objective, PfdGrid((0.0, 0.05, 0.9, 1.0)))
+        assert result.witness == PriorDistribution.point_mass(0.05)
+        assert result.witness.satisfies_all(constraints)
+        assert result.bound == posterior_value(result.witness, obs, objective)
+
+    def test_roundoff_mass_does_not_steer_the_ranking(self, monkeypatch):
+        # 5e-13 on pfd 1, whose likelihood is 1e10 times that of pfd 0.1,
+        # lifts the raw vertex to 0.1045; cleaned, it scores 0.1, below 0.102
+        vertices = {(2,): [[1.0]], (1, 3): [[1.0 - 5e-13, 5e-13]]}
+        self.stub_vertices(monkeypatch, vertices)
+        obs, objective = Observation(10, 10), PosteriorExpectedPfd()
+        grid = PfdGrid((0.0, 0.1, 0.102, 1.0))
+        result = oracle_solve([MeanBound(0.5)], obs, objective, grid)
+        assert result.witness == PriorDistribution.point_mass(0.102)
+        assert result.bound == pytest.approx(0.102, rel=1e-15)
+
+    def test_no_admitted_vertex_is_infeasible(self, monkeypatch):
+        # neither vertex has evidence for one failure; one breaks the mean
+        # bound, the other keeps no mass once roundoff is dropped
+        vertices = {(0, 2): [[0.5, 0.5]], (1,): [[1e-16]]}
+        self.stub_vertices(monkeypatch, vertices)
+        grid = PfdGrid((0.0, 0.5, 1.0))
+        args = ([MeanBound(0.1)], Observation(10, 1), PosteriorExpectedPfd(), grid)
+        result = oracle_solve(*args)
+        assert result.solver_status == solver.STATUS_INFEASIBLE
+        assert result.bound is None and result.witness is None
+        # an admitted vertex without evidence is a zero-evidence failure
+        self.stub_vertices(monkeypatch, {**vertices, (0,): [[1.0]]})
+        with pytest.raises(ZeroEvidenceError):
+            oracle_solve(*args)
+
+
 class TestSoundness:
     @pytest.mark.parametrize(
         "constraints,objective",
@@ -699,7 +757,7 @@ class TestWindowBisection:
         case, _ = self._assert_matches_reference(window, True, costs)
         assert case == "no proposal"
         masses = solver._window_masses(window, True, solver._LatestPhaseOne())
-        witness = solver._witness_from_masses(points, masses, constraints)
+        witness = solver._witness_from_masses(constraint_rows(constraints, points), points, masses)
         assert witness.satisfies_all(constraints)
         assert witness.support == pytest.approx((0.0, 1e-12, 0.12484), rel=1e-9)
         assert posterior_value(witness, obs, objective) == pytest.approx(0.12484, rel=1e-9)

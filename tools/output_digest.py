@@ -12,7 +12,8 @@ written so that they read back bit for bit):
 * solve-mix: the solve's ``to_dict()``;
 * audit: the conservatism report's ``to_dict()``;
 * gsn-case: the goal status map, plus each bound claim's own solve;
-* extreme: the solve's ``to_dict()``.
+* extreme: the solve's ``to_dict()``;
+* oracle: the sub-grid oracle's ``to_dict()``.
 
 An op that raises a relbound error records its type and message instead;
 any other exception stops the run. Two
@@ -23,12 +24,16 @@ output as JSON, keyed by workload, seed and input id, to show what moved.
 
 The pools come from ``benchmark/workloads.py``, which is only imported.
 ``--extreme N`` adds a pool named ``extreme`` of N solves per seed at
-the edges of every parameter's range (see ``extreme_cases``); given
-alone, it runs only that pool.
+the edges of every parameter's range (see ``extreme_cases``). ``--oracle``
+adds a pool named ``oracle``: for each solve-mix input, ``oracle_solve``
+on the sub-grid that ``benchmark/checks.py`` (also only imported) builds
+around the solve's witness, as its ``check_solve`` runs it. Given alone,
+either runs only its own pool.
 
     python3 tools/output_digest.py --workload solve-mix --seed 5 --seed 7
     python3 tools/output_digest.py --limit 3 --dump outputs.json
     python3 tools/output_digest.py --extreme 4000
+    python3 tools/output_digest.py --oracle --seed 312 --dump oracle.json
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "benchmark"), str(ROOT / "src")]
 
+import checks  # noqa: E402
 import workloads as wl  # noqa: E402
 from relbound import priors, solver  # noqa: E402
 from relbound.errors import RelboundError  # noqa: E402
@@ -141,6 +147,22 @@ def extreme_outputs(seed: int, count: int):
         yield inst_id, _solve_doc(constraints, obs, objective, resolution)
 
 
+def oracle_outputs(seed: int, limit: int | None = None):
+    """Yield ``(input id, output document)`` for the sub-grid oracle on each
+    solve-mix input: the grid is ``checks.subgrid`` of the input's grid,
+    with the solve's witness when it has one. A relbound error raised by
+    the solve or the oracle is the output."""
+    for inst in wl.WORKLOADS["solve-mix"].make_pool(random.Random(seed))[:limit]:
+        constraints, objective, obs, resolution = inst.args
+        grid = priors.build_grid(constraints, objective, resolution)
+        try:
+            witness = wl.WORKLOADS["solve-mix"].op(inst).witness
+            sub = checks.subgrid(grid, constraints, objective, witness)
+            yield inst.id, solver.oracle_solve(constraints, obs, objective, sub).to_dict()
+        except RelboundError as exc:
+            yield inst.id, _raised(exc)
+
+
 def canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True)
 
@@ -163,13 +185,18 @@ def main(argv=None) -> int:
                         help="also write every op's output to this JSON file")
     parser.add_argument("--extreme", type=int, default=None, metavar="N",
                         help="also run N extreme solves per seed (alone: only those)")
+    parser.add_argument("--oracle", action="store_true",
+                        help="also run the sub-grid oracle on each solve-mix input "
+                        "(alone: only those)")
     args = parser.parse_args(argv)
     pools = [
         (workload, lambda seed, w=workload: pool_outputs(w, seed, args.limit))
-        for workload in args.workload or ([] if args.extreme else WORKLOAD_NAMES)
+        for workload in args.workload or ([] if args.extreme or args.oracle else WORKLOAD_NAMES)
     ]
     if args.extreme:
         pools.append(("extreme", lambda seed: extreme_outputs(seed, args.extreme)))
+    if args.oracle:
+        pools.append(("oracle", lambda seed: oracle_outputs(seed, args.limit)))
     dump: dict = {}
     for workload, outputs_of in pools:
         for seed in args.seed or [5]:
