@@ -1,9 +1,13 @@
 """Operational evidence: demand logs, simulation, and conservatism audits.
 
 Under the i.i.d. demand model only the pass/fail counts matter, so logs
-reduce to an Observation. Random generation uses numpy's PCG64 with
-explicit seeding (audit trials derive per-trial seeds from the pair
-(seed, trial index)), so every report is bit-reproducible.
+reduce to an Observation. Random generation uses numpy's PCG64, seeded
+through numpy's ``SeedSequence`` hash, so every report is bit-reproducible.
+An audit's trial seeds are ``SeedSequence([seed, trial index])``'s first
+state word, and each trial's stream is ``PCG64(SeedSequence(trial
+seed))``. Both hashes run as uint32 array arithmetic over all of a
+block's rows at once (``seeding``), word for word what ``SeedSequence``
+computes one row at a time.
 
 An audit is an array program over its trials. The sampler runs a block
 of trials in lock-step: each round, every trial still without a prior
@@ -113,8 +117,9 @@ def simulate_demands(true_pfd: float, n: int, seed: int) -> DemandLog:
     if not 0.0 <= true_pfd <= 1.0:
         raise ValueError(f"true_pfd must lie in [0, 1], got {true_pfd!r}")
     n = as_count(n, "n", least=0)
-    seed = as_count(seed, "seed", least=0)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    from .seeding import streams  # loads numpy.random (see ``seeding``)
+
+    (rng,) = streams([as_count(seed, "seed", least=0)])
     fails = rng.random(n) < true_pfd
     records = tuple((i + 1, FAIL if fails[i] else PASS) for i in range(n))
     return DemandLog(records)
@@ -170,19 +175,27 @@ def sample_feasible_masses(
     renormalisation and the admissibility test then run as arrays over the
     size's trials. A seed's prior is therefore the one it would get
     sampled alone, and memory holds one block at a time.
+
+    Each seed and ``max_attempts`` are counts by ``priors.as_count``'s rule
+    (``max_attempts`` at least 1), checked at the call, before any block
+    runs.
     """
+    seeds = [as_count(seed, "seed", least=0) for seed in seeds]
+    max_attempts = as_count(max_attempts, "max_attempts", least=1)
     points = grid.as_array()
     rows = constraint_rows(constraints, points)
     cuts = _equality_cuts(rows)
-    seeds = list(seeds)
-    for start in range(0, len(seeds), SAMPLER_BLOCK):
-        block = seeds[start : start + SAMPLER_BLOCK]
-        yield _sample_block(rows, cuts, points.size, block, max_attempts)
+    return (
+        _sample_block(rows, cuts, points.size, seeds[start : start + SAMPLER_BLOCK], max_attempts)
+        for start in range(0, len(seeds), SAMPLER_BLOCK)
+    )
 
 
 def _sample_block(rows, cuts, n_pts, seeds, max_attempts):
     """``sample_feasible_masses`` for one block of seeds."""
-    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s))) for s in seeds]
+    from .seeding import streams  # loads numpy.random (see ``seeding``)
+
+    rngs = streams(seeds)
     size_base = len(rows) + 1
     # a support holds the larger of its size and its required points
     width = min(n_pts, max(size_base + 1, 2 * len(cuts)))
@@ -245,11 +258,14 @@ def sample_feasible_priors(
     constraints, grid: PfdGrid, seeds, max_attempts: int = MAX_ATTEMPTS
 ) -> Iterator[PriorDistribution | None]:
     """Yield, per seed in order, the prior ``sample_feasible_masses`` draws
-    for it, or None when all ``max_attempts`` attempts failed."""
+    for it, or None when all ``max_attempts`` attempts failed. The seeds and
+    ``max_attempts`` are checked at the call, as there."""
     points = grid.as_array()
-    for indices, masses in sample_feasible_masses(constraints, grid, seeds, max_attempts):
-        for row_indices, row_masses in zip(indices, masses):
-            yield carried_prior(points, row_indices, row_masses) if row_masses.any() else None
+    return (
+        carried_prior(points, row_indices, row_masses) if row_masses.any() else None
+        for indices, masses in sample_feasible_masses(constraints, grid, seeds, max_attempts)
+        for row_indices, row_masses in zip(indices, masses)
+    )
 
 
 def _sampling_failure(max_attempts: int) -> SamplingFailureError:
@@ -266,7 +282,8 @@ def sample_feasible_prior(
     ``SamplingFailureError`` when every attempt failed."""
     (prior,) = sample_feasible_priors(constraints, grid, [seed], max_attempts)
     if prior is None:
-        raise _sampling_failure(max_attempts)
+        # a count by now, though perhaps an integral float
+        raise _sampling_failure(int(max_attempts))
     return prior
 
 
@@ -333,7 +350,11 @@ def check_conservatism(
     gains = objective_gain(objective, points)
     records: list[TrialRecord] = []
     margins: list[float] = []
-    seeds = [int(np.random.SeedSequence([seed, i]).generate_state(1)[0]) for i in range(trials)]
+    from .seeding import entropy_words, seed_states  # loads numpy.random (see ``seeding``)
+
+    words = entropy_words(seed)
+    entropy = [words + entropy_words(i) for i in range(trials)]
+    seeds = seed_states(entropy, 1)[:, 0].tolist()
     for indices, masses in sample_feasible_masses(constraints, grid, seeds):
         values, errors = _score(log_lik, gains, indices, masses, obs)
         for value, error in zip(values.tolist(), errors):

@@ -25,6 +25,7 @@ from relbound.operational import (
     check_conservatism,
     ingest,
     load_demand_log,
+    sample_feasible_masses,
     sample_feasible_prior,
     sample_feasible_priors,
     save_demand_log,
@@ -43,6 +44,7 @@ from relbound.priors import (
     prior_from_masses,
     rows_admit,
 )
+from relbound.seeding import entropy_words
 from relbound.solver import feasible_vertices, solve
 
 
@@ -127,6 +129,14 @@ class TestSimulate:
         with pytest.raises(ValueError, match=message):
             simulate_demands(0.1, n, seed)
 
+    @pytest.mark.parametrize("seed", [0, 42, 2**40])
+    def test_stream_is_seed_sequence_pcg64(self, seed):
+        n, pfd = 500, 0.3
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        fails = rng.random(n) < pfd
+        want = tuple((i + 1, "fail" if fails[i] else "pass") for i in range(n))
+        assert simulate_demands(pfd, n, seed).records == want
+
 
 class TestSampler:
     def test_unique_feasible_prior(self):
@@ -161,6 +171,48 @@ class TestSampler:
         grid = build_grid(constraints, resolution=100)
         with pytest.raises(SamplingFailureError):
             sample_feasible_prior(constraints, grid, 0, max_attempts=20)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (True, "seed must be an integer count, got True"),
+            (-1, "seed must be at least 0, got -1"),
+            (2.5, "seed must be an integer count, got 2.5"),
+            ("3", "seed must be an integer count, got '3'"),
+        ],
+    )
+    def test_seed_must_be_a_count(self, seed, message):
+        constraints = [MeanBound(0.3)]
+        grid = build_grid(constraints, resolution=50)
+        with pytest.raises(ValueError, match=message):
+            sample_feasible_prior(constraints, grid, seed)
+        # checked before any block runs, and wherever the seed sits
+        for sample in (sample_feasible_priors, sample_feasible_masses):
+            with pytest.raises(ValueError, match=message):
+                sample(constraints, grid, [0] * 150 + [seed])
+
+    @pytest.mark.parametrize(
+        "max_attempts, message",
+        [
+            (0, "max_attempts must be at least 1, got 0"),
+            (True, "max_attempts must be an integer count, got True"),
+            (1.5, "max_attempts must be an integer count, got 1.5"),
+        ],
+    )
+    def test_max_attempts_must_be_a_count(self, max_attempts, message):
+        constraints = [MeanBound(0.3)]
+        grid = build_grid(constraints, resolution=50)
+        with pytest.raises(ValueError, match=message):
+            sample_feasible_priors(constraints, grid, [0], max_attempts)
+
+    def test_integral_float_counts(self):
+        constraints = [MeanBound(0.3)]
+        grid = build_grid(constraints, resolution=50)
+        assert sample_feasible_prior(constraints, grid, 2.0, 20.0) == sample_feasible_prior(
+            constraints, grid, 2, 20
+        )
+        with pytest.raises(SamplingFailureError, match="found in 3 attempts"):
+            sample_feasible_prior([ConfidenceBound(0.1, 0.9), MeanBound(0.005)], grid, 0, 3.0)
 
 
 class TestConservatism:
@@ -670,6 +722,16 @@ class TestLockStepSampler:
         )
         assert self._assert_matches_reference(constraints, PfdGrid(points), list(range(30))) == 0
         assert batch_sizes and all(m <= len(points) for _, m in batch_sizes)
+
+    def test_seeds_of_many_words_share_a_block(self):
+        # 1-, 2- and 5-word seeds: SeedSequence mixes a fifth word past its
+        # pool, so the block's stream seeding runs in two passes
+        constraints = (MeanBound(0.02), ConfidenceBound(1e-3, 0.5))
+        grid = build_grid(constraints, resolution=150)
+        seeds = [3, 2**32 + 3, 2**130 + 3, 0, 2**64 - 1, 2**159 - 1, 2**32, 2**128, 11]
+        assert {len(entropy_words(seed)) for seed in seeds} == {1, 2, 5}
+        assert len(seeds) <= operational.SAMPLER_BLOCK
+        assert self._assert_matches_reference(constraints, grid, seeds) == 0
 
     def test_failures_and_successes_share_a_block(self):
         # tight enough that a few attempts often fail and sometimes succeed

@@ -88,3 +88,25 @@ def test_oracle_pool(tmp_path):
     assert lines[-1][3:] == [pool_hash.hexdigest(), "3"]
     # given alone, --oracle runs only its own pool
     assert _run("--oracle", "--limit", "3").splitlines() == [" ".join(line) for line in lines[4:]]
+
+
+def test_audit_seeds_pool(tmp_path):
+    dump = tmp_path / "outputs.json"
+    args = ("--audit-seeds", "--workload", "audit", "--limit", "7", "--dump", str(dump))
+    lines = [line.split() for line in _run(*args).splitlines()]
+    # beside a workload, --audit-seeds adds its pool over the same audit inputs
+    assert [line[0] for line in lines] == ["audit"] * 8 + ["audit-seeds"] * 8
+    assert [line[2] for line in lines[8:-1]] == [line[2] for line in lines[:7]]
+    outputs = json.loads(dump.read_text())
+    pool_hash = hashlib.sha256()
+    for (workload, seed, inst_id, sha), audited in zip(lines[8:-1], lines[:7]):
+        doc = outputs["audit-seeds"][seed][inst_id]
+        assert sha == hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert "raised" in doc or len(doc["records"]) == doc["trials"] == 100
+        # the same input at another audit seed draws other trials
+        assert "raised" in doc or sha != audited[3]
+        pool_hash.update(f"{workload} {seed} {inst_id} {sha}\n".encode())
+    assert lines[-1][3:] == [pool_hash.hexdigest(), "7"]
+    # given alone, --audit-seeds runs only its own pool
+    alone = _run("--audit-seeds", "--limit", "7").splitlines()
+    assert alone == [" ".join(line) for line in lines[8:]]

@@ -13,7 +13,8 @@ written so that they read back bit for bit):
 * audit: the conservatism report's ``to_dict()``;
 * gsn-case: the goal status map, plus each bound claim's own solve;
 * extreme: the solve's ``to_dict()``;
-* oracle: the sub-grid oracle's ``to_dict()``.
+* oracle: the sub-grid oracle's ``to_dict()``;
+* audit-seeds: the conservatism report's ``to_dict()``.
 
 An op that raises a relbound error records its type and message instead;
 any other exception stops the run. Two
@@ -27,13 +28,17 @@ The pools come from ``benchmark/workloads.py``, which is only imported.
 the edges of every parameter's range (see ``extreme_cases``). ``--oracle``
 adds a pool named ``oracle``: for each solve-mix input, ``oracle_solve``
 on the sub-grid that ``benchmark/checks.py`` (also only imported) builds
-around the solve's witness, as its ``check_solve`` runs it. Given alone,
-either runs only its own pool.
+around the solve's witness, as its ``check_solve`` runs it.
+``--audit-seeds`` adds a pool named ``audit-seeds``: each audit input,
+its audit seed replaced in turn by one of ``AUDIT_SEEDS``, so the trial
+seed hash sees entropy of every length from 2 to 8 words. Given alone,
+each of these flags runs only its own pool.
 
     python3 tools/output_digest.py --workload solve-mix --seed 5 --seed 7
     python3 tools/output_digest.py --limit 3 --dump outputs.json
     python3 tools/output_digest.py --extreme 4000
     python3 tools/output_digest.py --oracle --seed 312 --dump oracle.json
+    python3 tools/output_digest.py --audit-seeds --seed 5 --seed 7
 """
 
 from __future__ import annotations
@@ -76,6 +81,11 @@ EXTREME_N = (1, 10, 100, 10**4, 10**6, 10**9)
 EXTREME_P_REQ = (1e-9, 1e-4, 0.5)
 EXTREME_T = (0, 10, 10**6)
 EXTREME_RESOLUTIONS = (50, 200, 500)
+
+#: the audit-seeds pool's audit seeds: 1, 1, 2, 3, 4, 5 and 7 words, so
+#: ``[seed, trial index]`` runs from 2 words (inside SeedSequence's pool)
+#: to 8 (four words mixed in past it)
+AUDIT_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 1, 2**96 + 1, 2**128 + 1, 2**200 + 1)
 
 
 def _solve_doc(constraints, obs, objective, resolution) -> dict:
@@ -163,6 +173,16 @@ def oracle_outputs(seed: int, limit: int | None = None):
             yield inst.id, _raised(exc)
 
 
+def audit_seed_outputs(seed: int, limit: int | None = None):
+    """Yield ``(input id, output document)`` for each audit input, the
+    ``i``-th run at audit seed ``AUDIT_SEEDS[i % len(AUDIT_SEEDS)]``."""
+    for index, inst in enumerate(wl.WORKLOADS["audit"].make_pool(random.Random(seed))[:limit]):
+        constraints, objective, obs, _ = inst.args
+        audit_seed = AUDIT_SEEDS[index % len(AUDIT_SEEDS)]
+        wide = wl.Instance(inst.id, (constraints, objective, obs, audit_seed), inst.structure)
+        yield inst.id, op_output("audit", wide)
+
+
 def canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True)
 
@@ -188,15 +208,21 @@ def main(argv=None) -> int:
     parser.add_argument("--oracle", action="store_true",
                         help="also run the sub-grid oracle on each solve-mix input "
                         "(alone: only those)")
+    parser.add_argument("--audit-seeds", action="store_true",
+                        help="also run each audit input at a seed of 1 to 7 words "
+                        "(alone: only those)")
     args = parser.parse_args(argv)
+    alone = args.extreme or args.oracle or args.audit_seeds
     pools = [
         (workload, lambda seed, w=workload: pool_outputs(w, seed, args.limit))
-        for workload in args.workload or ([] if args.extreme or args.oracle else WORKLOAD_NAMES)
+        for workload in args.workload or ([] if alone else WORKLOAD_NAMES)
     ]
     if args.extreme:
         pools.append(("extreme", lambda seed: extreme_outputs(seed, args.extreme)))
     if args.oracle:
         pools.append(("oracle", lambda seed: oracle_outputs(seed, args.limit)))
+    if args.audit_seeds:
+        pools.append(("audit-seeds", lambda seed: audit_seed_outputs(seed, args.limit)))
     dump: dict = {}
     for workload, outputs_of in pools:
         for seed in args.seed or [5]:
