@@ -9,6 +9,7 @@ evaluates against operational data.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -273,46 +274,24 @@ def evaluate_case(
         raise ValueError("case is not well formed: " + "; ".join(str(v) for v in violations))
     nodes = case.node_map()
     children = case.children()
-    memo: dict[str, str] = {}
-    next_child: dict[str, int] = {}
-
-    def status_of(node_id: str) -> str:
-        # depth first, children in edge order, and the first child that is
-        # not satisfied settles its parent; the pending nodes sit on an
-        # explicit stack, so no depth reaches the recursion limit
-        stack = [node_id]
-        while stack:
-            current = stack[-1]
-            node = nodes[current]
-            if current in memo:
-                stack.pop()
-            elif node.kind not in ("goal", "strategy"):
-                # annotations never gate satisfaction, and away-goals were
-                # resolved against the registry during validation
-                memo[current] = SATISFIED
-            elif node.kind == "goal" and node.claim_binding is not None:
-                memo[current] = _evaluate_binding(node.claim_binding, obs, resolution)
-            elif node.kind == "goal" and node.undeveloped:
-                memo[current] = UNDEVELOPED
-            else:  # a strategy, or a goal argued through its children
-                kids = children.get(current, [])
-                i = next_child.get(current, 0)
-                while i < len(kids) and memo.get(kids[i]) == SATISFIED:
-                    i += 1
-                next_child[current] = i
-                if i == len(kids):
-                    memo[current] = SATISFIED
-                elif kids[i] in memo:
-                    memo[current] = UNSATISFIED
-                else:
-                    stack.append(kids[i])
-        return memo[node_id]
-
-    statuses: dict[str, str] = {}
-    for node in case.nodes:
-        if node.kind == "goal":
-            statuses[node.id] = status_of(node.id)
-    return statuses
+    status: dict[str, str] = {}
+    # children first; ``validate`` has refused cycles
+    for node_id in graphlib.TopologicalSorter(
+        {node_id: children.get(node_id, []) for node_id in nodes}
+    ).static_order():
+        node = nodes[node_id]
+        if node.kind not in ("goal", "strategy"):
+            # annotations never gate satisfaction, and away-goals were
+            # resolved against the registry during validation
+            status[node_id] = SATISFIED
+        elif node.kind == "goal" and node.claim_binding is not None:
+            status[node_id] = _evaluate_binding(node.claim_binding, obs, resolution)
+        elif node.kind == "goal" and node.undeveloped:
+            status[node_id] = UNDEVELOPED
+        else:  # a strategy, or a goal argued through its children
+            supported = all(status[kid] == SATISFIED for kid in children.get(node_id, []))
+            status[node_id] = SATISFIED if supported else UNSATISFIED
+    return {node.id: status[node.id] for node in case.nodes if node.kind == "goal"}
 
 
 def _evaluate_binding(claim: QuantClaim, obs: Observation, resolution: int) -> str:

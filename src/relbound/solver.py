@@ -13,10 +13,10 @@ structure of the continuum problem.
 vertices of the constraint polytope restricted to every support of up to
 (constraints + 1) points, without going through the ratio transformation
 or the simplex. It shares its vertex enumerator, ``feasible_vertices``,
-with the audit's prior sampler, and judges and scores vertices as
-``solve`` judges and scores its candidates: masses cleaned by
-``drop_roundoff``, admitted by ``rows_admit`` and valued by the batched
-posterior scorer.
+with the audit's prior sampler, and judges and ranks vertices as
+``solve`` judges and ranks its candidates: masses cleaned by
+``drop_roundoff``, admitted by ``rows_admit`` and ranked by
+``_keep_best``. Both finish with ``_result``.
 
 Likelihood scaling: the posterior ratio is invariant under a common
 rescaling of the likelihood vector, but a single scaling cannot make a
@@ -42,8 +42,9 @@ masses, so the ratio LP starts from that feasible basis and runs no
 phase 1 of its own, unless roundoff makes the basis singular or
 infeasible there. Every candidate witness loses its roundoff masses
 (``drop_roundoff``), must pass ``rows_admit`` on the solve's own rows,
-and is re-valued exactly on its own support; the most conservative
-certified candidate wins.
+and stays a ``(support, masses)`` row that the batched posterior scorer
+values exactly on its own support. The most conservative candidate
+wins, and only the winner is built as a prior and re-valued.
 """
 
 from __future__ import annotations
@@ -403,19 +404,49 @@ def _window_masses(
     return x / total
 
 
-def _witness_from_masses(rows, points, x) -> PriorDistribution | None:
-    """The prior ``drop_roundoff`` leaves of grid masses ``x``, if
-    ``rows_admit`` accepts it on its carried points; otherwise None."""
+def _admitted_row(rows, x) -> tuple[np.ndarray, np.ndarray] | None:
+    """The row ``(support, masses)`` that ``drop_roundoff`` leaves of grid
+    masses ``x``, over its carried points, if ``rows_admit`` accepts it;
+    otherwise None."""
     (masses,), (kept,) = drop_roundoff(x[None])
     support = np.flatnonzero(masses)
     if not kept or not rows_admit(rows, support[None], masses[None, support])[0]:
         return None
-    return carried_prior(points, support, masses[support])
+    return support, masses[support]
 
 
-def _status_for(witness: PriorDistribution, constraints, objective) -> str:
-    pinned = set(forced_grid_points(constraints, objective))
-    return STATUS_OPTIMAL if set(witness.support) <= pinned else STATUS_GRID_LIMITED
+def _keep_best(best, log_lik, gains, supports, masses, obs, maximize):
+    """The most conservative of ``best`` and the rows ``(supports, masses)``.
+
+    ``best`` is None or ``(value, support, masses)``, and so is the
+    result. Rows are valued by ``_posterior_ratio`` over the grid's
+    ``log_lik`` and ``gains``; a row with no evidence (NaN) is skipped, and
+    on a tie the earlier row stays.
+    """
+    values, _ = _posterior_ratio(log_lik[supports], gains[supports], masses, obs)
+    if np.isnan(values).all():
+        return best
+    idx = int(np.nanargmax(values) if maximize else np.nanargmin(values))
+    if best is None or (values[idx] > best[0] if maximize else values[idx] < best[0]):
+        return values[idx], supports[idx], masses[idx]
+    return best
+
+
+def _result(constraints, obs, objective, grid, witness=None) -> CbiResult:
+    """The infeasible result without a ``witness``; otherwise the prior that
+    the winning row ``witness = (support, masses)`` carries, re-valued by
+    ``posterior_value`` on those carried points alone (an oracle row can
+    hold masses that ``drop_roundoff`` set to zero). It is optimal when
+    its support holds only the points the constraints and objective force
+    onto every grid."""
+    if witness is None:
+        prior, bound, status = None, None, STATUS_INFEASIBLE
+    else:
+        prior = carried_prior(grid.as_array(), *witness)
+        bound = posterior_value(prior, obs, objective)
+        pinned = set(forced_grid_points(constraints, objective))
+        status = STATUS_OPTIMAL if set(prior.support) <= pinned else STATUS_GRID_LIMITED
+    return CbiResult(bound, prior, objective, obs, len(grid), status)
 
 
 def solve(
@@ -429,19 +460,12 @@ def solve(
     points = grid.as_array()
     rows = constraint_rows(constraints, points)
     if max_mean_prior(points, rows) is None:
-        return CbiResult(
-            bound=None,
-            witness=None,
-            objective=objective,
-            observation=obs,
-            grid_resolution=len(grid),
-            solver_status=STATUS_INFEASIBLE,
-        )
+        return _result(constraints, obs, objective, grid)
     log_lik = log_likelihood_vector(points, obs)
     gains = objective_gain(objective, points)
     maximize = objective.direction == CONSERVATIVE_MAX
 
-    best: tuple[float, PriorDistribution] | None = None
+    best = None
     anchors = _anchor_shifts(constraints, rows, objective, obs, points, log_lik)
     latest = _LatestPhaseOne()
     for anchor in anchors:
@@ -449,31 +473,17 @@ def solve(
         if window is None:
             continue
         x = _window_masses(window, maximize, latest)
-        if x is None:
-            continue
-        witness = _witness_from_masses(rows, points, x)
-        if witness is None:
-            continue
-        try:
-            bound = posterior_value(witness, obs, objective)
-        except ZeroEvidenceError:
-            continue
-        if best is None or (bound > best[0] if maximize else bound < best[0]):
-            best = (bound, witness)
+        row = None if x is None else _admitted_row(rows, x)
+        if row is not None:
+            # scored on its own: padded rows of a batch can round differently
+            support, masses = row
+            best = _keep_best(best, log_lik, gains, support[None], masses[None], obs, maximize)
     if best is None:
         raise ZeroEvidenceError(
             f"no prior admitted by the constraints gives observation "
             f"n={obs.n}, k={obs.k} positive probability"
         )
-    bound, witness = best
-    return CbiResult(
-        bound=bound,
-        witness=witness,
-        objective=objective,
-        observation=obs,
-        grid_resolution=len(grid),
-        solver_status=_status_for(witness, constraints, objective),
-    )
+    return _result(constraints, obs, objective, grid, best[1:])
 
 
 #: supports per ``feasible_vertices`` call in ``oracle_solve``
@@ -495,10 +505,11 @@ def oracle_solve(
     support it keeps only the systems with no zero-mass row: a vertex with
     a zero mass is found again on the smaller support. Each chunk's
     vertices go through ``drop_roundoff``; those that ``rows_admit``
-    accepts are scored by ``_posterior_ratio``, and the best one's carried
-    points are the witness. With no admitted vertex the constraints are
-    infeasible on the grid; with admitted vertices but none that gives the
-    observation positive probability, ``ZeroEvidenceError`` is raised.
+    accepts are ranked by ``_keep_best``, as ``solve`` ranks its window
+    candidates, and the winner's carried points are the witness. With no
+    admitted vertex the constraints are infeasible on the grid; with
+    admitted vertices but none that gives the observation positive
+    probability, ``ZeroEvidenceError`` is raised.
     """
     points = coarse_grid.as_array()
     n_pts = points.size
@@ -512,7 +523,7 @@ def oracle_solve(
     gains = objective_gain(objective, points)
     maximize = objective.direction == CONSERVATIVE_MAX
 
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
+    best = None
     saw_feasible = False
     for m in range(1, cap + 1):
         combos = itertools.chain.from_iterable(itertools.combinations(range(n_pts), m))
@@ -522,41 +533,18 @@ def oracle_solve(
             masses, admitted = drop_roundoff(masses)
             supports = supports[owners]  # one row per vertex
             admitted[admitted] = rows_admit(rows, supports[admitted], masses[admitted])
-            if not admitted.any():
-                continue
-            saw_feasible = True
-            supports, masses = supports[admitted], masses[admitted]
-            values, _ = _posterior_ratio(log_lik[supports], gains[supports], masses, obs)
-            if np.isnan(values).all():  # no admitted vertex has evidence
-                continue
-            idx = int(np.nanargmax(values) if maximize else np.nanargmin(values))
-            if best is None or (values[idx] > best[0] if maximize else values[idx] < best[0]):
-                best = (values[idx], supports[idx], masses[idx])
+            if admitted.any():
+                saw_feasible = True
+                best = _keep_best(
+                    best, log_lik, gains, supports[admitted], masses[admitted], obs, maximize
+                )
 
-    if best is None:
-        if saw_feasible:
-            raise ZeroEvidenceError(
-                f"no admissible prior gives observation n={obs.n}, k={obs.k} "
-                "positive probability"
-            )
-        return CbiResult(
-            bound=None,
-            witness=None,
-            objective=objective,
-            observation=obs,
-            grid_resolution=len(coarse_grid),
-            solver_status=STATUS_INFEASIBLE,
+    if best is None and saw_feasible:
+        raise ZeroEvidenceError(
+            f"no admissible prior gives observation n={obs.n}, k={obs.k} "
+            "positive probability"
         )
-    witness = carried_prior(points, best[1], best[2])
-    bound = posterior_value(witness, obs, objective)
-    return CbiResult(
-        bound=bound,
-        witness=witness,
-        objective=objective,
-        observation=obs,
-        grid_resolution=len(coarse_grid),
-        solver_status=_status_for(witness, constraints, objective),
-    )
+    return _result(constraints, obs, objective, coarse_grid, None if best is None else best[1:])
 
 
 @functools.lru_cache(maxsize=None)

@@ -362,6 +362,46 @@ def test_gsn_render_deterministic_bytes(files, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+
+def test_gsn_render_invalid_case_lists_violations(files, capsys):
+    write, _ = files
+    case = write_json(
+        write,
+        "case.json",
+        {
+            "root": "G1",
+            "nodes": [
+                {"id": "G1", "kind": "goal", "statement": "safe"},
+                {"id": "S1", "kind": "strategy", "statement": "argue"},
+                {"id": "G2", "kind": "goal", "statement": "reliable"},
+            ],
+            "supported_by": [["G1", "S1"]],
+        },
+    )
+    assert main(["gsn", "render", "--case", case]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "[unsupported-goal] G2: goal is neither undeveloped nor supported by a strategy or solution",
+        "[childless-strategy] S1: strategy supports no goals",
+    ]
+
+
+def test_gsn_evaluate_needs_an_observation(files, capsys):
+    write, _ = files
+    case = write_json(
+        write,
+        "case.json",
+        {
+            "root": "G1",
+            "nodes": [{"id": "G1", "kind": "goal", "statement": "safe", "undeveloped": True}],
+        },
+    )
+    assert main(["gsn", "evaluate", "--case", case]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: gsn evaluate needs --observation\n"
+
 def test_gsn_evaluate(files, capsys):
     write, _ = files
     case = write_json(

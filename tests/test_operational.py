@@ -87,6 +87,18 @@ class TestLogIo:
         with pytest.raises(ParseError, match=":3"):
             load_demand_log(str(path))
 
+    def test_blank_line_between_records_is_skipped(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("index,outcome\n1,pass\n\n2,fail\n")
+        assert ingest(load_demand_log(str(path))) == Observation(n=2, k=1)
+
+    def test_extra_field_reports_line_and_count(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("index,outcome\n1,pass\n2,fail,late\n")
+        with pytest.raises(ParseError) as err:
+            load_demand_log(str(path))
+        assert str(err.value) == f"{path}:3: expected 2 fields, got 3"
+
 
 class TestSimulate:
     def test_zero_pfd_never_fails(self):

@@ -30,6 +30,7 @@ from relbound.priors import (
     PriorDistribution,
     PriorReliability,
     build_grid,
+    carried_prior,
     constraint_rows,
     forced_grid_points,
     homogeneous_ub,
@@ -262,6 +263,83 @@ class TestOracleAdmission:
         self.stub_vertices(monkeypatch, {**vertices, (0,): [[1.0]]})
         with pytest.raises(ZeroEvidenceError):
             oracle_solve(*args)
+
+
+class TestKeepBest:
+    """``_keep_best``, the one ranking rule of ``solve`` and ``oracle_solve``."""
+
+    # one failure in ten demands: pfd 0 carries no evidence, 0.2 and 0.5 do
+    POINTS = np.array([0.0, 0.2, 0.5])
+    OBS = Observation(10, 1)
+
+    def keep(self, best, supports, masses, maximize):
+        return solver._keep_best(
+            best,
+            log_likelihood_vector(self.POINTS, self.OBS),
+            objective_gain(PosteriorExpectedPfd(), self.POINTS),
+            np.array(supports, dtype=np.intp),
+            np.array(masses, dtype=float),
+            self.OBS,
+            maximize,
+        )
+
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_tie_keeps_the_earlier_row(self, maximize):
+        # both rows score exactly 0.2: the second's mass on pfd 0 has no evidence
+        alone, diluted = ([1, 2], [1.0, 0.0]), ([0, 1], [0.5, 0.5])
+        for first, second in ((alone, diluted), (diluted, alone)):
+            rows = [first[0], second[0]], [first[1], second[1]]
+            value, support, masses = self.keep(None, *rows, maximize)
+            assert value == 0.2
+            assert support.tolist() == first[0] and masses.tolist() == first[1]
+            best = (value, np.array(second[0]), np.array(second[1]))
+            assert self.keep(best, *rows, maximize) is best
+
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_all_nan_batch_returns_best_unchanged(self, maximize):
+        rows = [[0], [0]], [[1.0], [1.0]]
+        assert self.keep(None, *rows, maximize) is None
+        best = (0.3, np.array([2]), np.array([1.0]))
+        assert self.keep(best, *rows, maximize) is best
+
+    @pytest.mark.parametrize("maximize, winner", [(True, 2), (False, 1)])
+    def test_nan_rows_among_finite_ones_are_skipped(self, maximize, winner):
+        value, support, masses = self.keep(None, [[0], [1], [0], [2]], [[1.0]] * 4, maximize)
+        assert support.tolist() == [winner] and masses.tolist() == [1.0]
+        assert value == self.POINTS[winner]
+
+
+class TestOnePosteriorValue:
+    """Window candidates stay rows until the winner: only the result is
+    built as a prior and re-valued by ``posterior_value``."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = []
+
+        def counting(prior, obs, objective):
+            calls.append(posterior_value(prior, obs, objective))
+            return calls[-1]
+
+        monkeypatch.setattr(solver, "posterior_value", counting)
+        return calls
+
+    def test_once_per_feasible_solve(self, monkeypatch):
+        # five windows, two of which admit a candidate
+        constraints, obs, objective = TestSharedPhaseOne.INSTANCE
+        grid = build_grid(constraints, objective, 500)
+        calls = self.count_calls(monkeypatch)
+        result = solve(constraints, obs, objective, grid)
+        assert calls == [result.bound]
+        assert result.bound == posterior_value(result.witness, obs, objective)
+        result = oracle_solve(constraints, obs, objective, build_grid(constraints, objective, 20))
+        assert calls[1:] == [result.bound]
+
+    def test_none_for_an_infeasible_solve(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        constraints = [ConfidenceBound(0.1, 0.9), MeanBound(0.005)]
+        result, _ = run(constraints, Observation(10, 0), PosteriorExpectedPfd())
+        assert result.solver_status == solver.STATUS_INFEASIBLE and calls == []
 
 
 class TestSoundness:
@@ -757,7 +835,8 @@ class TestWindowBisection:
         case, _ = self._assert_matches_reference(window, True, costs)
         assert case == "no proposal"
         masses = solver._window_masses(window, True, solver._LatestPhaseOne())
-        witness = solver._witness_from_masses(constraint_rows(constraints, points), points, masses)
+        support, carried = solver._admitted_row(constraint_rows(constraints, points), masses)
+        witness = carried_prior(points, support, carried)
         assert witness.satisfies_all(constraints)
         assert witness.support == pytest.approx((0.0, 1e-12, 0.12484), rel=1e-9)
         assert posterior_value(witness, obs, objective) == pytest.approx(0.12484, rel=1e-9)
