@@ -52,6 +52,7 @@ from .priors import (
     carried_prior,
     constraint_rows,
     drop_roundoff,
+    equality_cuts,
     rows_admit,
 )
 from .solver import feasible_vertices, solve
@@ -125,17 +126,11 @@ def simulate_demands(true_pfd: float, n: int, seed: int) -> DemandLog:
     return DemandLog(records)
 
 
-def _equality_cuts(rows) -> list[tuple[int, float]]:
-    """``(cut, rhs)`` for every ``"eq"`` row, in row order: the row is the
-    0/1 indicator of the sorted grid's first ``cut`` points."""
-    return [(int(np.count_nonzero(row.coeffs)), row.rhs) for row in rows if row.sense == "eq"]
-
-
 def _seed_support(cuts, n_pts: int, rng: np.random.Generator, size: int):
     """Random support indices into an ``n_pts``-point grid, always including
     a representative for every region an equality row pins mass into.
 
-    ``cuts`` are the equality rows' ``(cut, rhs)``, as ``_equality_cuts``
+    ``cuts`` are the equality rows' ``(cut, rhs)``, as ``equality_cuts``
     reads them; a grid starts at 0, so a row's prefix is never empty. A
     representative is drawn inside the prefix when the row asks for mass
     there, and past it when it leaves mass outside.
@@ -184,7 +179,7 @@ def sample_feasible_masses(
     max_attempts = as_count(max_attempts, "max_attempts", least=1)
     points = grid.as_array()
     rows = constraint_rows(constraints, points)
-    cuts = _equality_cuts(rows)
+    cuts = equality_cuts(rows)
     return (
         _sample_block(rows, cuts, points.size, seeds[start : start + SAMPLER_BLOCK], max_attempts)
         for start in range(0, len(seeds), SAMPLER_BLOCK)

@@ -334,6 +334,12 @@ def constraint_rows(
     return rows
 
 
+def equality_cuts(rows: Sequence[ConstraintRow]) -> list[tuple[int, float]]:
+    """``(cut, rhs)`` for every ``"eq"`` row, in row order: the row is the
+    0/1 indicator of the sorted grid's first ``cut`` points."""
+    return [(int(np.count_nonzero(row.coeffs)), row.rhs) for row in rows if row.sense == "eq"]
+
+
 def rows_admit(
     rows: Sequence[ConstraintRow], supports: np.ndarray, masses: np.ndarray
 ) -> np.ndarray:

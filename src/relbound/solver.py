@@ -26,15 +26,15 @@ rank coefficients across such spans. The solver therefore works in
 likelihood windows anchored wherever a worst-case prior can concentrate
 its evidence: the grid maximum, every constraint threshold, the deepest
 feasible single-atom placement, and the deepest satisfiable dominance
-level (found by bisection over feasibility programs, each reduced to one
-point per run of equal equality-row coefficients). Within a window,
-points below the live band keep evidence-free columns so constrained
-mass can park there, and points above it are excluded (priors with mass
-there belong to a higher window). The window's ratio LP proposes a
-bound; sign-test programs — whose coefficients multiply the likelihood
-and therefore stay order one — certify it, falling back to bisection on
-the bound when the proposal does not verify or roundoff leaves none, and
-their solution is the witness. The sign tests' phase 1 runs before the
+level (read off the rows' structure, with one ``rows_admit`` call over
+every level and no simplex). Within a window, points below the live
+band keep evidence-free columns so constrained mass can park there, and
+points above it are excluded (priors with mass there belong to a higher
+window). The window's ratio LP proposes a bound; sign-test programs —
+whose coefficients multiply the likelihood and therefore stay order one
+— certify it, falling back to bisection on the bound when the proposal
+does not verify or roundoff leaves none, and their solution is the
+witness. The sign tests' phase 1 runs before the
 ratio LP, once per set of kept columns: the program depends on nothing
 else, and windows that keep the same columns come in a row, so each
 reuses the latest window's. Both programs range over the same cone of
@@ -78,11 +78,11 @@ from .priors import (
     check_feasible,  # noqa: F401  importable from here, though solve does not call it
     constraint_rows,
     drop_roundoff,
+    equality_cuts,
     forced_grid_points,
     homogeneous_ub,
     max_mean_prior,
     rows_admit,
-    rows_as_ub,
     threshold_points,
 )
 from .simplex import LpResult, solve_lp
@@ -146,53 +146,41 @@ def _deepest_dominant_level(rows, log_lik: np.ndarray) -> float | None:
     """The lowest likelihood level L such that the constraints are satisfiable
     with every atom at likelihood <= L. The evidence-dominant atom of a
     worst-case prior can sink exactly this deep, so it is a window anchor.
-    Monotone in L, hence found by bisection over the grid's levels.
 
-    Each probe keeps one point per indicator run: a maximal stretch of
-    consecutive grid points on which every ``"eq"`` row has the same
-    coefficient. The grid is sorted ascending, and this relies on every
-    ``"le"`` row being non-decreasing along it. Moving a run's mass onto
-    its first masked point then keeps the ``"eq"`` rows and lowers the
-    ``"le"`` rows, so a mask is feasible exactly when its run
-    representatives are, and each probe has one column per run. The rows
-    are stacked once; a probe takes its columns from that stack.
+    It is read off the rows. Every ``"eq"`` row is the indicator of a grid
+    prefix, so the rows fix each run's mass, where a run is the stretch of
+    grid between consecutive cuts (the first row of each cut wins, and
+    ``rows_admit`` judges repeats). Every ``"le"`` row is non-decreasing
+    along the sorted grid, so at level L a run's mass is best placed on
+    its first point with ``log_lik <= L``; zero-likelihood points qualify
+    at every level. A run holding at most ``MASS_TOL`` may stay empty, as
+    ``rows_admit`` lets each row miss by that much. One ``rows_admit``
+    call then decides every level. With none admitted, the top level is
+    returned: it keeps every point, and ``solve`` has already found the
+    whole grid feasible.
     """
     levels = np.unique(log_lik[np.isfinite(log_lik)])
     if levels.size == 0:
         return None
-    eq_coeffs = [r.coeffs for r in rows if r.sense == "eq"]
-    run_id = np.zeros(log_lik.size, dtype=np.intp)
-    if eq_coeffs:
-        steps = np.any(np.diff(np.stack(eq_coeffs), axis=1) != 0.0, axis=0)
-        run_id[1:] = np.cumsum(steps)
-    a_ub, b_ub = rows_as_ub(rows)
-
-    def feasible_at(level: float) -> bool:
-        """Is the constraint set satisfiable with all mass at or below ``level``?"""
-        idx = np.nonzero(log_lik <= level)[0]
-        idx = idx[np.diff(run_id[idx], prepend=-1) != 0]
-        result = solve_lp(
-            np.zeros(idx.size),
-            a_ub=a_ub[:, idx] if a_ub.size else None,
-            b_ub=b_ub if a_ub.size else None,
-            a_eq=np.ones((1, idx.size)),
-            b_eq=np.ones(1),
-        )
-        return result.status == "optimal"
-
-    # zero-likelihood points are admissible at every level, so the mask
-    # log_lik <= level keeps them throughout. At the top level it keeps
-    # every point, and ``solve`` has already found the whole grid feasible
-    lo, hi = 0, levels.size - 1  # invariant: feasible at hi
-    if feasible_at(levels[lo]):
-        return float(levels[lo])
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible_at(levels[mid]):
-            hi = mid
-        else:
-            lo = mid
-    return float(levels[hi])
+    first_rhs: dict[int, float] = {}
+    for cut, rhs in equality_cuts(rows):
+        first_rhs.setdefault(cut, rhs)
+    cuts = sorted(first_rhs)
+    bounds = [0, *cuts, log_lik.size]
+    run_mass = np.maximum(np.diff([0.0, *(first_rhs[c] for c in cuts), 1.0]), 0.0)
+    supports = np.empty((levels.size, len(run_mass)), dtype=np.intp)
+    masses = np.empty(supports.shape)
+    admitted = np.ones(levels.size, dtype=bool)
+    for r, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        deepest = -np.minimum.accumulate(log_lik[start:stop])
+        first = start + np.searchsorted(deepest, -levels)
+        present = first < stop
+        if run_mass[r] > MASS_TOL:
+            admitted &= present
+        supports[:, r] = np.where(present, first, 0)
+        masses[:, r] = np.where(present, run_mass[r], 0.0)
+    admitted[admitted] = rows_admit(rows, supports[admitted], masses[admitted])
+    return float(levels[np.argmax(admitted)] if admitted.any() else levels[-1])
 
 
 def _anchor_shifts(constraints, rows, objective, obs, points, log_lik) -> list[float]:
@@ -581,8 +569,9 @@ def feasible_vertices(rows, supports: np.ndarray, exact_support: bool = False):
     streams depend. Every vertex system is a row selection from its
     support's stacked matrix ``[1; rows; eye(m)]``, so one batched
     determinant, one batched solve and one batched admissibility check
-    cover every support's systems. An ``"eq"`` row repeated exactly is
-    stacked once, since a repeat would make every square system singular.
+    cover every support's systems. An ``"eq"`` row repeated exactly (the
+    same ``equality_cuts`` entry) is stacked once, since a repeat would
+    make every square system singular.
 
     ``exact_support`` keeps only the systems with no zero-mass row. That
     suffices for ``oracle_solve``, which runs over every smaller support
@@ -590,7 +579,8 @@ def feasible_vertices(rows, supports: np.ndarray, exact_support: bool = False):
     """
     supports = np.asarray(supports, dtype=np.intp)
     count, m = supports.shape
-    eq_rows = list({(r.rhs, r.coeffs.tobytes()): r for r in rows if r.sense == "eq"}.values())
+    eq_rows = [r for r in rows if r.sense == "eq"]
+    eq_rows = list(dict(zip(equality_cuts(rows), eq_rows)).values())
     ineq_rows = [r for r in rows if r.sense != "eq"]
     ordered = eq_rows + ineq_rows
     stack = np.concatenate(

@@ -20,7 +20,6 @@ from relbound.inference import (
 )
 from relbound.operational import (
     DemandLog,
-    _equality_cuts,
     _seed_support,
     check_conservatism,
     ingest,
@@ -41,6 +40,7 @@ from relbound.priors import (
     PriorReliability,
     build_grid,
     constraint_rows,
+    equality_cuts,
     prior_from_masses,
     rows_admit,
 )
@@ -494,7 +494,7 @@ class TestSeedSupport:
                     size = len(constraints) + 1 + seed % 2
                     draws = [np.random.Generator(np.random.PCG64(seed)) for _ in range(2)]
                     rows = constraint_rows(constraints, points)
-                    got = _seed_support(_equality_cuts(rows), points.size, draws[0], size)
+                    got = _seed_support(equality_cuts(rows), points.size, draws[0], size)
                     want = _reference_seed_support(constraints, points, draws[1], size)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
                     assert draws[0].bit_generator.state == draws[1].bit_generator.state
@@ -512,7 +512,7 @@ class TestFeasibleVertices:
             points = build_grid(constraints, resolution=150).as_array()
             size = len(constraints) + 1 + int(rng.integers(0, 3))
             rows = constraint_rows(constraints, points)
-            support = _seed_support(_equality_cuts(rows), points.size, rng, size)
+            support = _seed_support(equality_cuts(rows), points.size, rng, size)
             for exact_support in (False, True):
                 got = _vertex_list(rows, support, exact_support)
                 want = _reference_feasible_vertices(constraints, points, support, exact_support)
@@ -634,7 +634,7 @@ def _reference_sample_feasible_prior(constraints, grid, seed, max_attempts=opera
     size_base = len(constraints) + 1
     for _ in range(max_attempts):
         size = size_base + int(rng.integers(0, 2))
-        support = _seed_support(_equality_cuts(rows), points.size, rng, size)
+        support = _seed_support(equality_cuts(rows), points.size, rng, size)
         vertices = _vertex_list(rows, support)
         if not vertices:
             continue
