@@ -618,14 +618,17 @@ def _random_constraint(rng: random.Random, kind: str):
     return PriorReliability(int(10 ** rng.uniform(0, 6)), unit())
 
 
-def _level_instances(kinds, count, low, high):
+def _level_instances(kinds, count, low, high, all_fail=False):
     """``count`` seeded ``(constraints, rows, log_lik)`` of the kind set
-    ``kinds``, on grids built at resolutions from ``low`` to ``high``."""
+    ``kinds``, on grids built at resolutions from ``low`` to ``high``. With
+    ``all_fail``, every demand failed (k = n): then pfd 1 is the likeliest
+    point, and the grid's top run can hold no point at a low level."""
     rng = random.Random("+".join(kinds))
     for i in range(count):
         constraints = [_random_constraint(rng, kind) for kind in kinds]
         n = int(10 ** rng.uniform(1, 7))
         k = 0 if i % 2 == 0 else rng.randint(1, min(n, 60))
+        k = n if all_fail else k
         resolution = round(10 ** rng.uniform(math.log10(low), math.log10(high)))
         points = build_grid(constraints, None, resolution).as_array()
         rows = constraint_rows(constraints, points)
@@ -634,13 +637,15 @@ def _level_instances(kinds, count, low, high):
 
 class TestDeepestDominantLevel:
     """The level is read off the rows with no simplex. It must equal the
-    brute-force search over every masked point per run, and never lie below
-    the simplex bisection, whose feasibility tolerance is looser than
-    ``rows_admit``'s."""
+    brute-force search over every masked point per run. On the seeded
+    instances below it never lies under the simplex bisection it replaced,
+    whose phase-1 tolerance admits more; ``rows_admit``'s absolute
+    ``MASS_TOL`` on an ``"le"`` row can admit more instead (e541)."""
 
+    @pytest.mark.parametrize("all_fail", [False, True], ids=["k<=60", "k=n"])
     @pytest.mark.parametrize("kinds", _KIND_SETS, ids=lambda k: "+".join(k) or "none")
-    def test_matches_brute_force(self, kinds):
-        for constraints, rows, log_lik in _level_instances(kinds, 12, 12, 30):
+    def test_matches_brute_force(self, kinds, all_fail):
+        for constraints, rows, log_lik in _level_instances(kinds, 12, 12, 30, all_fail):
             expected = _brute_deepest_dominant_level(rows, log_lik)
             assert solver._deepest_dominant_level(rows, log_lik) == expected, constraints
 
