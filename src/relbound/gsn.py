@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ParseError, ZeroEvidenceError, parsing
-from .inference import Observation, ObjectiveSpec, objective_from_dict, objective_to_dict
+from .inference import (
+    CONSERVATIVE_MAX,
+    Observation,
+    ObjectiveSpec,
+    objective_from_dict,
+    objective_to_dict,
+)
 from .priors import (
     DEFAULT_RESOLUTION,
     PartialPriorConstraint,
@@ -22,7 +28,10 @@ from .priors import (
     constraint_to_dict,
     constraints_from_list,
 )
-from .solver import STATUS_INFEASIBLE, solve
+from .solver import (
+    _running_best,
+    solve,  # noqa: F401  importable from here, though goals read _running_best
+)
 
 KINDS = frozenset(
     {"goal", "strategy", "solution", "context", "assumption", "justification", "away-goal"}
@@ -38,7 +47,14 @@ UNDEVELOPED = "undeveloped"
 
 @dataclass(frozen=True)
 class QuantClaim:
-    """A quantitative claim on a goal: a solver query plus a pass threshold."""
+    """A quantitative claim on a goal: a solver query plus a pass threshold.
+
+    The comparison must point the objective's conservative way: ``"<="``
+    for a maximised objective (E[pfd]) and ``">="`` for a minimised one
+    (posterior confidence, future reliability). Judged against the worst
+    case, a claim that points the other way would hold whenever some
+    admissible prior meets it.
+    """
 
     constraints: tuple[PartialPriorConstraint, ...]
     objective: ObjectiveSpec
@@ -50,6 +66,12 @@ class QuantClaim:
             raise ValueError(f"threshold must lie in [0, 1], got {self.threshold!r}")
         if self.comparison not in (">=", "<="):
             raise ValueError(f"comparison must be '>=' or '<=', got {self.comparison!r}")
+        conservative = "<=" if self.objective.direction == CONSERVATIVE_MAX else ">="
+        if self.comparison != conservative:
+            raise ValueError(
+                f"a {type(self.objective).__name__} claim must use {conservative!r}, "
+                f"got {self.comparison!r}"
+            )
 
     def holds(self, bound: float) -> bool:
         return bound >= self.threshold if self.comparison == ">=" else bound <= self.threshold
@@ -264,7 +286,8 @@ def evaluate_case(
     """Per-goal status under the observation.
 
     Goals with a claim binding are judged by the conservative bound
-    against their threshold; goals without one are satisfied only when
+    against their threshold, and a refuted claim stops its solve early
+    (see ``_evaluate_binding``); goals without one are satisfied only when
     every supporting child is (conjunctive propagation, the conservative
     reading). Undeveloped goals report their own status and do not count
     as satisfied for their parents.
@@ -295,14 +318,25 @@ def evaluate_case(
 
 
 def _evaluate_binding(claim: QuantClaim, obs: Observation, resolution: int) -> str:
+    """The goal's status from ``solve``'s running best.
+
+    The claim points the objective's conservative way, and the running
+    best only moves that way, so the first value that refutes the claim
+    (above a ``"<="`` threshold, below a ``">="`` one) refutes the bound
+    too, and no further window runs. A claim that holds runs every
+    window: its last value is the bound ``solve`` reports, which
+    re-values the same row on the same points with the same scorer.
+    """
     grid = build_grid(claim.constraints, claim.objective, resolution)
+    feasible = False
     try:
-        result = solve(claim.constraints, obs, claim.objective, grid)
+        for value, _, _ in _running_best(claim.constraints, obs, claim.objective, grid):
+            if not claim.holds(value):
+                return UNSATISFIED
+            feasible = True
     except ZeroEvidenceError:
         return "unevaluable: zero-evidence"
-    if result.solver_status == STATUS_INFEASIBLE:
-        return "unevaluable: infeasible"
-    return SATISFIED if claim.holds(result.bound) else UNSATISFIED
+    return SATISFIED if feasible else "unevaluable: infeasible"
 
 
 _DOT_SHAPES = {

@@ -43,8 +43,12 @@ phase 1 of its own, unless roundoff makes the basis singular or
 infeasible there. Every candidate witness loses its roundoff masses
 (``drop_roundoff``), must pass ``rows_admit`` on the solve's own rows,
 and stays a ``(support, masses)`` row that the batched posterior scorer
-values exactly on its own support. The most conservative candidate
-wins, and only the winner is built as a prior and re-valued.
+values exactly on its own support. The windows run as one stream,
+``_running_best``, that yields the most conservative candidate so far
+after each window that improves it. ``solve`` reads it to the end, and
+only the last item is built as a prior and re-valued; a GSN goal
+(``gsn._evaluate_binding``) stops at the first item that refutes its
+claim, since the running best only moves further the same way.
 """
 
 from __future__ import annotations
@@ -437,18 +441,21 @@ def _result(constraints, obs, objective, grid, witness=None) -> CbiResult:
     return CbiResult(bound, prior, objective, obs, len(grid), status)
 
 
-def solve(
-    constraints,
-    obs: Observation,
-    objective: ObjectiveSpec,
-    grid: PfdGrid,
-) -> CbiResult:
-    """The conservative posterior bound over all grid-supported priors
-    satisfying the partial knowledge, with the worst-case prior as witness."""
+def _running_best(constraints, obs: Observation, objective: ObjectiveSpec, grid: PfdGrid):
+    """The running best of ``solve``'s windows, as a stream.
+
+    After each window that improves it, yields the most conservative
+    admitted candidate so far, ``(value, support, masses)`` as
+    ``_keep_best`` holds it. The values rise strictly for a maximised
+    objective and fall strictly for a minimised one, so a prefix of the
+    stream bounds its last value from one side. An infeasible set yields
+    nothing; when no window admits a candidate with evidence,
+    ``ZeroEvidenceError`` is raised after the last window.
+    """
     points = grid.as_array()
     rows = constraint_rows(constraints, points)
     if max_mean_prior(points, rows) is None:
-        return _result(constraints, obs, objective, grid)
+        return
     log_lik = log_likelihood_vector(points, obs)
     gains = objective_gain(objective, points)
     maximize = objective.direction == CONSERVATIVE_MAX
@@ -465,13 +472,30 @@ def solve(
         if row is not None:
             # scored on its own: padded rows of a batch can round differently
             support, masses = row
-            best = _keep_best(best, log_lik, gains, support[None], masses[None], obs, maximize)
+            kept = _keep_best(best, log_lik, gains, support[None], masses[None], obs, maximize)
+            if kept is not best:
+                best = kept
+                yield best
     if best is None:
         raise ZeroEvidenceError(
             f"no prior admitted by the constraints gives observation "
             f"n={obs.n}, k={obs.k} positive probability"
         )
-    return _result(constraints, obs, objective, grid, best[1:])
+
+
+def solve(
+    constraints,
+    obs: Observation,
+    objective: ObjectiveSpec,
+    grid: PfdGrid,
+) -> CbiResult:
+    """The conservative posterior bound over all grid-supported priors
+    satisfying the partial knowledge, with the worst-case prior as witness:
+    the last item of ``_running_best``, built and re-valued by ``_result``."""
+    best = None
+    for best in _running_best(constraints, obs, objective, grid):
+        pass
+    return _result(constraints, obs, objective, grid, None if best is None else best[1:])
 
 
 #: supports per ``feasible_vertices`` call in ``oracle_solve``

@@ -468,6 +468,43 @@ def test_gsn_evaluate_rejects_fractional_binding_count(files, capsys):
     assert "t must be an integer count" in captured.err
 
 
+@pytest.mark.parametrize(
+    "objective, comparison",
+    [({"type": "posterior_expected_pfd"}, ">="), ({"type": "future_reliability", "t": 10}, "<=")],
+    ids=["pfd-at-least", "reliability-at-most"],
+)
+def test_gsn_evaluate_rejects_a_claim_pointing_the_wrong_way(files, capsys, objective, comparison):
+    # judged against the worst case, such a claim held whenever some
+    # admissible prior met it
+    write, _ = files
+    binding = {
+        "constraints": [{"type": "mean_bound", "m": 0.01}],
+        "objective": objective,
+        "threshold": 0.5,
+        "comparison": comparison,
+    }
+    case = write_json(
+        write,
+        "case.json",
+        {
+            "root": "G1",
+            "nodes": [
+                {"id": "G1", "kind": "goal", "statement": "s", "claim_binding": binding},
+                {"id": "Sn1", "kind": "solution", "statement": "operational data"},
+            ],
+            "supported_by": [["G1", "Sn1"]],
+        },
+    )
+    observation = write_json(write, "o.json", {"n": 100, "k": 0})
+    code = main(["gsn", "evaluate", "--case", case, "--observation", observation])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("parse error: bad claim binding: ")
+    assert line.endswith(f"must use {'<=' if comparison == '>=' else '>='!r}, got {comparison!r}")
+
+
 def test_simulate_deterministic(files, capsys):
     outputs = []
     for _ in range(2):

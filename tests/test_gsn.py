@@ -1,18 +1,37 @@
+import random
+
+import numpy as np
 import pytest
 
-from relbound.errors import ParseError
+from relbound import solver
+from relbound.errors import ParseError, ZeroEvidenceError
 from relbound.gsn import (
+    SATISFIED,
+    UNSATISFIED,
     GsnNode,
     QuantClaim,
     SafetyCase,
+    _evaluate_binding,
     case_from_dict,
     case_to_dict,
+    claim_from_dict,
     evaluate_case,
     export_dot,
     validate,
 )
-from relbound.inference import FutureReliability, Observation
-from relbound.priors import ConfidenceBound, MeanBound, PerfectionConfidence
+from relbound.inference import (
+    FutureReliability,
+    Observation,
+    PosteriorConfidence,
+    PosteriorExpectedPfd,
+)
+from relbound.priors import (
+    ConfidenceBound,
+    MeanBound,
+    PerfectionConfidence,
+    PriorReliability,
+    build_grid,
+)
 
 
 def goal(node_id, statement="a claim", **kwargs):
@@ -245,6 +264,137 @@ class TestEvaluate:
         case = make_case([goal("G1")], [])
         with pytest.raises(ValueError, match="unsupported-goal"):
             evaluate_case(case, Observation(1, 0))
+
+
+def _solved_status(claim, obs, resolution):
+    """The goal status read off a full ``solve``, as the bound is reported."""
+    grid = build_grid(claim.constraints, claim.objective, resolution)
+    try:
+        result = solver.solve(claim.constraints, obs, claim.objective, grid)
+    except ZeroEvidenceError:
+        return None, "unevaluable: zero-evidence"
+    if result.solver_status == solver.STATUS_INFEASIBLE:
+        return None, "unevaluable: infeasible"
+    return result.bound, SATISFIED if claim.holds(result.bound) else UNSATISFIED
+
+
+def _seeded_claims(count, seed):
+    """``count`` seeded ``(constraints, objective, comparison, obs)``, each
+    objective kind in turn, with one to three constraints."""
+    rng = random.Random(seed)
+    kinds = [
+        lambda: MeanBound(10 ** rng.uniform(-6, -1)),
+        lambda: ConfidenceBound(10 ** rng.uniform(-6, -1), rng.choice((1.0, rng.random()))),
+        lambda: PerfectionConfidence(rng.choice((0.0, 1.0, rng.random()))),
+        lambda: PriorReliability(int(10 ** rng.uniform(0, 5)), rng.random()),
+    ]
+    for i in range(count):
+        constraints = tuple(make() for make in rng.sample(kinds, rng.randint(1, 3)))
+        objective, comparison = (
+            (PosteriorExpectedPfd(), "<="),
+            (PosteriorConfidence(10 ** rng.uniform(-5, -1)), ">="),
+            (FutureReliability(int(10 ** rng.uniform(0, 4))), ">="),
+        )[i % 3]
+        yield constraints, objective, comparison, Observation(int(10 ** rng.uniform(2, 6)), i % 4)
+
+
+def _bound_goals_case(claims):
+    """A well-formed case: root G0 argued over one goal per claim."""
+    nodes = [goal("G0"), GsnNode("S0", "strategy", "argue over each claim")]
+    edges = [("G0", "S0")]
+    for i, claim in enumerate(claims, 1):
+        nodes += [goal(f"G{i}", claim_binding=claim), GsnNode(f"Sn{i}", "solution", "bound")]
+        edges += [("S0", f"G{i}"), (f"G{i}", f"Sn{i}")]
+    return make_case(nodes, edges, root="G0")
+
+
+class TestDecisionFromRunningBest:
+    """A bound goal stops at the first running best that refutes its
+    claim; its status is still the one the full solve's bound gives."""
+
+    RESOLUTION = 150
+
+    def test_statuses_match_the_full_solve(self):
+        seen = set()
+        for constraints, objective, comparison, obs in _seeded_claims(45, 3):
+            base = QuantClaim(constraints, objective, 0.5, comparison)
+            bound, _ = _solved_status(base, obs, self.RESOLUTION)
+            thresholds = [0.0, 1.0]
+            if bound is not None:
+                thresholds += [bound, *(np.nextafter(bound, edge) for edge in (0.0, 1.0))]
+            claims = [QuantClaim(constraints, objective, float(t), comparison) for t in thresholds]
+            statuses = evaluate_case(_bound_goals_case(claims), obs, resolution=self.RESOLUTION)
+            for i, claim in enumerate(claims, 1):
+                expected = _solved_status(claim, obs, self.RESOLUTION)[1]
+                assert statuses[f"G{i}"] == expected, (claim, obs)
+                seen.add((comparison, expected))
+        outcomes = {SATISFIED, UNSATISFIED, "unevaluable: infeasible", "unevaluable: zero-evidence"}
+        assert {status for _, status in seen} == outcomes
+        assert {comparison for comparison, _ in seen} == {"<=", ">="}
+
+    def test_infeasible_and_zero_evidence_bindings(self):
+        infeasible = QuantClaim(
+            (ConfidenceBound(0.1, 0.9), MeanBound(0.005)), PosteriorExpectedPfd(), 0.5, "<="
+        )
+        # all prior mass on pfd 0, which cannot fail
+        no_evidence = QuantClaim((PerfectionConfidence(1.0),), FutureReliability(10), 0.0, ">=")
+        statuses = evaluate_case(
+            _bound_goals_case([infeasible, no_evidence]), Observation(100, 1), resolution=100
+        )
+        assert statuses["G1"] == "unevaluable: infeasible"
+        assert statuses["G2"] == "unevaluable: zero-evidence"
+
+    #: four windows; the running best reads 0.7415, 0.7113, then 0.6498
+    INPUT = (
+        (ConfidenceBound(1e-4, 0.9), PerfectionConfidence(0.3), MeanBound(2e-3)),
+        FutureReliability(1000),
+        Observation(100_000, 3),
+    )
+
+    @staticmethod
+    def count_windows(monkeypatch):
+        calls = []
+        window_masses = solver._window_masses
+
+        def counting(*args):
+            calls.append(None)
+            return window_masses(*args)
+
+        monkeypatch.setattr(solver, "_window_masses", counting)
+        return calls
+
+    def test_refuted_goal_runs_fewer_windows(self, monkeypatch):
+        constraints, objective, obs = self.INPUT
+        calls = self.count_windows(monkeypatch)
+        solver.solve(constraints, obs, objective, build_grid(constraints, objective, 500))
+        full = len(calls)
+        # 0.8 is refuted by the first window's 0.7415
+        calls.clear()
+        claim = QuantClaim(constraints, objective, 0.8, ">=")
+        assert _evaluate_binding(claim, obs, 500) == UNSATISFIED
+        assert len(calls) < full
+        # 0.6 holds, so every window runs
+        calls.clear()
+        claim = QuantClaim(constraints, objective, 0.6, ">=")
+        assert _evaluate_binding(claim, obs, 500) == SATISFIED
+        assert len(calls) == full == 4
+
+
+class TestClaimDirection:
+    """A claim must point the objective's conservative way."""
+
+    @pytest.mark.parametrize(
+        "objective, wrong",
+        [(PosteriorExpectedPfd(), ">="), (PosteriorConfidence(1e-3), "<="), (FutureReliability(10), "<=")],
+    )
+    def test_wrong_way_refused(self, objective, wrong):
+        with pytest.raises(ValueError, match="must use"):
+            QuantClaim((MeanBound(0.1),), objective, 0.5, wrong)
+        doc = QuantClaim(
+            (MeanBound(0.1),), objective, 0.5, "<=" if wrong == ">=" else ">="
+        ).to_dict()
+        with pytest.raises(ParseError, match="bad claim binding: .* must use"):
+            claim_from_dict({**doc, "comparison": wrong})
 
 
 class TestExportDot:

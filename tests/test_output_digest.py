@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
 
@@ -110,3 +112,37 @@ def test_audit_seeds_pool(tmp_path):
     # given alone, --audit-seeds runs only its own pool
     alone = _run("--audit-seeds", "--limit", "7").splitlines()
     assert alone == [" ".join(line) for line in lines[8:]]
+
+
+def test_gsn_ties_pool(tmp_path):
+    dump = tmp_path / "outputs.json"
+    args = ("--gsn-ties", "--workload", "gsn-case", "--limit", "3", "--dump", str(dump))
+    lines = [line.split() for line in _run(*args).splitlines()]
+    # beside a workload, --gsn-ties adds its pool over the same gsn-case inputs
+    assert [line[0] for line in lines] == ["gsn-case"] * 4 + ["gsn-ties"] * 4
+    assert [line[2] for line in lines[4:-1]] == [line[2] for line in lines[:3]]
+    outputs = json.loads(dump.read_text())
+    pool_hash = hashlib.sha256()
+    for workload, seed, inst_id, sha in lines[4:-1]:
+        doc = outputs["gsn-ties"][seed][inst_id]
+        assert sha == hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        claims = outputs["gsn-case"][seed][inst_id]["claims"]
+        for goal, solved in claims.items():
+            bound = solved.get("bound")
+            at, below, above = (doc[name]["thresholds"][goal] for name in ("at", "below", "above"))
+            if bound is None:
+                assert at == below == above
+                continue
+            # the bound itself and its float neighbours, kept in [0, 1]
+            assert at == bound and below <= bound <= above
+            assert (below, above) == (
+                max(float(np.nextafter(bound, -np.inf)), 0.0),
+                min(float(np.nextafter(bound, np.inf)), 1.0),
+            )
+            # a threshold equal to the bound holds either way
+            assert doc["at"]["statuses"][goal] == "satisfied"
+        pool_hash.update(f"{workload} {seed} {inst_id} {sha}\n".encode())
+    assert lines[-1][3:] == [pool_hash.hexdigest(), "3"]
+    # given alone, --gsn-ties runs only its own pool
+    alone = _run("--gsn-ties", "--limit", "3").splitlines()
+    assert alone == [" ".join(line) for line in lines[4:]]

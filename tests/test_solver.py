@@ -311,6 +311,83 @@ class TestKeepBest:
         assert value == self.POINTS[winner]
 
 
+def _stream_inputs(count, seed):
+    """``count`` seeded ``(constraints, obs, objective, grid)`` inputs, each
+    objective kind in turn, over random kind sets on 60- to 300-point
+    grids; some sets are infeasible and some give no evidence."""
+    rng = random.Random(seed)
+    for i in range(count):
+        constraints = [_random_constraint(rng, kind) for kind in rng.choice(_KIND_SETS)]
+        n = int(10 ** rng.uniform(1, 6))
+        obs = Observation(n, rng.choice((0, 0, 1, rng.randint(0, min(n, 40)))))
+        objective = (
+            PosteriorExpectedPfd(),
+            PosteriorConfidence(10 ** rng.uniform(-6, -1)),
+            FutureReliability(int(10 ** rng.uniform(0, 4))),
+        )[i % 3]
+        yield constraints, obs, objective, build_grid(constraints, objective, rng.randint(60, 300))
+
+
+class TestRunningBest:
+    """``solve`` is the full reduction of ``_running_best``: the stream
+    yields the running best after each window that improves it."""
+
+    def test_solve_reports_the_last_item(self):
+        lengths = collections.Counter()
+        for constraints, obs, objective, grid in _stream_inputs(90, 11):
+            try:
+                items = list(solver._running_best(constraints, obs, objective, grid))
+            except ZeroEvidenceError:
+                with pytest.raises(ZeroEvidenceError):
+                    solve(constraints, obs, objective, grid)
+                lengths["zero-evidence"] += 1
+                continue
+            result = solve(constraints, obs, objective, grid)
+            lengths[min(len(items), 2)] += 1
+            if not items:
+                assert result.solver_status == solver.STATUS_INFEASIBLE
+                continue
+            assert result.to_dict() == solver._result(
+                constraints, obs, objective, grid, items[-1][1:]
+            ).to_dict()
+            # the re-valued bound is the stream's own last value
+            assert result.bound == items[-1][0]
+            values = [value for value, _, _ in items]
+            if objective.direction == CONSERVATIVE_MAX:
+                assert all(a < b for a, b in zip(values, values[1:]))
+            else:
+                assert all(a > b for a, b in zip(values, values[1:]))
+        # every case occurs: infeasible, one item, several items, no evidence
+        assert all(lengths[key] >= 3 for key in (0, 1, 2, "zero-evidence")), lengths
+
+    def test_empty_when_infeasible(self):
+        constraints, objective = [ConfidenceBound(0.1, 0.9), MeanBound(0.005)], FutureReliability(10)
+        grid = build_grid(constraints, objective, 100)
+        assert list(solver._running_best(constraints, Observation(10, 0), objective, grid)) == []
+
+    def test_zero_evidence_raises_after_every_window(self, monkeypatch):
+        # every prior puts all its mass on pfd 0, which cannot fail
+        constraints, obs, objective = [PerfectionConfidence(1.0)], Observation(100, 2), PosteriorExpectedPfd()
+        made, searched = [], []
+        make_window, window_masses = solver._make_window, solver._window_masses
+
+        def counting_make_window(*args):
+            window = make_window(*args)
+            made.extend([] if window is None else [window])
+            return window
+
+        def counting_window_masses(window, *args):
+            searched.append(window)
+            return window_masses(window, *args)
+
+        monkeypatch.setattr(solver, "_make_window", counting_make_window)
+        monkeypatch.setattr(solver, "_window_masses", counting_window_masses)
+        stream = solver._running_best(constraints, obs, objective, build_grid(constraints, objective, 200))
+        with pytest.raises(ZeroEvidenceError):
+            next(stream)
+        assert len(made) >= 2 and searched == made
+
+
 class TestOnePosteriorValue:
     """Window candidates stay rows until the winner: only the result is
     built as a prior and re-valued by ``posterior_value``."""

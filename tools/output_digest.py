@@ -14,7 +14,8 @@ written so that they read back bit for bit):
 * gsn-case: the goal status map, plus each bound claim's own solve;
 * extreme: the solve's ``to_dict()``;
 * oracle: the sub-grid oracle's ``to_dict()``;
-* audit-seeds: the conservatism report's ``to_dict()``.
+* audit-seeds: the conservatism report's ``to_dict()``;
+* gsn-ties: the goal status maps of a case whose claims sit on ties.
 
 An op that raises a relbound error records its type and message instead;
 any other exception stops the run. Two
@@ -31,14 +32,19 @@ on the sub-grid that ``benchmark/checks.py`` (also only imported) builds
 around the solve's witness, as its ``check_solve`` runs it.
 ``--audit-seeds`` adds a pool named ``audit-seeds``: each audit input,
 its audit seed replaced in turn by one of ``AUDIT_SEEDS``, so the trial
-seed hash sees entropy of every length from 2 to 8 words. Given alone,
-each of these flags runs only its own pool.
+seed hash sees entropy of every length from 2 to 8 words.
+``--gsn-ties`` adds a pool named ``gsn-ties``: each gsn-case input
+evaluated three times, every bound goal's threshold set to its claim's
+own bound and to that bound's two float neighbours, so a goal's status
+is decided by ties and one-ulp margins. Given alone, each of these flags
+runs only its own pool.
 
     python3 tools/output_digest.py --workload solve-mix --seed 5 --seed 7
     python3 tools/output_digest.py --limit 3 --dump outputs.json
     python3 tools/output_digest.py --extreme 4000
     python3 tools/output_digest.py --oracle --seed 312 --dump oracle.json
     python3 tools/output_digest.py --audit-seeds --seed 5 --seed 7
+    python3 tools/output_digest.py --gsn-ties --seed 5 --seed 29
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import random
@@ -60,8 +67,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "benchmark"), str(ROOT / "src")]
 
 import checks  # noqa: E402
+import numpy as np  # noqa: E402
 import workloads as wl  # noqa: E402
-from relbound import priors, solver  # noqa: E402
+from relbound import gsn, priors, solver  # noqa: E402
 from relbound.errors import RelboundError  # noqa: E402
 from relbound.inference import (  # noqa: E402
     FutureReliability,
@@ -183,6 +191,54 @@ def audit_seed_outputs(seed: int, limit: int | None = None):
         yield inst.id, op_output("audit", wide)
 
 
+#: the gsn-ties pool's thresholds, as the direction to step from each
+#: claim's bound: one ulp down, none, one ulp up
+TIE_STEPS = {"below": -np.inf, "at": None, "above": np.inf}
+
+
+def _tied_case(case, bounds: dict, step):
+    """``case`` with each bound goal's threshold moved to its claim's bound
+    stepped one ulp towards ``step`` (None: the bound itself), kept in
+    [0, 1]; a goal whose claim has no bound keeps its threshold."""
+    nodes = []
+    for node in case.nodes:
+        bound = bounds.get(node.id)
+        if bound is not None:
+            threshold = bound if step is None else float(np.clip(np.nextafter(bound, step), 0, 1))
+            claim = dataclasses.replace(node.claim_binding, threshold=threshold)
+            node = dataclasses.replace(node, claim_binding=claim)
+        nodes.append(node)
+    return dataclasses.replace(case, nodes=tuple(nodes))
+
+
+def gsn_tie_outputs(seed: int, limit: int | None = None):
+    """Yield ``(input id, output document)`` for each gsn-case input: the
+    thresholds and the goal status map at each of ``TIE_STEPS``."""
+    for inst in wl.WORKLOADS["gsn-case"].make_pool(random.Random(seed))[:limit]:
+        case, obs = inst.args
+        bounds = {
+            node.id: _solve_doc(
+                node.claim_binding.constraints, obs, node.claim_binding.objective, wl.GSN_RESOLUTION
+            ).get("bound")
+            for node in case.nodes
+            if node.claim_binding is not None
+        }
+        doc = {}
+        for name, step in TIE_STEPS.items():
+            tied = _tied_case(case, bounds, step)
+            thresholds = {
+                node.id: node.claim_binding.threshold
+                for node in tied.nodes
+                if node.claim_binding is not None
+            }
+            try:
+                statuses = gsn.evaluate_case(tied, obs, wl.GSN_MODULES, resolution=wl.GSN_RESOLUTION)
+            except RelboundError as exc:
+                statuses = _raised(exc)
+            doc[name] = {"thresholds": thresholds, "statuses": statuses}
+        yield inst.id, doc
+
+
 def canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True)
 
@@ -211,8 +267,11 @@ def main(argv=None) -> int:
     parser.add_argument("--audit-seeds", action="store_true",
                         help="also run each audit input at a seed of 1 to 7 words "
                         "(alone: only those)")
+    parser.add_argument("--gsn-ties", action="store_true",
+                        help="also run each gsn-case input with its thresholds on its "
+                        "claims' bounds (alone: only those)")
     args = parser.parse_args(argv)
-    alone = args.extreme or args.oracle or args.audit_seeds
+    alone = args.extreme or args.oracle or args.audit_seeds or args.gsn_ties
     pools = [
         (workload, lambda seed, w=workload: pool_outputs(w, seed, args.limit))
         for workload in args.workload or ([] if alone else WORKLOAD_NAMES)
@@ -223,6 +282,8 @@ def main(argv=None) -> int:
         pools.append(("oracle", lambda seed: oracle_outputs(seed, args.limit)))
     if args.audit_seeds:
         pools.append(("audit-seeds", lambda seed: audit_seed_outputs(seed, args.limit)))
+    if args.gsn_ties:
+        pools.append(("gsn-ties", lambda seed: gsn_tie_outputs(seed, args.limit)))
     dump: dict = {}
     for workload, outputs_of in pools:
         for seed in args.seed or [5]:
