@@ -98,7 +98,7 @@ def _cmd_solve(args) -> int:
     result = solve(constraints, obs, objective, grid)
     if result.solver_status == STATUS_INFEASIBLE:
         report = check_feasible(constraints, grid)
-        names = ", ".join(type(c).__name__ + repr(tuple(vars(c).values())) for c in report.unsatisfiable)
+        names = ", ".join(map(repr, report.unsatisfiable))
         print(f"infeasible: no prior satisfies the subset {{{names}}}", file=sys.stderr)
         _write_output(_dump(result.to_dict()), args.out)
         return EXIT_INFEASIBLE

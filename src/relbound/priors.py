@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import InvalidDistributionError, ParseError, parsing
 from .numerics import just_above, survive_prob
+from .simplex import LpResult, solve_lp
 
 MASS_TOL = 1e-9
 #: LP masses at or below this are roundoff, dropped before a prior is built
@@ -360,29 +361,11 @@ def rows_admit(
     return meets.all(axis=1)
 
 
-def rows_as_ub(rows: Sequence[ConstraintRow]):
-    """Express rows as A x <= b, relaxing equalities by ±``EQUALITY_SLACK``."""
-    a_list: list[np.ndarray] = []
-    b_list: list[float] = []
-    for row in rows:
-        if row.sense == "le":
-            a_list.append(row.coeffs)
-            b_list.append(row.rhs)
-        elif row.sense == "eq":
-            a_list.append(row.coeffs)
-            b_list.append(row.rhs + EQUALITY_SLACK)
-            a_list.append(-row.coeffs)
-            b_list.append(-(row.rhs - EQUALITY_SLACK))
-        else:
-            raise ValueError(f"unknown sense {row.sense!r}")
-    if not a_list:
-        return np.zeros((0, 0)), np.zeros(0)
-    return np.vstack(a_list), np.asarray(b_list, dtype=float)
-
-
 def homogeneous_ub(rows: Sequence[ConstraintRow], scale=1.0) -> np.ndarray | None:
     """The rows as ``A x <= 0`` over masses ``x * scale`` (a scalar or one
-    factor per column), equalities relaxed as in ``rows_as_ub``; None if no rows."""
+    factor per column), each equality relaxed to two inequalities by
+    ±``EQUALITY_SLACK``; None if no rows. With ``sum(x) = 1`` and unit
+    scale, an ``"le"`` row reads ``coeffs @ x <= rhs``."""
     a_list: list[np.ndarray] = []
     for row in rows:
         coeffs = row.coeffs / scale
@@ -436,47 +419,49 @@ def prior_from_masses(points: np.ndarray, masses: np.ndarray) -> PriorDistributi
     return carried_prior(points, np.arange(points.size), cleaned) if kept else None
 
 
-def max_mean_prior(points: np.ndarray, rows: Sequence[ConstraintRow]) -> PriorDistribution | None:
-    """The feasible prior maximising E[pfd], or None when infeasible.
-
-    ``rows`` are the constraints' rows over ``points``, as
-    ``constraint_rows`` builds them.
-    """
-    from .simplex import solve_lp
-
-    a_ub, b_ub = rows_as_ub(rows)  # zero rows when there are no constraints
-    result = solve_lp(
-        points.astype(float),
+def grid_feasibility(rows: Sequence[ConstraintRow], n_points: int) -> LpResult:
+    """Whether some prior on ``n_points`` grid points meets ``rows``: the
+    zero-cost program {``homogeneous_ub(rows) @ x <= 0``, sum(x) = 1, x >= 0},
+    optimal exactly when it is feasible. Its ``start`` serves any objective
+    over these points, as ``solve_lp(..., start=...)``; ``solve``'s first
+    window and ``check_feasible`` both start from it."""
+    a_ub = homogeneous_ub(rows)
+    return solve_lp(
+        np.zeros(n_points),
         a_ub=a_ub,
-        b_ub=b_ub,
-        a_eq=np.ones((1, points.size)),
+        b_ub=None if a_ub is None else np.zeros(a_ub.shape[0]),
+        a_eq=np.ones((1, n_points)),
         b_eq=np.ones(1),
-        maximize=True,
     )
-    if result.status != "optimal":
-        return None
-    return prior_from_masses(points, result.x)
 
 
 def check_feasible(
     constraints: Sequence[PartialPriorConstraint], grid: PfdGrid
 ) -> FeasibilityResult:
-    """Feasibility of the constraint set over grid-supported priors.
+    """Feasibility of the constraint set over grid-supported priors, by
+    ``grid_feasibility``, the program ``solve`` gates on.
 
     On success the witness is the feasible prior with the largest mean
-    pfd (the most pessimistic admissible belief); with no constraints at
-    all that is the point mass at 1. On failure the result names an
-    irreducible unsatisfiable subset, found by greedy deletion by position,
-    so that a repeated constraint is deleted one copy at a time.
+    pfd (the most pessimistic admissible belief), one phase 2 from that
+    program's start, or None if roundoff in the start leaves that phase 2
+    without an optimum; with no constraints at all it is the point mass
+    at 1. On failure the result names an irreducible unsatisfiable subset,
+    found by greedy deletion by position, so that a repeated constraint is
+    deleted one copy at a time.
     """
     points = grid.as_array()
     rows = constraint_rows(constraints, points)  # one row per constraint
-    witness = max_mean_prior(points, rows)
-    if witness is not None:
+    feasibility = grid_feasibility(rows, points.size)
+    if feasibility.status == "optimal":
+        start = feasibility.start
+        b_ub = np.zeros(start.n_cols - points.size)  # sizes the start's slack columns
+        max_mean = solve_lp(points, b_ub=b_ub, maximize=True, start=start)
+        optimal = max_mean.status == "optimal"
+        witness = prior_from_masses(points, max_mean.x) if optimal else None
         return FeasibilityResult(True, witness, ())
     remaining = list(range(len(rows)))
     for i in range(len(rows)):
         trial = [j for j in remaining if j != i]
-        if max_mean_prior(points, [rows[j] for j in trial]) is None:
+        if grid_feasibility([rows[j] for j in trial], points.size).status != "optimal":
             remaining = trial
     return FeasibilityResult(False, None, tuple(constraints[i] for i in remaining))

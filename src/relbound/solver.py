@@ -37,7 +37,12 @@ does not verify or roundoff leaves none, and their solution is the
 witness. The sign tests' phase 1 runs before the
 ratio LP, once per set of kept columns: the program depends on nothing
 else, and windows that keep the same columns come in a row, so each
-reuses the latest window's. Both programs range over the same cone of
+reuses the latest window's. Its program is ``priors.grid_feasibility``,
+the one that decides whether the constraints are satisfiable on a set of
+grid points. ``solve`` runs it on the whole grid before any window, as
+``check_feasible`` does: an infeasible set gets no window, and a feasible
+one hands that phase 1 to the first window, which, anchored at the grid
+maximum, keeps every column. Both programs range over the same cone of
 masses, so the ratio LP starts from that feasible basis and runs no
 phase 1 of its own, unless roundoff makes the basis singular or
 infeasible there. Every candidate witness loses its roundoff masses
@@ -84,8 +89,8 @@ from .priors import (
     drop_roundoff,
     equality_cuts,
     forced_grid_points,
+    grid_feasibility,
     homogeneous_ub,
-    max_mean_prior,
     rows_admit,
     threshold_points,
 )
@@ -281,13 +286,16 @@ _SIGN_TOL = 1e-12
 
 @dataclass
 class _LatestPhaseOne:
-    """The sign tests' phase 1 of the latest window, as a zero-cost LP result.
+    """The sign tests' phase 1 of the latest window, as ``grid_feasibility``
+    returns it.
 
     Every sign test shares its window's constraints, so one phase 1 serves
     them all; only the objective changes with the level. The program
     depends on the kept columns alone, so the next window reuses it when
     it keeps the same columns. Anchors descend, so such windows come in a
-    row, and only the latest phase 1 is held.
+    row, and only the latest phase 1 is held. ``_running_best`` seeds it
+    with its whole-grid gate: the first window, anchored at the grid
+    maximum, keeps every column.
     """
 
     keep: np.ndarray | None = None
@@ -296,14 +304,7 @@ class _LatestPhaseOne:
     def for_window(self, window: _Window) -> LpResult:
         if self.keep is None or not np.array_equal(window.keep, self.keep):
             self.vertex = None  # free the previous phase 1 before building this one
-            a_ub = homogeneous_ub(window.rows)
-            self.vertex = solve_lp(
-                np.zeros(window.keep.size),
-                a_ub=a_ub,
-                b_ub=None if a_ub is None else np.zeros(a_ub.shape[0]),
-                a_eq=np.ones((1, window.keep.size)),
-                b_eq=np.ones(1),
-            )
+            self.vertex = grid_feasibility(window.rows, window.keep.size)
             self.keep = window.keep
         return self.vertex
 
@@ -448,13 +449,18 @@ def _running_best(constraints, obs: Observation, objective: ObjectiveSpec, grid:
     admitted candidate so far, ``(value, support, masses)`` as
     ``_keep_best`` holds it. The values rise strictly for a maximised
     objective and fall strictly for a minimised one, so a prefix of the
-    stream bounds its last value from one side. An infeasible set yields
-    nothing; when no window admits a candidate with evidence,
-    ``ZeroEvidenceError`` is raised after the last window.
+    stream bounds its last value from one side.
+
+    The set is first judged on the whole grid by ``grid_feasibility``, the
+    program ``check_feasible`` runs: if it fails the stream yields nothing,
+    and otherwise its phase 1 is the first window's. When no window admits
+    a candidate with evidence, ``ZeroEvidenceError`` is raised after the
+    last window.
     """
     points = grid.as_array()
     rows = constraint_rows(constraints, points)
-    if max_mean_prior(points, rows) is None:
+    gate = grid_feasibility(rows, points.size)
+    if gate.status != "optimal":
         return
     log_lik = log_likelihood_vector(points, obs)
     gains = objective_gain(objective, points)
@@ -462,7 +468,7 @@ def _running_best(constraints, obs: Observation, objective: ObjectiveSpec, grid:
 
     best = None
     anchors = _anchor_shifts(constraints, rows, objective, obs, points, log_lik)
-    latest = _LatestPhaseOne()
+    latest = _LatestPhaseOne(np.arange(points.size), gate)
     for anchor in anchors:
         window = _make_window(rows, points, log_lik, anchor, gains)
         if window is None:

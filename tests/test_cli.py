@@ -74,10 +74,71 @@ def test_solve_infeasible_names_subset(files, capsys):
         ["solve", "--constraints", constraints, "--observation", observation,
          "--objective", objective, "--grid", "100"]
     )
+    assert code == 2
+    # each constraint as its dataclass repr: MeanBound once printed as MeanBound(0.005,)
+    assert capsys.readouterr().err == (
+        "infeasible: no prior satisfies the subset "
+        "{ConfidenceBound(epsilon=0.1, theta=0.9), MeanBound(m=0.005)}\n"
+    )
+
+
+#: feasible only within the simplex's phase-1 tolerance, in the form the
+#: old feasibility gate read: it admitted the set, every window refused it,
+#: and ``solve`` reported a zero-evidence error
+_GATE_ADMITTED = [
+    {"type": "perfection_confidence", "theta": 0.32835334298732144},
+    {"type": "prior_reliability", "n0": 115580, "gamma": 1.0},
+]
+
+
+def test_solve_reports_a_gate_admitted_set_infeasible(files, capsys):
+    write, _ = files
+    constraints = write_json(write, "c.json", _GATE_ADMITTED)
+    observation = write_json(write, "o.json", {"n": 752, "k": 48})
+    objective = write_json(write, "obj.json", {"type": "posterior_expected_pfd"})
+    code = main(
+        ["solve", "--constraints", constraints, "--observation", observation,
+         "--objective", objective, "--grid", "1166"]
+    )
     captured = capsys.readouterr()
     assert code == 2
-    assert "infeasible" in captured.err
-    assert "ConfidenceBound" in captured.err and "MeanBound" in captured.err
+    assert captured.err == (
+        "infeasible: no prior satisfies the subset "
+        "{PerfectionConfidence(theta=0.32835334298732144), PriorReliability(n0=115580, gamma=1.0)}\n"
+    )
+    assert json.loads(captured.out)["solver_status"] == "infeasible"
+
+
+def test_gsn_evaluate_a_gate_admitted_set_is_unevaluable(files, capsys):
+    write, _ = files
+    case = write_json(
+        write,
+        "case.json",
+        {
+            "root": "G1",
+            "nodes": [
+                {
+                    "id": "G1",
+                    "kind": "goal",
+                    "statement": "reliable enough",
+                    "claim_binding": {
+                        "constraints": _GATE_ADMITTED,
+                        "objective": {"type": "posterior_expected_pfd"},
+                        "threshold": 0.1,
+                        "comparison": "<=",
+                    },
+                },
+                {"id": "Sn1", "kind": "solution", "statement": "operational data"},
+            ],
+            "supported_by": [["G1", "Sn1"]],
+        },
+    )
+    observation = write_json(write, "o.json", {"n": 752, "k": 48})
+    code = main(
+        ["gsn", "evaluate", "--case", case, "--observation", observation, "--grid", "1166"]
+    )
+    assert code == 3
+    assert json.loads(capsys.readouterr().out) == {"G1": "unevaluable: infeasible"}
 
 
 def test_solve_malformed_json(files, capsys):

@@ -146,3 +146,64 @@ def test_gsn_ties_pool(tmp_path):
     # given alone, --gsn-ties runs only its own pool
     alone = _run("--gsn-ties", "--limit", "3").splitlines()
     assert alone == [" ".join(line) for line in lines[4:]]
+
+
+def _solve_doc(bound, status, objective, support=(0.0,)):
+    witness = None if bound is None else {"support": list(support), "masses": [1.0]}
+    return {"bound": bound, "solver_status": status, "objective": objective, "witness": witness}
+
+
+def test_compare(tmp_path):
+    maximised = {"type": "posterior_expected_pfd"}
+    minimised = {"type": "future_reliability", "t": 10}
+    raised = {"raised": "ZeroEvidenceError", "message": "no evidence"}
+    infeasible = _solve_doc(None, "infeasible", maximised)
+    old = {
+        "extreme": {
+            "5": {
+                "e0": raised,
+                "e1": _solve_doc(0.1, "optimal", maximised),
+                "e2": _solve_doc(0.5, "grid-limited", minimised),
+                "e3": _solve_doc(0.5, "optimal", minimised),
+                "e4": _solve_doc(0.2, "optimal", minimised),
+                "e5": _solve_doc(0.1, "optimal", maximised),
+                "e6": raised,
+            }
+        },
+        "gsn-case": {"5": {"g0": {"statuses": {"G1": "satisfied"}}}},
+    }
+    new = {
+        "extreme": {
+            "5": {
+                "e0": infeasible,
+                "e1": _solve_doc(0.2, "optimal", maximised),
+                "e2": _solve_doc(0.6, "grid-limited", minimised),
+                "e3": _solve_doc(0.5, "optimal", minimised, support=(0.5,)),
+                "e4": _solve_doc(0.2, "optimal", minimised),
+                "e6": infeasible,
+            }
+        },
+        "gsn-case": {"5": {"g0": {"statuses": {"G1": "unsatisfied"}}}},
+    }
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, doc in zip(paths, (old, new)):
+        path.write_text(json.dumps(doc))
+    assert _run("--compare", *map(str, paths)).splitlines() == [
+        "extreme 5 e0: ZeroEvidenceError -> infeasible",
+        # a larger bound is the worse side of a maximised objective
+        "extreme 5 e1: optimal -> optimal, conservative (0.1 -> 0.2)",
+        # and the better side of a minimised one
+        "extreme 5 e2: grid-limited -> grid-limited, optimistic (0.5 -> 0.6)",
+        "extreme 5 e3: optimal -> optimal, bound unchanged",
+        "extreme 5 e5: optimal -> absent",
+        "extreme 5 e6: ZeroEvidenceError -> infeasible",
+        "gsn-case 5 g0: output -> output",
+        "changed: 7 of 8 ops",
+        # most ops first, then in order of first appearance
+        "       2  ZeroEvidenceError -> infeasible",
+        "       1  optimal -> optimal, conservative",
+        "       1  grid-limited -> grid-limited, optimistic",
+        "       1  optimal -> optimal, bound unchanged",
+        "       1  optimal -> absent",
+        "       1  output -> output",
+    ]

@@ -25,6 +25,7 @@ from relbound.priors import (
     MASS_TOL,
     ConfidenceBound,
     ConstraintRow,
+    FeasibilityResult,
     MeanBound,
     PerfectionConfidence,
     PfdGrid,
@@ -32,12 +33,13 @@ from relbound.priors import (
     PriorReliability,
     build_grid,
     carried_prior,
+    check_feasible,
     constraint_rows,
     forced_grid_points,
+    grid_feasibility,
     homogeneous_ub,
-    max_mean_prior,
+    prior_from_masses,
     rows_admit,
-    rows_as_ub,
 )
 from relbound.solver import curve, oracle_solve, solve
 
@@ -332,9 +334,16 @@ class TestRunningBest:
     """``solve`` is the full reduction of ``_running_best``: the stream
     yields the running best after each window that improves it."""
 
+    #: every prior puts all its mass on pfd 0, which cannot fail
+    NO_EVIDENCE = [
+        ([PerfectionConfidence(1.0)], Observation(100, 2), objective)
+        for objective in (PosteriorExpectedPfd(), PosteriorConfidence(1e-3), FutureReliability(10))
+    ]
+
     def test_solve_reports_the_last_item(self):
         lengths = collections.Counter()
-        for constraints, obs, objective, grid in _stream_inputs(90, 11):
+        no_evidence = [(*case, build_grid(case[0], case[2], 100)) for case in self.NO_EVIDENCE]
+        for constraints, obs, objective, grid in [*_stream_inputs(90, 11), *no_evidence]:
             try:
                 items = list(solver._running_best(constraints, obs, objective, grid))
             except ZeroEvidenceError:
@@ -386,6 +395,129 @@ class TestRunningBest:
         with pytest.raises(ZeroEvidenceError):
             next(stream)
         assert len(made) >= 2 and searched == made
+
+
+#: sets that the old gate, an ``A x <= b`` program, admitted while every
+#: window refused them: ``solve`` raised ``ZeroEvidenceError``
+_GATE_ADMITTED = [
+    (
+        [PerfectionConfidence(0.32835334298732144), PriorReliability(115580, 1.0)],
+        Observation(752, 48),
+        None,
+        1166,
+    ),
+    # gamma = 1 puts all mass on 0, while theta_0 = 0.70
+    (
+        [
+            MeanBound(3.961388094498708e-06),
+            ConfidenceBound(0.0030318180043518825, 1.0),
+            PerfectionConfidence(0.701367561000227),
+            PriorReliability(187236, 1.0),
+        ],
+        Observation(133628, 0),
+        PosteriorExpectedPfd(),
+        196,
+    ),
+]
+
+
+def _feasibility_edge_constraint(rng: random.Random, kind: str):
+    """A constraint on the edges where a set turns infeasible: theta and
+    gamma at or within 1e-12 of 0 and 1, and a mean bound of 0."""
+    edge = rng.choice((0.0, 1e-12, 1.0 - 1e-12, 1.0))
+    if kind == "mean":
+        return MeanBound(rng.choice((0.0, 1e-12, 1e-3)))
+    if kind == "confidence":
+        return ConfidenceBound(rng.choice((0.0, 1e-9, 1e-3)), edge)
+    if kind == "perfection":
+        return PerfectionConfidence(edge)
+    return PriorReliability(rng.choice((1, 10, 10**4)), edge)
+
+
+class TestOneFeasibilityProgram:
+    """``solve`` and ``check_feasible`` decide feasibility by one program,
+    ``grid_feasibility``, so they agree on every set."""
+
+    @pytest.mark.parametrize("constraints, obs, grid_objective, resolution", _GATE_ADMITTED)
+    def test_gate_admitted_sets_are_infeasible(self, constraints, obs, grid_objective, resolution):
+        grid = build_grid(constraints, grid_objective, resolution)
+        result = solve(constraints, obs, PosteriorExpectedPfd(), grid)
+        assert result.solver_status == solver.STATUS_INFEASIBLE
+        assert not check_feasible(constraints, grid).feasible
+
+    def test_feasible_without_a_max_mean_witness(self):
+        # roundoff leaves the whole-grid phase 1 at a basis with a basic
+        # value of -1.3e8, and the max-mean phase 2 from it finds no optimum
+        constraints = (
+            MeanBound(1.0 - 1e-12),
+            ConfidenceBound(1.0 - 1e-12, 1.0 - 1e-12),
+            PerfectionConfidence(1e-9),
+            PriorReliability(1, 1e-9),
+        )
+        grid = build_grid(constraints, None, 50)
+        assert check_feasible(constraints, grid) == FeasibilityResult(True, None, ())
+        result = solve(constraints, Observation(10**9, 1), PosteriorExpectedPfd(), grid)
+        assert result.witness.satisfies_all(constraints)
+
+    #: the sets of the seeded draw below where the two do not agree, with
+    #: the reason. "refused": the simplex's phase 1 declares the whole grid
+    #: feasible from a basis whose roundoff leaves a basic value below zero
+    #: (-6.6e-5 and -0.038), so the max-mean phase 2 from it ends on masses
+    #: that ``rows_admit`` refuses. "oracle only": gamma = 1 beside
+    #: theta_0 < 1 is exactly infeasible, but the oracle admits a vertex
+    #: that misses the reliability row by less than ``MASS_TOL``
+    DISAGREE = {
+        35: "refused", 77: "refused", 101: "oracle only", 150: "oracle only", 178: "oracle only"
+    }
+
+    def test_witness_mean_is_the_oracles_max_mean(self):
+        # with no data the posterior is the prior, so the oracle's bound on
+        # E[pfd] is the largest prior mean on the grid
+        rng = random.Random(0)
+        disagree = {}
+        feasible = 0
+        for i in range(300):
+            constraints = [_random_constraint(rng, kind) for kind in rng.choice(_KIND_SETS)]
+            grid = build_grid(constraints, None, rng.randint(12, 30))
+            report = check_feasible(constraints, grid)
+            oracle = oracle_solve(constraints, Observation(0, 0), PosteriorExpectedPfd(), grid)
+            if report.feasible and not report.witness.satisfies_all(constraints):
+                disagree[i] = "refused"
+            elif report.feasible != (oracle.solver_status != solver.STATUS_INFEASIBLE):
+                assert not report.feasible, constraints
+                disagree[i] = "oracle only"
+            elif report.feasible:
+                feasible += 1
+                assert report.witness.mean() == pytest.approx(oracle.bound, rel=0, abs=1e-9)
+        assert disagree == self.DISAGREE
+        assert feasible >= 200
+
+    def test_solve_is_infeasible_exactly_when_check_feasible_is(self):
+        rng = random.Random(23)
+        seen = collections.Counter()
+        for i in range(150):
+            kinds = rng.choice(_KIND_SETS[1:])
+            constraints = [_feasibility_edge_constraint(rng, kind) for kind in kinds]
+            n = rng.choice((1, 100, 10**6))
+            obs = Observation(n, rng.choice((0, 1, n)))
+            objective = (
+                PosteriorExpectedPfd(),
+                PosteriorConfidence(rng.choice((1e-9, 1e-4))),
+                FutureReliability(rng.choice((0, 10, 10**6))),
+            )[i % 3]
+            grid = build_grid(constraints, objective, rng.choice((50, 200)))
+            feasible = check_feasible(constraints, grid).feasible
+            try:
+                status = solve(constraints, obs, objective, grid).solver_status
+            except ZeroEvidenceError:
+                assert feasible, constraints
+                seen["zero-evidence"] += 1
+                continue
+            assert (status == solver.STATUS_INFEASIBLE) == (not feasible), constraints
+            seen[status] += 1
+        # every outcome occurs
+        assert all(seen[key] >= 10 for key in ("zero-evidence", solver.STATUS_INFEASIBLE)), seen
+        assert seen[solver.STATUS_OPTIMAL] + seen[solver.STATUS_GRID_LIMITED] >= 10, seen
 
 
 class TestOnePosteriorValue:
@@ -567,6 +699,7 @@ class TestWindowRatioLp:
         obs = Observation(22012, 51)
         objective = PosteriorExpectedPfd()
         grid = build_grid(constraints, objective, 500)
+        new_set = _kept_sets(_windows(constraints, obs, objective, 500))
         phase_ones = 0
         per_window = []
         phase_one, window_masses = simplex._phase_one, solver._window_masses
@@ -586,8 +719,10 @@ class TestWindowRatioLp:
         monkeypatch.setattr(solver, "_window_masses", counting_window_masses)
         result = solve(constraints, obs, objective, grid)
         self._assert_witness_attains_bound(constraints, obs, objective, result)
-        # the sign tests' phase 1 is each window's only one
-        assert per_window and all(count == 1 for count in per_window)
+        # the sign tests' phase 1 is each window's only one, and the first
+        # window's is the whole-grid gate's: one per solve for each kept set
+        assert per_window == [0] + [1] * (len(new_set) - 1)
+        assert phase_ones == sum(new_set) == len(new_set)
 
     def test_bound_not_below_subgrid_oracle(self):
         # the ratio LP's cold phase 1 once proposed 0.0041525 here, and the
@@ -617,15 +752,7 @@ def _support_feasible(rows, mask):
     if idx.size == 0:
         return False
     sub_rows = [ConstraintRow(r.coeffs[idx], r.sense, r.rhs) for r in rows]
-    a_ub, b_ub = rows_as_ub(sub_rows)
-    result = simplex.solve_lp(
-        np.zeros(idx.size),
-        a_ub=a_ub if a_ub.size else None,
-        b_ub=b_ub if a_ub.size else None,
-        a_eq=np.ones((1, idx.size)),
-        b_eq=np.ones(1),
-    )
-    return result.status == "optimal"
+    return grid_feasibility(sub_rows, idx.size).status == "optimal"
 
 
 def _lp_deepest_dominant_level(rows, log_lik):
@@ -877,11 +1004,16 @@ def _reference_window_masses(window, maximize):
     return x / total, case, late_passes
 
 
+def _kept_sets(windows):
+    """For each window, whether it keeps other columns than the one before."""
+    return [True] + [not np.array_equal(a.keep, b.keep) for a, b in zip(windows, windows[1:])]
+
+
 def _windows(constraints, obs, objective, resolution):
     """Every window ``solve`` searches on this instance."""
     points = build_grid(constraints, objective, resolution).as_array()
     rows = constraint_rows(constraints, points)
-    if max_mean_prior(points, rows) is None:
+    if grid_feasibility(rows, points.size).status != "optimal":
         return []
     log_lik = log_likelihood_vector(points, obs)
     gains = objective_gain(objective, points)
@@ -1026,8 +1158,7 @@ class TestSharedPhaseOne:
 
     def test_one_phase_one_per_kept_set(self, monkeypatch):
         constraints, obs, objective = self.INSTANCE
-        windows = _windows(constraints, obs, objective, 500)
-        new_set = [True] + [not np.array_equal(a.keep, b.keep) for a, b in zip(windows, windows[1:])]
+        new_set = _kept_sets(_windows(constraints, obs, objective, 500))
         assert new_set == [True, False, True, True, False]
         phase_ones = 0
         per_window = []
@@ -1047,7 +1178,10 @@ class TestSharedPhaseOne:
         monkeypatch.setattr(simplex, "_phase_one", counting_phase_one)
         monkeypatch.setattr(solver, "_window_masses", counting_window_masses)
         solve(constraints, obs, objective, build_grid(constraints, objective, 500))
-        assert per_window == [int(new) for new in new_set]
+        # one phase 1 per solve for each kept set, the gate's included: the
+        # first window keeps the whole grid and reuses the gate's
+        assert phase_ones == sum(new_set) == 3
+        assert per_window == [0] + [int(new) for new in new_set[1:]]
 
     def test_masses_match_a_fresh_phase_one(self, monkeypatch):
         constraints, obs, objective = self.INSTANCE
@@ -1167,6 +1301,31 @@ def _reference_anchor_shifts(constraints, rows, objective, obs, points, log_lik,
     return selected
 
 
+def _reference_max_mean_prior(points, rows):
+    """The max-mean prior as the solver once found it, before its anchors
+    were dropped: an ``A x <= b`` program, equalities relaxed by
+    ±``EQUALITY_SLACK``. ``check_feasible``'s witness solves the same
+    program in homogeneous form; where the maximum mean is attained on a
+    face, it can stop at another vertex of it."""
+    a_ub, b_ub = [], []
+    for row in rows:
+        if row.sense == "eq":
+            a_ub += [row.coeffs, -row.coeffs]
+            b_ub += [row.rhs + EQUALITY_SLACK, -(row.rhs - EQUALITY_SLACK)]
+        else:
+            a_ub.append(row.coeffs)
+            b_ub.append(row.rhs)
+    result = simplex.solve_lp(
+        points,
+        a_ub=np.vstack(a_ub) if a_ub else None,
+        b_ub=np.array(b_ub) if a_ub else None,
+        a_eq=np.ones((1, points.size)),
+        b_eq=np.ones(1),
+        maximize=True,
+    )
+    return prior_from_masses(points, result.x) if result.status == "optimal" else None
+
+
 class TestMaxMeanAnchors:
     """The max-mean prior's support was once a set of anchors as well. The
     threshold anchors sit where that prior puts its atoms, so adding its
@@ -1206,7 +1365,8 @@ class TestMaxMeanAnchors:
         def with_max_mean_support(constraints, rows, objective, obs, points, log_lik):
             nonlocal added
             anchors = _reference_anchor_shifts(
-                constraints, rows, objective, obs, points, log_lik, max_mean_prior(points, rows)
+                constraints, rows, objective, obs, points, log_lik,
+                _reference_max_mean_prior(points, rows),
             )
             added += anchors != anchor_shifts(constraints, rows, objective, obs, points, log_lik)
             return anchors

@@ -23,6 +23,12 @@ trees give equal digests exactly when every op's output is equal, so a
 claim that a change keeps outputs bit for bit is checked by running this
 on both and comparing the lines. ``--dump PATH`` also writes every op's
 output as JSON, keyed by workload, seed and input id, to show what moved.
+``--compare OLD NEW`` reads two such dumps and prints, for every op whose
+output differs, its outcome before and after: the error type it raised,
+or its solve status (any other document is an ``output``). Where a bound
+moved within one status, the line says whether the move is conservative
+(towards the objective's worse side, the direction its ``objective``
+names) or optimistic. The last lines count the changed ops per category.
 
 The pools come from ``benchmark/workloads.py``, which is only imported.
 ``--extreme N`` adds a pool named ``extreme`` of N solves per seed at
@@ -45,6 +51,7 @@ runs only its own pool.
     python3 tools/output_digest.py --oracle --seed 312 --dump oracle.json
     python3 tools/output_digest.py --audit-seeds --seed 5 --seed 7
     python3 tools/output_digest.py --gsn-ties --seed 5 --seed 29
+    python3 tools/output_digest.py --compare before.json after.json
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import collections
 import dataclasses
 import hashlib
 import json
@@ -72,10 +80,12 @@ import workloads as wl  # noqa: E402
 from relbound import gsn, priors, solver  # noqa: E402
 from relbound.errors import RelboundError  # noqa: E402
 from relbound.inference import (  # noqa: E402
+    CONSERVATIVE_MAX,
     FutureReliability,
     Observation,
     PosteriorConfidence,
     PosteriorExpectedPfd,
+    objective_from_dict,
 )
 
 WORKLOAD_NAMES = tuple(wl.WORKLOADS)
@@ -249,6 +259,56 @@ def pool_outputs(workload: str, seed: int, limit: int | None = None):
         yield inst.id, op_output(workload, inst)
 
 
+def outcome(doc) -> str:
+    """An op's outcome: the error type it raised, its solve status, or
+    ``output`` for a document with neither; ``absent`` for no document."""
+    if doc is None:
+        return "absent"
+    if "raised" in doc:
+        return doc["raised"]
+    return doc.get("solver_status", "output")
+
+
+def change_category(old, new) -> str:
+    """How an op's output moved: ``"A -> B"`` for a change of outcome, and
+    within one outcome, whether the bound moved conservatively or
+    optimistically, or stayed while something else changed."""
+    before, after = outcome(old), outcome(new)
+    category = f"{before} -> {after}"
+    if before != after or "bound" not in old:
+        return category
+    if old["bound"] == new["bound"]:
+        return f"{category}, bound unchanged"
+    maximize = objective_from_dict(new["objective"]).direction == CONSERVATIVE_MAX
+    worse = (new["bound"] > old["bound"]) == maximize
+    return f"{category}, {'conservative' if worse else 'optimistic'}"
+
+
+def compare(old_dump: dict, new_dump: dict):
+    """Yield a line per op whose output differs between two ``--dump``
+    documents, then one line per category with its count."""
+    counts: collections.Counter = collections.Counter()
+    ops = 0
+    for workload in {**old_dump, **new_dump}:
+        old_seeds, new_seeds = old_dump.get(workload, {}), new_dump.get(workload, {})
+        for seed in {**old_seeds, **new_seeds}:
+            old_ops, new_ops = old_seeds.get(seed, {}), new_seeds.get(seed, {})
+            for inst_id in {**old_ops, **new_ops}:
+                ops += 1
+                old, new = old_ops.get(inst_id), new_ops.get(inst_id)
+                if old == new:
+                    continue
+                category = change_category(old, new)
+                counts[category] += 1
+                line = f"{workload} {seed} {inst_id}: {category}"
+                if category.endswith(("conservative", "optimistic")):
+                    line += f" ({old['bound']!r} -> {new['bound']!r})"
+                yield line
+    yield f"changed: {sum(counts.values())} of {ops} ops"
+    for category, count in counts.most_common():
+        yield f"{count:8d}  {category}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", action="append", choices=WORKLOAD_NAMES,
@@ -270,7 +330,14 @@ def main(argv=None) -> int:
     parser.add_argument("--gsn-ties", action="store_true",
                         help="also run each gsn-case input with its thresholds on its "
                         "claims' bounds (alone: only those)")
+    parser.add_argument("--compare", nargs=2, default=None, metavar=("OLD", "NEW"),
+                        help="compare two --dump files instead of running any pool")
     args = parser.parse_args(argv)
+    if args.compare is not None:
+        old_dump, new_dump = (json.loads(Path(path).read_text()) for path in args.compare)
+        for line in compare(old_dump, new_dump):
+            print(line)
+        return 0
     alone = args.extreme or args.oracle or args.audit_seeds or args.gsn_ties
     pools = [
         (workload, lambda seed, w=workload: pool_outputs(w, seed, args.limit))
