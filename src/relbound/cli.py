@@ -162,17 +162,17 @@ def _cmd_gsn(args) -> int:
             args.out,
         )
         return EXIT_OK if not violations else EXIT_VALIDATION
+    if args.action == "evaluate" and args.observation is None:
+        raise _UsageError("gsn evaluate needs --observation")
+    # render and evaluate need a well-formed case
+    violations = gsn.validate(case, registry)
+    if violations:
+        for violation in violations:
+            print(str(violation), file=sys.stderr)
+        return EXIT_VALIDATION
     if args.action == "render":
-        violations = gsn.validate(case, registry)
-        if violations:
-            for violation in violations:
-                print(str(violation), file=sys.stderr)
-            return EXIT_VALIDATION
         _write_output(gsn.export_dot(case), args.out)
         return EXIT_OK
-    # evaluate
-    if args.observation is None:
-        raise _UsageError("gsn evaluate needs --observation")
     obs = _load_observation(args.observation)
     statuses = gsn.evaluate_case(case, obs, registry, resolution=args.grid)
     _write_output(_dump(statuses), args.out)

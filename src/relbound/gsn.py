@@ -27,6 +27,7 @@ from .priors import (
     build_grid,
     constraint_to_dict,
     constraints_from_list,
+    number_field,
 )
 from .solver import (
     _running_best,
@@ -377,7 +378,7 @@ def claim_from_dict(doc: Mapping) -> QuantClaim:
         return QuantClaim(
             constraints=constraints_from_list(doc["constraints"]),
             objective=objective_from_dict(doc["objective"]),
-            threshold=float(doc["threshold"]),
+            threshold=number_field(doc, "threshold"),
             comparison=str(doc["comparison"]),
         )
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParseError, ZeroEvidenceError, parsing
 from .numerics import EXP_UNDERFLOW, survive_prob
-from .priors import PriorDistribution, as_count, count_field
+from .priors import PriorDistribution, as_count, count_field, number_field
 
 CONSERVATIVE_MAX = "conservative-max"
 CONSERVATIVE_MIN = "conservative-min"
@@ -88,7 +88,7 @@ def objective_from_dict(doc: Mapping) -> ObjectiveSpec:
         if kind == "posterior_expected_pfd":
             return PosteriorExpectedPfd()
         if kind == "posterior_confidence":
-            return PosteriorConfidence(p_req=float(doc["p_req"]))
+            return PosteriorConfidence(p_req=number_field(doc, "p_req"))
         if kind == "future_reliability":
             return FutureReliability(t=count_field(doc, "t"))
     raise ParseError(f"unknown objective type {kind!r}")

@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     parsing,
 )
+from .priors import number_field
 
 WEIGHT_TOL = 1e-9
 
@@ -136,8 +137,8 @@ def load_dataset(path: str) -> MeasuredDataset:
 def decomposition_from_dict(doc: Mapping) -> ErrorDecomposition:
     with parsing("decomposition document"):
         return ErrorDecomposition(
-            bayes_error=float(doc["bayes_error"]),
-            approximation_error=float(doc["approximation_error"]),
-            estimation_error=float(doc["estimation_error"]),
+            bayes_error=number_field(doc, "bayes_error"),
+            approximation_error=number_field(doc, "approximation_error"),
+            estimation_error=number_field(doc, "estimation_error"),
             provenance=dict(doc.get("provenance", {})),
         )

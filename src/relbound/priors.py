@@ -18,9 +18,12 @@ coefficients the 0/1 indicator of a grid prefix. A lower bound is an
 ``"le"`` row negated: prior reliability is -E[(1-pfd)**n0] <= -g. The
 rows are also the one admission rule: ``rows_admit`` judges a prior by
 them, and ``PriorDistribution.satisfies_all`` is ``rows_admit`` over the
-rows built on the prior's own support. A new form supplies its
-dataclass, tag and parser branch; its row in ``constraint_rows``; and
-its thresholds in ``forced_grid_points`` or ``threshold_points``.
+rows built on the prior's own support. Every prior the package returns
+has passed ``rows_admit``: ``solve``'s and ``oracle_solve``'s witnesses,
+``check_feasible``'s witness and the audit's sampled priors. A new form
+supplies its dataclass, tag and parser branch; its row in
+``constraint_rows``; and its thresholds in ``forced_grid_points`` or
+``threshold_points``.
 """
 
 from __future__ import annotations
@@ -133,22 +136,36 @@ def as_count(
     return count
 
 
+def as_number(value, name: str, error: type[Exception] = ValueError) -> float:
+    """``value`` as a float: a real number, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def count_field(doc: Mapping, field: str) -> int:
     """``doc[field]`` as a count, by ``as_count``'s rule."""
     return as_count(doc[field], field, ParseError)
+
+
+def number_field(doc: Mapping, field: str) -> float:
+    """``doc[field]`` as a float, by ``as_number``'s rule."""
+    return as_number(doc[field], field, ParseError)
 
 
 def constraint_from_dict(doc: Mapping) -> PartialPriorConstraint:
     with parsing("constraint document"):
         kind = doc["type"]
         if kind == "mean_bound":
-            return MeanBound(m=float(doc["m"]))
+            return MeanBound(m=number_field(doc, "m"))
         if kind == "confidence_bound":
-            return ConfidenceBound(epsilon=float(doc["epsilon"]), theta=float(doc["theta"]))
+            return ConfidenceBound(
+                epsilon=number_field(doc, "epsilon"), theta=number_field(doc, "theta")
+            )
         if kind == "perfection_confidence":
-            return PerfectionConfidence(theta=float(doc["theta"]))
+            return PerfectionConfidence(theta=number_field(doc, "theta"))
         if kind == "prior_reliability":
-            return PriorReliability(n0=count_field(doc, "n0"), gamma=float(doc["gamma"]))
+            return PriorReliability(n0=count_field(doc, "n0"), gamma=number_field(doc, "gamma"))
     raise ParseError(f"unknown constraint type {kind!r}")
 
 
@@ -412,11 +429,15 @@ def carried_prior(
     return PriorDistribution(tuple(points[support[carried]]), tuple(masses[carried]))
 
 
-def prior_from_masses(points: np.ndarray, masses: np.ndarray) -> PriorDistribution | None:
-    """The prior ``drop_roundoff`` leaves of ``masses`` on ``points``; None
-    if no mass is left."""
-    (cleaned,), (kept,) = drop_roundoff(masses[None])
-    return carried_prior(points, np.arange(points.size), cleaned) if kept else None
+def admitted_row(rows, x) -> tuple[np.ndarray, np.ndarray] | None:
+    """The row ``(support, masses)`` that ``drop_roundoff`` leaves of grid
+    masses ``x``, over its carried points, if ``rows_admit`` accepts it;
+    otherwise None. The one way from an LP's masses to a witness."""
+    (masses,), (kept,) = drop_roundoff(x[None])
+    support = np.flatnonzero(masses)
+    if not kept or not rows_admit(rows, support[None], masses[None, support])[0]:
+        return None
+    return support, masses[support]
 
 
 def grid_feasibility(rows: Sequence[ConstraintRow], n_points: int) -> LpResult:
@@ -443,11 +464,12 @@ def check_feasible(
 
     On success the witness is the feasible prior with the largest mean
     pfd (the most pessimistic admissible belief), one phase 2 from that
-    program's start, or None if roundoff in the start leaves that phase 2
-    without an optimum; with no constraints at all it is the point mass
-    at 1. On failure the result names an irreducible unsatisfiable subset,
-    found by greedy deletion by position, so that a repeated constraint is
-    deleted one copy at a time.
+    program's start, as ``admitted_row`` leaves it; with no constraints at
+    all it is the point mass at 1. It is None if roundoff in the start
+    leaves that phase 2 without an optimum, or ends it on masses that
+    ``rows_admit`` refuses. On failure the result names an irreducible
+    unsatisfiable subset, found by greedy deletion by position, so that a
+    repeated constraint is deleted one copy at a time.
     """
     points = grid.as_array()
     rows = constraint_rows(constraints, points)  # one row per constraint
@@ -456,9 +478,8 @@ def check_feasible(
         start = feasibility.start
         b_ub = np.zeros(start.n_cols - points.size)  # sizes the start's slack columns
         max_mean = solve_lp(points, b_ub=b_ub, maximize=True, start=start)
-        optimal = max_mean.status == "optimal"
-        witness = prior_from_masses(points, max_mean.x) if optimal else None
-        return FeasibilityResult(True, witness, ())
+        row = admitted_row(rows, max_mean.x) if max_mean.status == "optimal" else None
+        return FeasibilityResult(True, None if row is None else carried_prior(points, *row), ())
     remaining = list(range(len(rows)))
     for i in range(len(rows)):
         trial = [j for j in remaining if j != i]

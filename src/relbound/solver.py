@@ -34,26 +34,29 @@ window). The window's ratio LP proposes a bound; sign-test programs —
 whose coefficients multiply the likelihood and therefore stay order one
 — certify it, falling back to bisection on the bound when the proposal
 does not verify or roundoff leaves none, and their solution is the
-witness. The sign tests' phase 1 runs before the
-ratio LP, once per set of kept columns: the program depends on nothing
-else, and windows that keep the same columns come in a row, so each
-reuses the latest window's. Its program is ``priors.grid_feasibility``,
-the one that decides whether the constraints are satisfiable on a set of
-grid points. ``solve`` runs it on the whole grid before any window, as
-``check_feasible`` does: an infeasible set gets no window, and a feasible
-one hands that phase 1 to the first window, which, anchored at the grid
-maximum, keeps every column. Both programs range over the same cone of
-masses, so the ratio LP starts from that feasible basis and runs no
-phase 1 of its own, unless roundoff makes the basis singular or
-infeasible there. Every candidate witness loses its roundoff masses
-(``drop_roundoff``), must pass ``rows_admit`` on the solve's own rows,
-and stays a ``(support, masses)`` row that the batched posterior scorer
-values exactly on its own support. The windows run as one stream,
-``_running_best``, that yields the most conservative candidate so far
-after each window that improves it. ``solve`` reads it to the end, and
-only the last item is built as a prior and re-valued; a GSN goal
-(``gsn._evaluate_binding``) stops at the first item that refutes its
-claim, since the running best only moves further the same way.
+witness. The sign tests' phase 1 runs before the ratio LP, once per set
+of kept columns: the program depends on nothing else, and windows that
+keep the same columns come in a row, so ``_running_best`` holds only the
+latest and hands it to each window. Its program is
+``priors.grid_feasibility``, the one that decides whether the
+constraints are satisfiable on a set of grid points. ``solve`` runs it
+on the whole grid before any window, as ``check_feasible`` does: an
+infeasible set gets no window, and a feasible one hands that phase 1 to
+the first window, which, anchored at the grid maximum, keeps every
+column. Both programs range over the same cone of masses, so the ratio
+LP starts from that feasible basis and runs no phase 1 of its own,
+unless roundoff makes the basis singular or infeasible there. Every
+candidate witness leaves the window's masses through
+``priors.admitted_row``, as ``check_feasible``'s does: it loses its
+roundoff masses (``drop_roundoff``), must pass ``rows_admit`` on the
+solve's own rows, and stays a ``(support, masses)`` row that the batched
+posterior scorer values exactly on its own support. The windows run as
+one stream, ``_running_best``, that yields the most conservative
+candidate so far after each window that improves it. ``solve`` reads it
+to the end, and only the last item is built as a prior and re-valued; a
+GSN goal (``gsn._evaluate_binding``) stops at the first item that
+refutes its claim, since the running best only moves further the same
+way.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ from .priors import (
     ConstraintRow,
     PfdGrid,
     PriorDistribution,
+    admitted_row,
     build_grid,
     carried_prior,
     check_feasible,  # noqa: F401  importable from here, though solve does not call it
@@ -284,39 +288,13 @@ def _window_ratio_value(window: _Window, maximize: bool, b_ub, basis) -> float |
 _SIGN_TOL = 1e-12
 
 
-@dataclass
-class _LatestPhaseOne:
-    """The sign tests' phase 1 of the latest window, as ``grid_feasibility``
-    returns it.
-
-    Every sign test shares its window's constraints, so one phase 1 serves
-    them all; only the objective changes with the level. The program
-    depends on the kept columns alone, so the next window reuses it when
-    it keeps the same columns. Anchors descend, so such windows come in a
-    row, and only the latest phase 1 is held. ``_running_best`` seeds it
-    with its whole-grid gate: the first window, anchored at the grid
-    maximum, keeps every column.
-    """
-
-    keep: np.ndarray | None = None
-    vertex: LpResult | None = None
-
-    def for_window(self, window: _Window) -> LpResult:
-        if self.keep is None or not np.array_equal(window.keep, self.keep):
-            self.vertex = None  # free the previous phase 1 before building this one
-            self.vertex = grid_feasibility(window.rows, window.keep.size)
-            self.keep = window.keep
-        return self.vertex
-
-
-def _window_masses(
-    window: _Window, maximize: bool, latest: _LatestPhaseOne
-) -> np.ndarray | None:
+def _window_masses(window: _Window, maximize: bool, vertex: LpResult) -> np.ndarray | None:
     """Worst-case prior masses within one window, or None.
 
-    The sign tests' phase 1 comes first, from ``latest`` if it holds that
-    of a window with the same kept columns: if it fails, every sign test
-    does, and otherwise its basis starts the ratio LP. The ratio LP
+    ``vertex`` is the sign tests' phase 1, ``grid_feasibility`` over the
+    window's kept columns: every sign test shares the window's
+    constraints, so one phase 1 serves them all. If it fails, every sign
+    test does, and otherwise its basis starts the ratio LP. The ratio LP
     proposes the bound; sign tests at a whisker to either side confirm
     and tighten it (falling back to bisection over [0, 1] when the
     proposal does not verify), and the argmin of the final achievable
@@ -327,7 +305,6 @@ def _window_masses(
     reports neither optimum that is roundoff: the bisection then runs
     without a proposal.
     """
-    vertex = latest.for_window(window)
     if vertex.status != "optimal":
         return None
     start, basis = vertex.start, vertex.basis
@@ -397,17 +374,6 @@ def _window_masses(
     return x / total
 
 
-def _admitted_row(rows, x) -> tuple[np.ndarray, np.ndarray] | None:
-    """The row ``(support, masses)`` that ``drop_roundoff`` leaves of grid
-    masses ``x``, over its carried points, if ``rows_admit`` accepts it;
-    otherwise None."""
-    (masses,), (kept,) = drop_roundoff(x[None])
-    support = np.flatnonzero(masses)
-    if not kept or not rows_admit(rows, support[None], masses[None, support])[0]:
-        return None
-    return support, masses[support]
-
-
 def _keep_best(best, log_lik, gains, supports, masses, obs, maximize):
     """The most conservative of ``best`` and the rows ``(supports, masses)``.
 
@@ -468,13 +434,20 @@ def _running_best(constraints, obs: Observation, objective: ObjectiveSpec, grid:
 
     best = None
     anchors = _anchor_shifts(constraints, rows, objective, obs, points, log_lik)
-    latest = _LatestPhaseOne(np.arange(points.size), gate)
+    # a window's phase 1 depends on its kept columns alone. Anchors
+    # descend, so windows that keep the same columns come in a row, and
+    # only the latest phase 1 is held; the first window, anchored at the
+    # grid maximum, keeps every column and takes the gate's
+    keep, vertex = np.arange(points.size), gate
     for anchor in anchors:
         window = _make_window(rows, points, log_lik, anchor, gains)
         if window is None:
             continue
-        x = _window_masses(window, maximize, latest)
-        row = None if x is None else _admitted_row(rows, x)
+        if not np.array_equal(window.keep, keep):
+            vertex = None  # free the previous phase 1 before building this one
+            keep, vertex = window.keep, grid_feasibility(window.rows, window.keep.size)
+        x = _window_masses(window, maximize, vertex)
+        row = None if x is None else admitted_row(rows, x)
         if row is not None:
             # scored on its own: padded rows of a batch can round differently
             support, masses = row

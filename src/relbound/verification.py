@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, Union
 from .csvio import csv_records
 from .errors import InvalidCoverageError, ParseError, parsing
 from .measures import OperationalProfile
-from .priors import ConfidenceBound
+from .priors import ConfidenceBound, as_number
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,10 @@ def density_from_dict(doc: Mapping) -> PiecewiseDensity:
             return PiecewiseDensity.uniform()
         if kind == "piecewise":
             return PiecewiseDensity(
-                tuple((float(lo), float(hi), float(density)) for lo, hi, density in doc["pieces"])
+                tuple(
+                    tuple(as_number(value, "piece", ParseError) for value in (lo, hi, density))
+                    for lo, hi, density in doc["pieces"]
+                )
             )
     raise ParseError(f"unknown density kind {kind!r}")
 
@@ -157,7 +160,9 @@ def profile_from_dict(doc: Mapping) -> OperationalProfile:
     with parsing("discrete profile document"):
         if doc.get("kind") != "discrete":
             raise ParseError(f"expected a discrete profile, got kind {doc.get('kind')!r}")
-        return OperationalProfile(tuple((str(pid), float(w)) for pid, w in doc["weights"].items()))
+        return OperationalProfile(
+            tuple((str(pid), as_number(w, "weight", ParseError)) for pid, w in doc["weights"].items())
+        )
 
 
 def load_interval_coverage(path: str, density: PiecewiseDensity | None = None) -> IntervalCoverage:

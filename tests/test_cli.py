@@ -692,6 +692,17 @@ _FROM_COVERAGE = ["prior-from-verification", "--coverage", "cov.csv", "--profile
 _VALIDATE = ["gsn", "validate", "--case", "case.json"]
 
 
+def _main_with_docs(files, argv, docs):
+    """``main(argv)`` with each file name in ``docs`` written (text as is,
+    anything else as JSON) and replaced in ``argv`` by its path."""
+    write, _ = files
+    paths = {
+        name: write(name, doc) if isinstance(doc, str) else write_json(write, name, doc)
+        for name, doc in docs.items()
+    }
+    return main([paths.get(arg, arg) for arg in argv])
+
+
 @pytest.mark.parametrize(
     "argv, docs",
     [
@@ -717,17 +728,129 @@ _VALIDATE = ["gsn", "validate", "--case", "case.json"]
 def test_malformed_document_is_one_parse_error(files, capsys, argv, docs):
     # each of these once left main with a traceback, or (modules-object)
     # was read as the registry ("A",)
-    write, _ = files
-    paths = {
-        name: write(name, doc) if isinstance(doc, str) else write_json(write, name, doc)
-        for name, doc in docs.items()
-    }
-    code = main([paths.get(arg, arg) for arg in argv])
+    code = _main_with_docs(files, argv, docs)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("parse error: ")
+
+
+def _bound_case(threshold):
+    binding = {
+        "constraints": [{"type": "perfection_confidence", "theta": 1.0}],
+        "objective": {"type": "future_reliability", "t": 100},
+        "threshold": threshold,
+        "comparison": ">=",
+    }
+    return {
+        "root": "G1",
+        "nodes": [
+            {"id": "G1", "kind": "goal", "statement": "s", "claim_binding": binding},
+            {"id": "Sn1", "kind": "solution", "statement": "operational data"},
+        ],
+        "supported_by": [["G1", "Sn1"]],
+    }
+
+
+_EVALUATE = ["gsn", "evaluate", "--case", "case.json", "--observation", "o.json", "--grid", "50"]
+_DECOMPOSITION = {"bayes_error": 0.0, "approximation_error": 0.0, "estimation_error": 0.0}
+
+
+@pytest.mark.parametrize(
+    "argv, docs, field, value",
+    [
+        (_SOLVE, {**_SOLVE_DOCS, "c.json": [{"type": "mean_bound", "m": True}]}, "m", True),
+        (
+            _SOLVE,
+            {**_SOLVE_DOCS, "c.json": [{"type": "confidence_bound", "epsilon": 0.1, "theta": "0.5"}]},
+            "theta",
+            "0.5",
+        ),
+        (
+            _SOLVE,
+            {**_SOLVE_DOCS, "c.json": [{"type": "prior_reliability", "n0": 10, "gamma": None}]},
+            "gamma",
+            None,
+        ),
+        (
+            _SOLVE,
+            {**_SOLVE_DOCS, "c.json": [], "obj.json": {"type": "posterior_confidence", "p_req": False}},
+            "p_req",
+            False,
+        ),
+        (_EVALUATE, {"case.json": _bound_case("0.5"), "o.json": {"n": 10, "k": 0}}, "threshold", "0.5"),
+        (
+            ["measure", "--decomposition", "d.json"],
+            {"d.json": {**_DECOMPOSITION, "approximation_error": True}},
+            "approximation_error",
+            True,
+        ),
+        (
+            _FROM_COVERAGE,
+            {"cov.csv": "lo,hi\n0.0,0.5\n", "p.json": {"kind": "piecewise", "pieces": [[0, "1", 1]]}},
+            "piece",
+            "1",
+        ),
+        (
+            _FROM_COVERAGE,
+            {"cov.csv": "point_id,covered\na,1\n", "p.json": {"kind": "discrete", "weights": {"a": True}}},
+            "weight",
+            True,
+        ),
+    ],
+    ids=[
+        "boolean-m", "string-theta", "null-gamma", "boolean-p_req", "string-threshold",
+        "boolean-decomposition", "string-piece", "boolean-weight",
+    ],
+)
+def test_number_fields_refuse_booleans_and_strings(files, capsys, argv, docs, field, value):
+    # each of these but null-gamma once parsed, a boolean as 0.0 or 1.0
+    # and a string as the number it spells, and the command exited 0;
+    # null-gamma's parse error named no field
+    code = _main_with_docs(files, argv, docs)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("parse error: ")
+    assert line.endswith(f"{field} must be a number, got {value!r}")
+
+
+def test_number_fields_accept_json_integers(files, capsys):
+    write, _ = files
+    outputs = []
+    for number in (int, float):
+        constraints = [
+            {"type": "confidence_bound", "epsilon": number(1), "theta": number(1)},
+            {"type": "perfection_confidence", "theta": number(0)},
+            {"type": "mean_bound", "m": number(1)},
+        ]
+        objective = {"type": "posterior_confidence", "p_req": number(1)}
+        code, captured = _solve_exit(write, capsys, constraints, {"n": 10, "k": 0}, objective)
+        assert code == 0
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    doc = write_json(write, "dec.json", {key: 0 for key in _DECOMPOSITION})
+    assert main(["measure", "--decomposition", doc]) == 0
+    assert json.loads(capsys.readouterr().out)["total_error"] == 0.0
+
+
+def test_gsn_evaluate_malformed_case_lists_violations(files, capsys):
+    # it once exited 1 with "error: case is not well formed: ..."
+    write, _ = files
+    case = write_json(
+        write,
+        "case.json",
+        {"root": "G1", "nodes": [{"id": "G1", "kind": "goal", "statement": "safe"}]},
+    )
+    observation = write_json(write, "o.json", {"n": 10, "k": 0})
+    assert main(["gsn", "evaluate", "--case", case, "--observation", observation]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "[unsupported-goal] G1: goal is neither undeveloped nor supported by a strategy or solution"
+    ]
 
 
 def test_module_registry_list_of_strings_accepted(files, capsys):

@@ -39,9 +39,10 @@ from relbound.priors import (
     PriorDistribution,
     PriorReliability,
     build_grid,
+    carried_prior,
     constraint_rows,
+    drop_roundoff,
     equality_cuts,
-    prior_from_masses,
     rows_admit,
 )
 from relbound.seeding import entropy_words
@@ -644,8 +645,13 @@ def _reference_sample_feasible_prior(constraints, grid, seed, max_attempts=opera
             second = vertices[int(rng.integers(0, len(vertices)))]
             lam = float(rng.random())
             masses = lam * first + (1.0 - lam) * second
-        candidate = prior_from_masses(points[support], masses)
-        if candidate is not None and reference_satisfies_all(candidate, constraints):
+        # what ``drop_roundoff`` leaves, as the deleted
+        # ``priors.prior_from_masses`` built it
+        (cleaned,), (kept,) = drop_roundoff(masses[None])
+        if not kept:
+            continue
+        candidate = carried_prior(points[support], np.arange(len(support)), cleaned)
+        if reference_satisfies_all(candidate, constraints):
             return candidate
     raise SamplingFailureError(
         f"no feasible prior found in {max_attempts} attempts; "

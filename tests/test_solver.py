@@ -31,14 +31,15 @@ from relbound.priors import (
     PfdGrid,
     PriorDistribution,
     PriorReliability,
+    admitted_row,
     build_grid,
     carried_prior,
     check_feasible,
     constraint_rows,
+    drop_roundoff,
     forced_grid_points,
     grid_feasibility,
     homogeneous_ub,
-    prior_from_masses,
     rows_admit,
 )
 from relbound.solver import curve, oracle_solve, solve
@@ -460,14 +461,19 @@ class TestOneFeasibilityProgram:
         assert result.witness.satisfies_all(constraints)
 
     #: the sets of the seeded draw below where the two do not agree, with
-    #: the reason. "refused": the simplex's phase 1 declares the whole grid
-    #: feasible from a basis whose roundoff leaves a basic value below zero
-    #: (-6.6e-5 and -0.038), so the max-mean phase 2 from it ends on masses
-    #: that ``rows_admit`` refuses. "oracle only": gamma = 1 beside
-    #: theta_0 < 1 is exactly infeasible, but the oracle admits a vertex
-    #: that misses the reliability row by less than ``MASS_TOL``
+    #: the reason. "no witness": the simplex's phase 1 declares the whole
+    #: grid feasible from a basis whose roundoff leaves a basic value below
+    #: zero (-6.6e-5 and -0.038), so the max-mean phase 2 from it ends on
+    #: masses that ``rows_admit`` refuses, and ``check_feasible`` returns
+    #: none. "oracle only": gamma = 1 beside theta_0 < 1 is exactly
+    #: infeasible, but the oracle admits a vertex that misses the
+    #: reliability row by less than ``MASS_TOL``
     DISAGREE = {
-        35: "refused", 77: "refused", 101: "oracle only", 150: "oracle only", 178: "oracle only"
+        35: "no witness",
+        77: "no witness",
+        101: "oracle only",
+        150: "oracle only",
+        178: "oracle only",
     }
 
     def test_witness_mean_is_the_oracles_max_mean(self):
@@ -481,8 +487,10 @@ class TestOneFeasibilityProgram:
             grid = build_grid(constraints, None, rng.randint(12, 30))
             report = check_feasible(constraints, grid)
             oracle = oracle_solve(constraints, Observation(0, 0), PosteriorExpectedPfd(), grid)
-            if report.feasible and not report.witness.satisfies_all(constraints):
-                disagree[i] = "refused"
+            if report.feasible:
+                assert report.witness is None or report.witness.satisfies_all(constraints)
+            if report.feasible and report.witness is None:
+                disagree[i] = "no witness"
             elif report.feasible != (oracle.solver_status != solver.STATUS_INFEASIBLE):
                 assert not report.feasible, constraints
                 disagree[i] = "oracle only"
@@ -491,6 +499,22 @@ class TestOneFeasibilityProgram:
                 assert report.witness.mean() == pytest.approx(oracle.bound, rel=0, abs=1e-9)
         assert disagree == self.DISAGREE
         assert feasible >= 200
+
+    def test_max_mean_witness_is_admitted_or_none(self):
+        # --extreme seed 5 input e11: the max-mean phase 2 ends on a prior
+        # with mean 1.7e-7 under MeanBound(1e-12), once returned as the
+        # witness
+        constraints = [
+            PriorReliability(1000000, 1e-09),
+            MeanBound(1e-12),
+            PerfectionConfidence(1e-12),
+            ConfidenceBound(1.0, 0.999999999999),
+        ]
+        grid = build_grid(constraints, PosteriorConfidence(1e-9), 200)
+        assert len(grid) == 202
+        report = check_feasible(constraints, grid)
+        assert report.feasible
+        assert report.witness is None or report.witness.satisfies_all(constraints)
 
     def test_solve_is_infeasible_exactly_when_check_feasible_is(self):
         rng = random.Random(23)
@@ -709,10 +733,15 @@ class TestWindowRatioLp:
             phase_ones += 1
             return phase_one(*args)
 
+        seen = 1  # the whole-grid gate's, run before the first window
+
         def counting_window_masses(*args):
-            before = phase_ones
+            # a window's phase 1 runs before its call, so each window counts
+            # the runs since the previous window's call ended
+            nonlocal seen
             masses = window_masses(*args)
-            per_window.append(phase_ones - before)
+            per_window.append(phase_ones - seen)
+            seen = phase_ones
             return masses
 
         monkeypatch.setattr(simplex, "_phase_one", counting_phase_one)
@@ -1054,7 +1083,9 @@ class TestWindowBisection:
         want, case, late_passes = _reference_window_masses(window, maximize)
         reference_costs = costs.copy()
         costs.clear()
-        got = solver._window_masses(window, maximize, solver._LatestPhaseOne())
+        got = solver._window_masses(
+            window, maximize, grid_feasibility(window.rows, window.keep.size)
+        )
         assert costs == reference_costs
         if want is None:
             assert got is None
@@ -1132,8 +1163,10 @@ class TestWindowBisection:
         costs = self._record_sign_tests(monkeypatch)
         case, _ = self._assert_matches_reference(window, True, costs)
         assert case == "no proposal"
-        masses = solver._window_masses(window, True, solver._LatestPhaseOne())
-        support, carried = solver._admitted_row(constraint_rows(constraints, points), masses)
+        masses = solver._window_masses(
+            window, True, grid_feasibility(window.rows, window.keep.size)
+        )
+        support, carried = admitted_row(constraint_rows(constraints, points), masses)
         witness = carried_prior(points, support, carried)
         assert witness.satisfies_all(constraints)
         assert witness.support == pytest.approx((0.0, 1e-12, 0.12484), rel=1e-9)
@@ -1169,10 +1202,15 @@ class TestSharedPhaseOne:
             phase_ones += 1
             return phase_one(*args)
 
+        seen = 1  # the whole-grid gate's, run before the first window
+
         def counting_window_masses(*args):
-            before = phase_ones
+            # a window's phase 1 runs before its call, so each window counts
+            # the runs since the previous window's call ended
+            nonlocal seen
             masses = window_masses(*args)
-            per_window.append(phase_ones - before)
+            per_window.append(phase_ones - seen)
+            seen = phase_ones
             return masses
 
         monkeypatch.setattr(simplex, "_phase_one", counting_phase_one)
@@ -1188,8 +1226,8 @@ class TestSharedPhaseOne:
         seen = []
         window_masses = solver._window_masses
 
-        def recording_window_masses(window, maximize, latest):
-            masses = window_masses(window, maximize, latest)
+        def recording_window_masses(window, maximize, vertex):
+            masses = window_masses(window, maximize, vertex)
             seen.append((window, maximize, masses))
             return masses
 
@@ -1198,7 +1236,9 @@ class TestSharedPhaseOne:
         assert len(seen) == 5
         for window, maximize, masses in seen:
             # its own phase 1, with nothing recorded from earlier sign tests
-            fresh = window_masses(window, maximize, solver._LatestPhaseOne())
+            fresh = window_masses(
+                window, maximize, grid_feasibility(window.rows, window.keep.size)
+            )
             if masses is None:
                 assert fresh is None
             else:
@@ -1323,7 +1363,12 @@ def _reference_max_mean_prior(points, rows):
         b_eq=np.ones(1),
         maximize=True,
     )
-    return prior_from_masses(points, result.x) if result.status == "optimal" else None
+    if result.status != "optimal":
+        return None
+    # what ``drop_roundoff`` leaves, unjudged, as the deleted
+    # ``priors.prior_from_masses`` built it
+    (cleaned,), (kept,) = drop_roundoff(result.x[None])
+    return carried_prior(points, np.arange(points.size), cleaned) if kept else None
 
 
 class TestMaxMeanAnchors:
