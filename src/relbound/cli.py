@@ -113,6 +113,8 @@ def _cmd_curve(args) -> int:
         n_values = [int(v) for v in args.n_values.split(",") if v.strip()]
     except ValueError:
         raise _UsageError(f"bad --n-values list: {args.n_values!r}") from None
+    if not n_values:
+        raise _UsageError(f"--n-values lists no demand counts: {args.n_values!r}")
     grid = build_grid(constraints, objective, args.grid)
     points = curve(constraints, objective, n_values, args.k, grid=grid)
     lines = ["n,bound"] + [f"{n},{bound!r}" for n, bound in points]

@@ -27,14 +27,17 @@ likelihood windows anchored wherever a worst-case prior can concentrate
 its evidence: the grid maximum, every constraint threshold, the deepest
 feasible single-atom placement, and the deepest satisfiable dominance
 level (read off the rows' structure, with one ``rows_admit`` call over
-every level and no simplex). Within a window, points below the live
+every level and no simplex). The anchors come as a descending stream,
+and the last two are searched for only once every anchor at or above
+the grid maximum has been taken. Within a window, points below the live
 band keep evidence-free columns so constrained mass can park there, and
 points above it are excluded (priors with mass there belong to a higher
 window). The window's ratio LP proposes a bound; sign-test programs —
 whose coefficients multiply the likelihood and therefore stay order one
 — certify it, falling back to bisection on the bound when the proposal
 does not verify or roundoff leaves none, and their solution is the
-witness. The sign tests' phase 1 runs before the ratio LP, once per set
+witness. A level that no live column can beat needs no sign test. The
+sign tests' phase 1 runs before the ratio LP, once per set
 of kept columns: the program depends on nothing else, and windows that
 keep the same columns come in a row, so ``_running_best`` holds only the
 latest and hands it to each window. Its program is
@@ -56,7 +59,8 @@ candidate so far after each window that improves it. ``solve`` reads it
 to the end, and only the last item is built as a prior and re-valued; a
 GSN goal (``gsn._evaluate_binding``) stops at the first item that
 refutes its claim, since the running best only moves further the same
-way.
+way. It so skips the later windows, and the deep anchors' search too
+when it stops before the anchors at or above the grid maximum run out.
 """
 
 from __future__ import annotations
@@ -196,27 +200,42 @@ def _deepest_dominant_level(rows, log_lik: np.ndarray) -> float | None:
     return float(levels[np.argmax(admitted)] if admitted.any() else levels[-1])
 
 
-def _anchor_shifts(constraints, rows, objective, obs, points, log_lik) -> list[float]:
+def _anchor_shifts(constraints, rows, objective, obs, points, log_lik):
     """Window anchors: one per likelihood shell where a worst-case prior can
-    concentrate its evidence."""
+    concentrate its evidence, descending, each more than 1e-9 below the last.
+
+    A generator, so that a caller that stops early skips the deep search.
+    The singleton and dominance-level anchors are grid levels, so none lies
+    above the grid maximum: the anchors at or above it (the grid maximum,
+    and any off-grid reliability boundary above it) come first, and the
+    deep sources are computed only once they are taken.
+    """
     finite_mask = np.isfinite(log_lik)
     if not finite_mask.any():
-        return []
-    anchors = [float(log_lik[finite_mask].max())]
-    thresholds = np.array(threshold_points(constraints, objective), dtype=float)
-    anchors.extend(log_likelihood_vector(thresholds, obs).tolist())
+        return
+    top = float(log_lik[finite_mask].max())
+    thresholds = log_likelihood_vector(
+        np.array(threshold_points(constraints, objective), dtype=float), obs
+    )
+    thresholds = thresholds[np.isfinite(thresholds)]
+    last = math.inf
+
+    def descending(anchors):
+        nonlocal last
+        for a in sorted(set(anchors), reverse=True):
+            if last - a > 1e-9:
+                last = a
+                yield a
+
+    yield from descending([top, *thresholds[thresholds >= top].tolist()])
+    deep = thresholds[thresholds < top].tolist()
     singles = _singleton_feasible(rows, points.size) & finite_mask
     if singles.any():
-        anchors.append(float(log_lik[singles].min()))
-    deepest = _deepest_dominant_level(rows, log_lik)
-    if deepest is not None:
-        anchors.append(deepest)
-    anchors = [a for a in anchors if math.isfinite(a)]
-    selected: list[float] = []
-    for a in sorted(set(anchors), reverse=True):
-        if not selected or selected[-1] - a > 1e-9:
-            selected.append(a)
-    return selected
+        deep.append(float(log_lik[singles].min()))
+    level = _deepest_dominant_level(rows, log_lik)
+    if level is not None:
+        deep.append(level)
+    yield from descending(deep)
 
 
 @dataclass
@@ -300,7 +319,10 @@ def _window_masses(window: _Window, maximize: bool, vertex: LpResult) -> np.ndar
     proposal does not verify), and the argmin of the final achievable
     sign test is the witness. If no level in [0, 1] is beaten, one more
     sign test just past the bracket's low end finds a window whose priors
-    all score the objective's best case, 0 or 1. The ratio LP's objective
+    all score the objective's best case, 0 or 1. A level at or past the
+    best live gain (the largest when maximising, the smallest when
+    minimising) is not beaten, and its sign test runs no LP; the levels
+    tested stay the same. The ratio LP's objective
     is bounded by the largest gain and its program is feasible, so when it
     reports neither optimum that is roundoff: the bisection then runs
     without a proposal.
@@ -329,14 +351,20 @@ def _window_masses(window: _Window, maximize: bool, vertex: LpResult) -> np.ndar
     # and halving are exact, so either direction tests the levels, and
     # stops at the widths, that a bracket on the level itself would
     sign = 1.0 if maximize else -1.0
+    # at u >= cut every live cost lik * (gain - level) has the losing sign
+    # and parked columns cost 0, so no prior beats the level
+    cut = float(np.max(sign * window.gains[window.live]))
 
     def achievable(u: float):
         """The optimal masses if the sign test beats level ``sign * u`` strictly.
 
         It optimises sum x * lik * (gain - level) over the window's
         priors. Every coefficient is O(1): the likelihood multiplies
-        rather than divides, so nothing amplifies simplex roundoff.
+        rather than divides, so nothing amplifies simplex roundoff. At or
+        past ``cut`` the answer is known, and no LP runs.
         """
+        if u >= cut:
+            return None
         result = sign_lp(window.lik * (window.gains - sign * u), maximize)
         if result.status != "optimal":
             return None

@@ -304,6 +304,21 @@ def test_curve_monotone_nondecreasing(files, capsys):
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("n_values", [",", "", " , ,"])
+def test_curve_without_counts_is_a_usage_error(files, capsys, n_values):
+    write, _ = files
+    constraints = write_json(write, "c.json", [{"type": "mean_bound", "m": 0.01}])
+    objective = write_json(write, "obj.json", {"type": "future_reliability", "t": 10})
+    code = main(
+        ["curve", "--constraints", constraints, "--objective", objective,
+         "--n-values", n_values, "--grid", "80"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --n-values")
+
+
 def test_prior_from_verification_intervals(files, capsys):
     write, _ = files
     coverage = write("cov.csv", "lo,hi\n0.0,0.5\n0.5,0.9\n")

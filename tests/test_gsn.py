@@ -352,20 +352,21 @@ class TestDecisionFromRunningBest:
     )
 
     @staticmethod
-    def count_windows(monkeypatch):
+    def count_calls(monkeypatch, name):
+        """A list that grows by one at each call of ``solver.<name>``."""
         calls = []
-        window_masses = solver._window_masses
+        function = getattr(solver, name)
 
         def counting(*args):
             calls.append(None)
-            return window_masses(*args)
+            return function(*args)
 
-        monkeypatch.setattr(solver, "_window_masses", counting)
+        monkeypatch.setattr(solver, name, counting)
         return calls
 
     def test_refuted_goal_runs_fewer_windows(self, monkeypatch):
         constraints, objective, obs = self.INPUT
-        calls = self.count_windows(monkeypatch)
+        calls = self.count_calls(monkeypatch, "_window_masses")
         solver.solve(constraints, obs, objective, build_grid(constraints, objective, 500))
         full = len(calls)
         # 0.8 is refuted by the first window's 0.7415
@@ -378,6 +379,19 @@ class TestDecisionFromRunningBest:
         claim = QuantClaim(constraints, objective, 0.6, ">=")
         assert _evaluate_binding(claim, obs, 500) == SATISFIED
         assert len(calls) == full == 4
+
+    def test_refuted_goal_skips_the_deep_anchor_search(self, monkeypatch):
+        constraints, objective, obs = self.INPUT
+        calls = self.count_calls(monkeypatch, "_deepest_dominant_level")
+        windows = self.count_calls(monkeypatch, "_window_masses")
+        # 0.8 is refuted by the first window, anchored at the grid maximum
+        claim = QuantClaim(constraints, objective, 0.8, ">=")
+        assert _evaluate_binding(claim, obs, 500) == UNSATISFIED
+        assert (len(windows), len(calls)) == (1, 0)
+        # 0.6 holds, so every window runs, and the level is searched once
+        claim = QuantClaim(constraints, objective, 0.6, ">=")
+        assert _evaluate_binding(claim, obs, 500) == SATISFIED
+        assert len(calls) == 1
 
 
 class TestClaimDirection:

@@ -41,6 +41,7 @@ from relbound.priors import (
     grid_feasibility,
     homogeneous_ub,
     rows_admit,
+    threshold_points,
 )
 from relbound.solver import curve, oracle_solve, solve
 
@@ -937,11 +938,14 @@ class TestDeepestDominantLevel:
 
 
 def _reference_window_masses(window, maximize):
-    """The window search with one bisection loop per direction.
+    """The window search with one bisection loop per direction, running the
+    LP of every sign test.
 
     Returns the masses, the case the probe at the proposal fell into (None
-    when no bisection ran, "no proposal" when the ratio LP gave none), and
-    how many sign tests passed at or past the level of a failed probe.
+    when no bisection ran, "no proposal" when the ratio LP gave none), how
+    many sign tests passed at or past the level of a failed probe, and for
+    each sign test in order whether its level is at or past the window's
+    best live gain and whether the LP read it as beaten.
     """
     a_ub = homogeneous_ub(window.rows)
     b_ub = None if a_ub is None else np.zeros(a_ub.shape[0])
@@ -953,7 +957,7 @@ def _reference_window_masses(window, maximize):
         b_eq=np.ones(1),
     )
     if vertex.status != "optimal":
-        return None, None, 0
+        return None, None, 0, []
     start, basis = vertex.start, vertex.basis
 
     def sign_lp(cost, maximize):
@@ -962,18 +966,23 @@ def _reference_window_masses(window, maximize):
     if not np.any(vertex.x[window.live] > 0.0):
         densest = sign_lp(window.live.astype(float), True)
         if densest.status != "optimal" or densest.value <= 0.0:
-            return None, None, 0
+            return None, None, 0, []
         basis = densest.basis
     proposal = solver._window_ratio_value(window, maximize, b_ub, basis)
     failed_at = None
     late_passes = 0
+    tests = []
+    live_gains = window.gains[window.live]
 
     def achievable(level):
         nonlocal late_passes
         result = sign_lp(window.lik * (window.gains - level), maximize)
+        past = level >= live_gains.max() if maximize else level <= live_gains.min()
         if result.status != "optimal":
+            tests.append((past, False))
             return None
         beaten = result.value > solver._SIGN_TOL if maximize else result.value < -solver._SIGN_TOL
+        tests.append((past, beaten))
         if beaten and failed_at is not None:
             late_passes += level >= failed_at if maximize else level <= failed_at
         return np.maximum(result.x, 0.0) if beaten else None
@@ -1024,13 +1033,13 @@ def _reference_window_masses(window, maximize):
         if witness is None:
             witness = achievable(hi + step)
     if witness is None:
-        return None, case, late_passes
+        return None, case, late_passes, tests
     x = np.zeros(window.n_grid)
     x[window.keep] = witness
     total = x.sum()
     if not math.isfinite(total) or total <= 0.0:
-        return None, case, late_passes
-    return x / total, case, late_passes
+        return None, case, late_passes, tests
+    return x / total, case, late_passes, tests
 
 
 def _kept_sets(windows):
@@ -1053,8 +1062,8 @@ def _windows(constraints, obs, objective, resolution):
 
 class TestWindowBisection:
     """One bracket loop serves both directions. It must run the sign tests
-    of the loop per direction, cost for cost, and return its masses byte
-    for byte."""
+    of the loop per direction, cost for cost, except those at levels no
+    live column can beat, and return its masses byte for byte."""
 
     #: each proposal shift and the case it must produce in both directions:
     #: none, and a shift by 1e-6 to the side that the sign tests beat, so
@@ -1078,10 +1087,18 @@ class TestWindowBisection:
 
     @staticmethod
     def _assert_matches_reference(window, maximize, costs):
-        """Returns the reference's case and its sign tests passed past a failed probe."""
+        """Returns the reference's case, its sign tests passed past a failed
+        probe, and how many of its sign tests the window search skips."""
         costs.clear()
-        want, case, late_passes = _reference_window_masses(window, maximize)
-        reference_costs = costs.copy()
+        want, case, late_passes, tests = _reference_window_masses(window, maximize)
+        # on these windows the LP reads every level at or past the best
+        # live gain as not beaten, so the window search, which runs no sign
+        # test there, must end where the reference does
+        assert not any(past and beaten for past, beaten in tests)
+        lead = len(costs) - len(tests)  # the densest-vertex LP, if it ran
+        reference_costs = costs[:lead] + [
+            cost for cost, (past, _) in zip(costs[lead:], tests) if not past
+        ]
         costs.clear()
         got = solver._window_masses(
             window, maximize, grid_feasibility(window.rows, window.keep.size)
@@ -1091,7 +1108,7 @@ class TestWindowBisection:
             assert got is None
         else:
             assert got.tobytes() == want.tobytes()
-        return case, late_passes
+        return case, late_passes, sum(past for past, _ in tests)
 
     @pytest.mark.parametrize("shift", SHIFTS)
     def test_matches_reference_bisection(self, shift, monkeypatch):
@@ -1105,6 +1122,7 @@ class TestWindowBisection:
         costs = self._record_sign_tests(monkeypatch)
         rng = random.Random(11)
         cases = collections.Counter()
+        skipped = 0
         for i in range(25):
             kinds = rng.choice([s for s in _KIND_SETS if s])
             constraints = [_random_constraint(rng, kind) for kind in kinds]
@@ -1119,10 +1137,12 @@ class TestWindowBisection:
             )
             maximize = objective.direction == CONSERVATIVE_MAX
             for window in _windows(constraints, obs, objective, rng.choice((100, 300, 1000))):
-                case, _ = self._assert_matches_reference(window, maximize, costs)
+                case, _, skips = self._assert_matches_reference(window, maximize, costs)
                 cases[maximize, case] += 1
+                skipped += skips
         for maximize in (True, False):
             assert cases[maximize, self.SHIFTS[shift]] > 0, cases
+        assert skipped > 0
 
     def test_sign_test_past_a_failed_probe_can_pass(self, monkeypatch):
         # in exact arithmetic no sign test past a failed one passes, but
@@ -1161,7 +1181,7 @@ class TestWindowBisection:
             objective_gain(objective, points),
         )
         costs = self._record_sign_tests(monkeypatch)
-        case, _ = self._assert_matches_reference(window, True, costs)
+        case, _, _ = self._assert_matches_reference(window, True, costs)
         assert case == "no proposal"
         masses = solver._window_masses(
             window, True, grid_feasibility(window.rows, window.keep.size)
@@ -1172,6 +1192,24 @@ class TestWindowBisection:
         assert witness.support == pytest.approx((0.0, 1e-12, 0.12484), rel=1e-9)
         assert posterior_value(witness, obs, objective) == pytest.approx(0.12484, rel=1e-9)
         assert solve(constraints, obs, objective, grid).bound == 0.6665717117840831
+
+    def test_no_sign_test_past_every_live_gain(self):
+        # FutureReliability(0) scores every prior 1, so no level at or below
+        # 1 is beaten. Run anyway, the sign tests there read values down to
+        # -5e-10 through phase-1 roundoff; the bisection took their masses,
+        # which ``rows_admit`` refuses, and ``solve`` raised
+        # ZeroEvidenceError, though a point mass beside pfd 1e-12 is admitted
+        constraints = (
+            ConfidenceBound(1e-12, 1e-9),
+            PriorReliability(1000, 1e-9),
+            MeanBound(0.5),
+            PerfectionConfidence(0.0),
+        )
+        objective = FutureReliability(0)
+        grid = build_grid(constraints, objective, 50)
+        result = solve(constraints, Observation(10_000, 0), objective, grid)
+        assert result.bound == 1.0
+        assert result.witness.satisfies_all(constraints)
 
 
 class TestSharedPhaseOne:
@@ -1413,7 +1451,9 @@ class TestMaxMeanAnchors:
                 constraints, rows, objective, obs, points, log_lik,
                 _reference_max_mean_prior(points, rows),
             )
-            added += anchors != anchor_shifts(constraints, rows, objective, obs, points, log_lik)
+            added += anchors != list(
+                anchor_shifts(constraints, rows, objective, obs, points, log_lik)
+            )
             return anchors
 
         monkeypatch.setattr(solver, "_anchor_shifts", with_max_mean_support)
@@ -1445,6 +1485,73 @@ class TestAnchorGuards:
         result = solve(constraints, obs, objective, grid)
         assert result.bound == pytest.approx(bound, rel=1e-9)
         assert result.witness.satisfies_all(constraints)
+
+
+def _eager_anchor_shifts(constraints, rows, objective, obs, points, log_lik):
+    """The anchors as one list, every source computed before the first is
+    used, as ``_anchor_shifts`` built them before it became a stream."""
+    finite_mask = np.isfinite(log_lik)
+    if not finite_mask.any():
+        return []
+    anchors = [float(log_lik[finite_mask].max())]
+    thresholds = np.array(threshold_points(constraints, objective), dtype=float)
+    anchors.extend(log_likelihood_vector(thresholds, obs).tolist())
+    singles = solver._singleton_feasible(rows, points.size) & finite_mask
+    if singles.any():
+        anchors.append(float(log_lik[singles].min()))
+    deepest = solver._deepest_dominant_level(rows, log_lik)
+    if deepest is not None:
+        anchors.append(deepest)
+    anchors = [a for a in anchors if math.isfinite(a)]
+    selected = []
+    for a in sorted(set(anchors), reverse=True):
+        if not selected or selected[-1] - a > 1e-9:
+            selected.append(a)
+    return selected
+
+
+class TestAnchorStream:
+    """``_anchor_shifts`` yields the anchors at or above the grid maximum
+    before it searches for the deep ones; the stream must be the list the
+    eager search built, anchor for anchor."""
+
+    @staticmethod
+    def _instances(rng, count):
+        objectives = [PosteriorExpectedPfd(), PosteriorConfidence(1e-4), FutureReliability(1000)]
+        for i in range(count):
+            n = int(10 ** rng.uniform(1, 7))
+            k = rng.choice((0, rng.randint(1, min(60, n)), n))
+            kinds = rng.choice(_KIND_SETS)
+            constraints = [_random_constraint(rng, kind) for kind in kinds]
+            if i % 4 == 0 and 0 < k < n:
+                # a reliability boundary just off the likeliest pfd k/n, which
+                # no grid point hits, so its anchor lies above the grid maximum
+                n0 = rng.choice((1, 10, 1000))
+                constraints.append(PriorReliability(n0, (1.0 - k / n * 1.001) ** n0))
+            if i % 9 == 0:
+                # every prior's mass sits at pfd 0, so the deepest level is the
+                # grid maximum when no demand failed
+                constraints.append(PerfectionConfidence(1.0))
+            objective = rng.choice(objectives)
+            points = build_grid(constraints, objective, rng.choice((12, 200, 2000))).as_array()
+            yield constraints, objective, Observation(n, k), points
+
+    def test_stream_matches_eager_anchors(self):
+        rng = random.Random(25)
+        above, deepest_at_top, inputs = 0, 0, 0
+        for constraints, objective, obs, points in self._instances(rng, 240):
+            rows = constraint_rows(constraints, points)
+            log_lik = log_likelihood_vector(points, obs)
+            args = (constraints, rows, objective, obs, points, log_lik)
+            want = _eager_anchor_shifts(*args)
+            assert list(solver._anchor_shifts(*args)) == want, (constraints, obs, objective)
+            if want:
+                top = float(log_lik[np.isfinite(log_lik)].max())
+                above += want[0] > top
+                deepest_at_top += solver._deepest_dominant_level(rows, log_lik) == top
+            inputs += 1
+        assert inputs >= 200
+        assert above > 0 and deepest_at_top > 0, (above, deepest_at_top)
 
 
 def test_ratio_lp_never_undercuts_an_admissible_point_mass():
@@ -1542,7 +1649,7 @@ class TestRowsOnly:
                 obs = Observation(n, k)
                 log_lik = log_likelihood_vector(points, obs)
                 args = (constraints, rows, objective, obs, points, log_lik)
-                assert solver._anchor_shifts(*args) == _reference_anchor_shifts(*args), args[:4]
+                assert list(solver._anchor_shifts(*args)) == _reference_anchor_shifts(*args), args[:4]
 
     def test_homogeneous_rows_byte_equal(self):
         rng = random.Random(31)
