@@ -322,11 +322,13 @@ def _evaluate_binding(claim: QuantClaim, obs: Observation, resolution: int) -> s
     """The goal's status from ``solve``'s running best.
 
     The claim points the objective's conservative way, and the running
-    best only moves that way, so the first value that refutes the claim
-    (above a ``"<="`` threshold, below a ``">="`` one) refutes the bound
-    too, and no further window runs. A claim that holds runs every
-    window: its last value is the bound ``solve`` reports, which
-    re-values the same row on the same points with the same scorer.
+    best never moves back from it, so the first value that refutes the
+    claim (above a ``"<="`` threshold, below a ``">="`` one) refutes the
+    bound too, and no further window runs. The windows run deepest
+    anchor first, and the deepest window's value refutes most refuted
+    claims. A claim that holds runs every window: its last value is the
+    bound ``solve`` reports, which re-values the same row on the same
+    points with the same scorer.
     """
     grid = build_grid(claim.constraints, claim.objective, resolution)
     feasible = False

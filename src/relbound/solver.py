@@ -27,40 +27,41 @@ likelihood windows anchored wherever a worst-case prior can concentrate
 its evidence: the grid maximum, every constraint threshold, the deepest
 feasible single-atom placement, and the deepest satisfiable dominance
 level (read off the rows' structure, with one ``rows_admit`` call over
-every level and no simplex). The anchors come as a descending stream,
-and the last two are searched for only once every anchor at or above
-the grid maximum has been taken. Within a window, points below the live
-band keep evidence-free columns so constrained mass can park there, and
-points above it are excluded (priors with mass there belong to a higher
-window). The window's ratio LP proposes a bound; sign-test programs —
-whose coefficients multiply the likelihood and therefore stay order one
-— certify it, falling back to bisection on the bound when the proposal
-does not verify or roundoff leaves none, and their solution is the
-witness. A level that no live column can beat needs no sign test. The
-sign tests' phase 1 runs before the ratio LP, once per set
-of kept columns: the program depends on nothing else, and windows that
-keep the same columns come in a row, so ``_running_best`` holds only the
-latest and hands it to each window. Its program is
-``priors.grid_feasibility``, the one that decides whether the
+every level and no simplex). The windows run deepest anchor first.
+Within a window, points below the live band keep evidence-free columns
+so constrained mass can park there, and points above it are excluded
+(priors with mass there belong to a higher window). The window's ratio
+LP proposes a bound; sign-test programs — whose coefficients multiply
+the likelihood and therefore stay order one — certify it, falling back
+to bisection on the bound when the proposal does not verify or roundoff
+leaves none, and their solution is the witness. A level that no live
+column can beat needs no sign test. The sign tests' phase 1 runs before
+the ratio LP, once per set of kept columns: the program depends on
+nothing else, and windows that keep the same columns come in a row, so
+``_running_best`` holds only the latest and hands it to each window. Its
+program is ``priors.grid_feasibility``, the one that decides whether the
 constraints are satisfiable on a set of grid points. ``solve`` runs it
 on the whole grid before any window, as ``check_feasible`` does: an
 infeasible set gets no window, and a feasible one hands that phase 1 to
-the first window, which, anchored at the grid maximum, keeps every
-column. Both programs range over the same cone of masses, so the ratio
-LP starts from that feasible basis and runs no phase 1 of its own,
-unless roundoff makes the basis singular or infeasible there. Every
+every window that keeps every column, as the window anchored at the
+grid maximum does. Both programs range over the same cone of masses, so
+the ratio LP starts from that feasible basis and runs no phase 1 of its
+own, unless roundoff makes the basis singular or infeasible there. Every
 candidate witness leaves the window's masses through
 ``priors.admitted_row``, as ``check_feasible``'s does: it loses its
 roundoff masses (``drop_roundoff``), must pass ``rows_admit`` on the
 solve's own rows, and stays a ``(support, masses)`` row that the batched
 posterior scorer values exactly on its own support. The windows run as
-one stream, ``_running_best``, that yields the most conservative
-candidate so far after each window that improves it. ``solve`` reads it
-to the end, and only the last item is built as a prior and re-valued; a
-GSN goal (``gsn._evaluate_binding``) stops at the first item that
-refutes its claim, since the running best only moves further the same
-way. It so skips the later windows, and the deep anchors' search too
-when it stops before the anchors at or above the grid maximum run out.
+one stream, ``_running_best``, that yields the running best after each
+window whose candidate is at least as conservative. A window's
+candidate depends on its anchor alone, so the last item's value is the
+same in any window order; ``solve`` reads the stream to the end, and
+only the last item is built as a prior and re-valued. A GSN goal
+(``gsn._evaluate_binding``) stops at the first item that refutes its
+claim, since the running best never moves back. The deep windows come
+first because they are cheap: their ratio-LP proposal usually verifies
+at once, where the window at the grid maximum often bisects, and their
+candidates refute most refuted claims.
 """
 
 from __future__ import annotations
@@ -200,42 +201,26 @@ def _deepest_dominant_level(rows, log_lik: np.ndarray) -> float | None:
     return float(levels[np.argmax(admitted)] if admitted.any() else levels[-1])
 
 
-def _anchor_shifts(constraints, rows, objective, obs, points, log_lik):
+def _anchor_shifts(constraints, rows, objective, obs, points, log_lik) -> list[float]:
     """Window anchors: one per likelihood shell where a worst-case prior can
-    concentrate its evidence, descending, each more than 1e-9 below the last.
-
-    A generator, so that a caller that stops early skips the deep search.
-    The singleton and dominance-level anchors are grid levels, so none lies
-    above the grid maximum: the anchors at or above it (the grid maximum,
-    and any off-grid reliability boundary above it) come first, and the
-    deep sources are computed only once they are taken.
-    """
+    concentrate its evidence, descending, each more than 1e-9 below the last."""
     finite_mask = np.isfinite(log_lik)
     if not finite_mask.any():
-        return
-    top = float(log_lik[finite_mask].max())
-    thresholds = log_likelihood_vector(
-        np.array(threshold_points(constraints, objective), dtype=float), obs
-    )
-    thresholds = thresholds[np.isfinite(thresholds)]
-    last = math.inf
-
-    def descending(anchors):
-        nonlocal last
-        for a in sorted(set(anchors), reverse=True):
-            if last - a > 1e-9:
-                last = a
-                yield a
-
-    yield from descending([top, *thresholds[thresholds >= top].tolist()])
-    deep = thresholds[thresholds < top].tolist()
+        return []
+    anchors = [float(log_lik[finite_mask].max())]
+    thresholds = np.array(threshold_points(constraints, objective), dtype=float)
+    anchors.extend(log_likelihood_vector(thresholds, obs).tolist())
     singles = _singleton_feasible(rows, points.size) & finite_mask
     if singles.any():
-        deep.append(float(log_lik[singles].min()))
+        anchors.append(float(log_lik[singles].min()))
     level = _deepest_dominant_level(rows, log_lik)
     if level is not None:
-        deep.append(level)
-    yield from descending(deep)
+        anchors.append(level)
+    selected: list[float] = []
+    for a in sorted({a for a in anchors if math.isfinite(a)}, reverse=True):
+        if not selected or selected[-1] - a > 1e-9:
+            selected.append(a)
+    return selected
 
 
 @dataclass
@@ -402,19 +387,22 @@ def _window_masses(window: _Window, maximize: bool, vertex: LpResult) -> np.ndar
     return x / total
 
 
-def _keep_best(best, log_lik, gains, supports, masses, obs, maximize):
+def _keep_best(best, log_lik, gains, supports, masses, obs, maximize, ties_replace=False):
     """The most conservative of ``best`` and the rows ``(supports, masses)``.
 
     ``best`` is None or ``(value, support, masses)``, and so is the
     result. Rows are valued by ``_posterior_ratio`` over the grid's
     ``log_lik`` and ``gains``; a row with no evidence (NaN) is skipped, and
-    on a tie the earlier row stays.
+    on a tie the earlier row stays: the first of the batch, and ``best``
+    over it unless ``ties_replace``.
     """
     values, _ = _posterior_ratio(log_lik[supports], gains[supports], masses, obs)
     if np.isnan(values).all():
         return best
     idx = int(np.nanargmax(values) if maximize else np.nanargmin(values))
-    if best is None or (values[idx] > best[0] if maximize else values[idx] < best[0]):
+    if best is None or (ties_replace and values[idx] == best[0]):
+        return values[idx], supports[idx], masses[idx]
+    if values[idx] > best[0] if maximize else values[idx] < best[0]:
         return values[idx], supports[idx], masses[idx]
     return best
 
@@ -439,17 +427,21 @@ def _result(constraints, obs, objective, grid, witness=None) -> CbiResult:
 def _running_best(constraints, obs: Observation, objective: ObjectiveSpec, grid: PfdGrid):
     """The running best of ``solve``'s windows, as a stream.
 
-    After each window that improves it, yields the most conservative
-    admitted candidate so far, ``(value, support, masses)`` as
-    ``_keep_best`` holds it. The values rise strictly for a maximised
-    objective and fall strictly for a minimised one, so a prefix of the
-    stream bounds its last value from one side.
+    The windows run deepest anchor first. After each window whose admitted
+    candidate is at least as conservative as the running best, the
+    candidate replaces it and is yielded, ``(value, support, masses)`` as
+    ``_keep_best`` holds it. The values never fall for a maximised
+    objective and never rise for a minimised one, so a prefix of the
+    stream bounds its last value from one side. A window's candidate
+    depends on its anchor alone, so the last value is the most
+    conservative candidate whatever the order, and among windows tied on
+    it the highest anchor's row is the last item.
 
     The set is first judged on the whole grid by ``grid_feasibility``, the
     program ``check_feasible`` runs: if it fails the stream yields nothing,
-    and otherwise its phase 1 is the first window's. When no window admits
-    a candidate with evidence, ``ZeroEvidenceError`` is raised after the
-    last window.
+    and otherwise its phase 1 is that of every window that keeps the whole
+    grid. When no window admits a candidate with evidence,
+    ``ZeroEvidenceError`` is raised after the last window.
     """
     points = grid.as_array()
     rows = constraint_rows(constraints, points)
@@ -462,24 +454,27 @@ def _running_best(constraints, obs: Observation, objective: ObjectiveSpec, grid:
 
     best = None
     anchors = _anchor_shifts(constraints, rows, objective, obs, points, log_lik)
-    # a window's phase 1 depends on its kept columns alone. Anchors
-    # descend, so windows that keep the same columns come in a row, and
-    # only the latest phase 1 is held; the first window, anchored at the
-    # grid maximum, keeps every column and takes the gate's
-    keep, vertex = np.arange(points.size), gate
-    for anchor in anchors:
+    # a window's phase 1 depends on its kept columns alone. Anchors are
+    # walked ascending, so windows that keep the same columns come in a
+    # row, and only the latest phase 1 is held; a window that keeps every
+    # column takes the gate's
+    keep = vertex = None
+    for anchor in reversed(anchors):
         window = _make_window(rows, points, log_lik, anchor, gains)
         if window is None:
             continue
         if not np.array_equal(window.keep, keep):
             vertex = None  # free the previous phase 1 before building this one
-            keep, vertex = window.keep, grid_feasibility(window.rows, window.keep.size)
+            keep = window.keep
+            vertex = gate if keep.size == points.size else grid_feasibility(window.rows, keep.size)
         x = _window_masses(window, maximize, vertex)
         row = None if x is None else admitted_row(rows, x)
         if row is not None:
             # scored on its own: padded rows of a batch can round differently
             support, masses = row
-            kept = _keep_best(best, log_lik, gains, support[None], masses[None], obs, maximize)
+            kept = _keep_best(
+                best, log_lik, gains, support[None], masses[None], obs, maximize, ties_replace=True
+            )
             if kept is not best:
                 best = kept
                 yield best

@@ -344,7 +344,9 @@ class TestDecisionFromRunningBest:
         assert statuses["G1"] == "unevaluable: infeasible"
         assert statuses["G2"] == "unevaluable: zero-evidence"
 
-    #: four windows; the running best reads 0.7415, 0.7113, then 0.6498
+    #: four windows, deepest first; the last three admit a candidate,
+    #: reading 0.6498, 0.7113 and 0.7415, so the running best reads 0.6498
+    #: from the second window on
     INPUT = (
         (ConfidenceBound(1e-4, 0.9), PerfectionConfidence(0.3), MeanBound(2e-3)),
         FutureReliability(1000),
@@ -369,29 +371,38 @@ class TestDecisionFromRunningBest:
         calls = self.count_calls(monkeypatch, "_window_masses")
         solver.solve(constraints, obs, objective, build_grid(constraints, objective, 500))
         full = len(calls)
-        # 0.8 is refuted by the first window's 0.7415
+        # 0.8 is refuted by the second window's 0.6498
         calls.clear()
         claim = QuantClaim(constraints, objective, 0.8, ">=")
         assert _evaluate_binding(claim, obs, 500) == UNSATISFIED
-        assert len(calls) < full
+        assert len(calls) == 2 < full
         # 0.6 holds, so every window runs
         calls.clear()
         claim = QuantClaim(constraints, objective, 0.6, ">=")
         assert _evaluate_binding(claim, obs, 500) == SATISFIED
         assert len(calls) == full == 4
 
-    def test_refuted_goal_skips_the_deep_anchor_search(self, monkeypatch):
-        constraints, objective, obs = self.INPUT
-        calls = self.count_calls(monkeypatch, "_deepest_dominant_level")
+    #: three windows, deepest first; the deepest admits 0.6498, the bound
+    DEEPEST_REFUTES = (
+        (ConfidenceBound(1e-4, 0.9), PerfectionConfidence(0.3)),
+        FutureReliability(1000),
+        Observation(100_000, 3),
+    )
+
+    def test_refuted_goal_runs_only_its_deepest_window(self, monkeypatch):
+        constraints, objective, obs = self.DEEPEST_REFUTES
+        levels = self.count_calls(monkeypatch, "_deepest_dominant_level")
         windows = self.count_calls(monkeypatch, "_window_masses")
-        # 0.8 is refuted by the first window, anchored at the grid maximum
-        claim = QuantClaim(constraints, objective, 0.8, ">=")
+        # 0.7 is refuted by the deepest window, which runs first
+        claim = QuantClaim(constraints, objective, 0.7, ">=")
         assert _evaluate_binding(claim, obs, 500) == UNSATISFIED
-        assert (len(windows), len(calls)) == (1, 0)
+        assert (len(windows), len(levels)) == (1, 1)
         # 0.6 holds, so every window runs, and the level is searched once
+        windows.clear()
+        levels.clear()
         claim = QuantClaim(constraints, objective, 0.6, ">=")
         assert _evaluate_binding(claim, obs, 500) == SATISFIED
-        assert len(calls) == 1
+        assert (len(windows), len(levels)) == (3, 1)
 
 
 class TestClaimDirection:

@@ -153,6 +153,15 @@ def _solve_doc(bound, status, objective, support=(0.0,)):
     return {"bound": bound, "solver_status": status, "objective": objective, "witness": witness}
 
 
+def _tie_doc(below="satisfied", at="satisfied", threshold=0.1):
+    """A gsn-ties output with one goal, G1, and one threshold at every step."""
+    doc = {"below": below, "at": at, "above": "unsatisfied"}
+    return {
+        step: {"thresholds": {"G1": threshold}, "statuses": {"G1": status}}
+        for step, status in doc.items()
+    }
+
+
 def test_compare(tmp_path):
     maximised = {"type": "posterior_expected_pfd"}
     minimised = {"type": "future_reliability", "t": 10}
@@ -170,7 +179,19 @@ def test_compare(tmp_path):
                 "e6": raised,
             }
         },
-        "gsn-case": {"5": {"g0": {"statuses": {"G1": "satisfied"}}}},
+        "gsn-case": {
+            "5": {
+                "g0": {
+                    "statuses": {"G1": "satisfied", "G2": "satisfied"},
+                    "claims": {
+                        "G1": _solve_doc(0.1, "optimal", maximised),
+                        "G2": _solve_doc(0.5, "optimal", minimised),
+                    },
+                },
+                "g1": raised,
+            }
+        },
+        "gsn-ties": {"5": {"g0": _tie_doc("satisfied", "satisfied"), "g1": _tie_doc()}},
     }
     new = {
         "extreme": {
@@ -183,7 +204,25 @@ def test_compare(tmp_path):
                 "e6": infeasible,
             }
         },
-        "gsn-case": {"5": {"g0": {"statuses": {"G1": "unsatisfied"}}}},
+        "gsn-case": {
+            "5": {
+                "g0": {
+                    "statuses": {"G1": "unsatisfied", "G2": "satisfied"},
+                    "claims": {
+                        "G1": _solve_doc(0.2, "optimal", maximised),
+                        "G2": _solve_doc(0.5, "optimal", minimised),
+                    },
+                },
+                "g1": {"statuses": {"G1": "satisfied"}, "claims": {"G1": infeasible}},
+            }
+        },
+        "gsn-ties": {
+            "5": {
+                "g0": {**_tie_doc("unsatisfied", "satisfied"), "at": {"statuses": raised}},
+                # only a threshold moved
+                "g1": _tie_doc(threshold=0.2),
+            }
+        },
     }
     paths = [tmp_path / "old.json", tmp_path / "new.json"]
     for path, doc in zip(paths, (old, new)):
@@ -197,13 +236,24 @@ def test_compare(tmp_path):
         "extreme 5 e3: optimal -> optimal, bound unchanged",
         "extreme 5 e5: optimal -> absent",
         "extreme 5 e6: ZeroEvidenceError -> infeasible",
-        "gsn-case 5 g0: output -> output",
-        "changed: 7 of 8 ops",
-        # most ops first, then in order of first appearance
+        # a line per changed goal, and per changed claim, read as a solve
+        "gsn-case 5 g0: G1: satisfied -> unsatisfied",
+        "gsn-case 5 g0: G1 claim: optimal -> optimal, conservative (0.1 -> 0.2)",
+        "gsn-case 5 g1: ZeroEvidenceError -> output",
+        # in gsn-ties, a goal's status at each tie step
+        "gsn-ties 5 g0: below G1: satisfied -> unsatisfied",
+        "gsn-ties 5 g0: at G1: satisfied -> ZeroEvidenceError",
+        "gsn-ties 5 g1: output -> output",
+        "changed: 10 of 11 ops",
+        # most changes first, then in order of first appearance
         "       2  ZeroEvidenceError -> infeasible",
+        "       2  goal: satisfied -> unsatisfied",
         "       1  optimal -> optimal, conservative",
         "       1  grid-limited -> grid-limited, optimistic",
         "       1  optimal -> optimal, bound unchanged",
         "       1  optimal -> absent",
+        "       1  claim: optimal -> optimal, conservative",
+        "       1  ZeroEvidenceError -> output",
+        "       1  goal: satisfied -> ZeroEvidenceError",
         "       1  output -> output",
     ]

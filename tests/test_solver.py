@@ -332,9 +332,45 @@ def _stream_inputs(count, seed):
         yield constraints, obs, objective, build_grid(constraints, objective, rng.randint(60, 300))
 
 
+def _descending_solve(constraints, obs, objective, grid):
+    """``solve`` with its windows walked highest anchor first, each with a
+    fresh phase 1, and a candidate kept only when strictly more
+    conservative than the running best, so that a tie keeps the higher
+    anchor's row. Returns the result and the number of windows whose
+    candidate tied the running best with another row."""
+    points = grid.as_array()
+    rows = constraint_rows(constraints, points)
+    if grid_feasibility(rows, points.size).status != "optimal":
+        return solver._result(constraints, obs, objective, grid), 0
+    log_lik = log_likelihood_vector(points, obs)
+    gains = objective_gain(objective, points)
+    maximize = objective.direction == CONSERVATIVE_MAX
+    best, ties = None, 0
+    for anchor in solver._anchor_shifts(constraints, rows, objective, obs, points, log_lik):
+        window = solver._make_window(rows, points, log_lik, anchor, gains)
+        if window is None:
+            continue
+        vertex = grid_feasibility(window.rows, window.keep.size)
+        x = solver._window_masses(window, maximize, vertex)
+        row = None if x is None else admitted_row(rows, x)
+        if row is None:
+            continue
+        support, masses = row[0][None], row[1][None]
+        candidate = solver._keep_best(None, log_lik, gains, support, masses, obs, maximize)
+        if best is not None and candidate is not None and candidate[0] == best[0]:
+            ties += (candidate[1].tolist(), candidate[2].tolist()) != (
+                best[1].tolist(),
+                best[2].tolist(),
+            )
+        best = solver._keep_best(best, log_lik, gains, support, masses, obs, maximize)
+    if best is None:
+        raise ZeroEvidenceError("no admitted candidate with evidence")
+    return solver._result(constraints, obs, objective, grid, best[1:]), ties
+
+
 class TestRunningBest:
     """``solve`` is the full reduction of ``_running_best``: the stream
-    yields the running best after each window that improves it."""
+    yields the running best after each window that improves or ties it."""
 
     #: every prior puts all its mass on pfd 0, which cannot fail
     NO_EVIDENCE = [
@@ -344,6 +380,7 @@ class TestRunningBest:
 
     def test_solve_reports_the_last_item(self):
         lengths = collections.Counter()
+        ties = collections.Counter()
         no_evidence = [(*case, build_grid(case[0], case[2], 100)) for case in self.NO_EVIDENCE]
         for constraints, obs, objective, grid in [*_stream_inputs(90, 11), *no_evidence]:
             try:
@@ -365,11 +402,52 @@ class TestRunningBest:
             assert result.bound == items[-1][0]
             values = [value for value, _, _ in items]
             if objective.direction == CONSERVATIVE_MAX:
-                assert all(a < b for a, b in zip(values, values[1:]))
+                assert all(a <= b for a, b in zip(values, values[1:]))
             else:
-                assert all(a > b for a, b in zip(values, values[1:]))
+                assert all(a >= b for a, b in zip(values, values[1:]))
+            for (a, support_a, masses_a), (b, support_b, masses_b) in zip(items, items[1:]):
+                if a == b:
+                    same = support_a.tolist() == support_b.tolist() and (
+                        masses_a.tolist() == masses_b.tolist()
+                    )
+                    ties["same row" if same else "other row"] += 1
         # every case occurs: infeasible, one item, several items, no evidence
         assert all(lengths[key] >= 3 for key in (0, 1, 2, "zero-evidence")), lengths
+        # equal consecutive items occur with the same row, from windows that
+        # agree, and with another row, from the higher anchor among tied ones
+        assert ties["same row"] >= 1 and ties["other row"] >= 1, ties
+
+    def test_solve_matches_the_descending_walk(self):
+        # a window's candidate depends on its anchor alone, so walking the
+        # windows in any order finds the same bound; among tied windows the
+        # highest anchor's row must win, as it did when it came first
+        outcomes = collections.Counter()
+        no_evidence = [(*case, build_grid(case[0], case[2], 100)) for case in self.NO_EVIDENCE]
+        for constraints, obs, objective, grid in [*_stream_inputs(210, 26), *no_evidence]:
+            try:
+                want, ties = _descending_solve(constraints, obs, objective, grid)
+            except ZeroEvidenceError:
+                with pytest.raises(ZeroEvidenceError):
+                    solve(constraints, obs, objective, grid)
+                outcomes["zero-evidence"] += 1
+                continue
+            assert solve(constraints, obs, objective, grid).to_dict() == want.to_dict()
+            outcomes[want.solver_status] += 1
+            outcomes["ties"] += ties > 0
+        statuses = (solver.STATUS_OPTIMAL, solver.STATUS_GRID_LIMITED, solver.STATUS_INFEASIBLE)
+        assert all(outcomes[key] >= 3 for key in ("zero-evidence", "ties", *statuses)), outcomes
+
+    def test_tie_keeps_the_highest_anchor(self):
+        # solve-mix seed-7 input ``s43``: windows tie at bound 0.0. The
+        # deepest one's row sits on pfd 0.99901, a grid point, and the
+        # highest one's on the confidence threshold, which every grid holds
+        constraints = [ConfidenceBound(3.2607261779456e-06, 0.7009223788420067)]
+        objective = PosteriorConfidence(0.008504319627564977)
+        obs = Observation(8_422_324, 31)
+        result = solve(constraints, obs, objective, build_grid(constraints, objective, 2000))
+        assert result.bound == 0.0
+        assert result.solver_status == solver.STATUS_OPTIMAL
+        assert result.witness.support == (0.0, 0.008504319627573483)
 
     def test_empty_when_infeasible(self):
         constraints, objective = [ConfidenceBound(0.1, 0.9), MeanBound(0.005)], FutureReliability(10)
@@ -749,9 +827,10 @@ class TestWindowRatioLp:
         monkeypatch.setattr(solver, "_window_masses", counting_window_masses)
         result = solve(constraints, obs, objective, grid)
         self._assert_witness_attains_bound(constraints, obs, objective, result)
-        # the sign tests' phase 1 is each window's only one, and the first
-        # window's is the whole-grid gate's: one per solve for each kept set
-        assert per_window == [0] + [1] * (len(new_set) - 1)
+        # the sign tests' phase 1 is each window's only one, and the last
+        # window, anchored at the grid maximum, keeps the whole grid and
+        # reuses the gate's: one per solve for each kept set
+        assert per_window == [1] * (len(new_set) - 1) + [0]
         assert phase_ones == sum(new_set) == len(new_set)
 
     def test_bound_not_below_subgrid_oracle(self):
@@ -1048,7 +1127,8 @@ def _kept_sets(windows):
 
 
 def _windows(constraints, obs, objective, resolution):
-    """Every window ``solve`` searches on this instance."""
+    """Every window ``solve`` searches on this instance, in its order:
+    deepest anchor first."""
     points = build_grid(constraints, objective, resolution).as_array()
     rows = constraint_rows(constraints, points)
     if grid_feasibility(rows, points.size).status != "optimal":
@@ -1056,7 +1136,7 @@ def _windows(constraints, obs, objective, resolution):
     log_lik = log_likelihood_vector(points, obs)
     gains = objective_gain(objective, points)
     anchors = solver._anchor_shifts(constraints, rows, objective, obs, points, log_lik)
-    windows = (solver._make_window(rows, points, log_lik, a, gains) for a in anchors)
+    windows = (solver._make_window(rows, points, log_lik, a, gains) for a in reversed(anchors))
     return [w for w in windows if w is not None]
 
 
@@ -1216,7 +1296,7 @@ class TestSharedPhaseOne:
     """Windows that keep the same columns share one sign-test phase 1."""
 
     #: solve-mix seed-5 input ``s364``: five windows over three kept sets,
-    #: the first two and the last two alike
+    #: the first two and the last two alike; the last two keep the whole grid
     INSTANCE = (
         (
             ConfidenceBound(0.0009324515633061724, 0.5993139216734447),
@@ -1229,8 +1309,11 @@ class TestSharedPhaseOne:
 
     def test_one_phase_one_per_kept_set(self, monkeypatch):
         constraints, obs, objective = self.INSTANCE
-        new_set = _kept_sets(_windows(constraints, obs, objective, 500))
+        windows = _windows(constraints, obs, objective, 500)
+        new_set = _kept_sets(windows)
         assert new_set == [True, False, True, True, False]
+        size = len(build_grid(constraints, objective, 500))
+        assert [w.keep.size == size for w in windows] == [False, False, False, True, True]
         phase_ones = 0
         per_window = []
         phase_one, window_masses = simplex._phase_one, solver._window_masses
@@ -1255,9 +1338,9 @@ class TestSharedPhaseOne:
         monkeypatch.setattr(solver, "_window_masses", counting_window_masses)
         solve(constraints, obs, objective, build_grid(constraints, objective, 500))
         # one phase 1 per solve for each kept set, the gate's included: the
-        # first window keeps the whole grid and reuses the gate's
+        # windows that keep the whole grid reuse the gate's
         assert phase_ones == sum(new_set) == 3
-        assert per_window == [0] + [int(new) for new in new_set[1:]]
+        assert per_window == [1, 0, 1, 0, 0]
 
     def test_masses_match_a_fresh_phase_one(self, monkeypatch):
         constraints, obs, objective = self.INSTANCE
@@ -1487,33 +1570,10 @@ class TestAnchorGuards:
         assert result.witness.satisfies_all(constraints)
 
 
-def _eager_anchor_shifts(constraints, rows, objective, obs, points, log_lik):
-    """The anchors as one list, every source computed before the first is
-    used, as ``_anchor_shifts`` built them before it became a stream."""
-    finite_mask = np.isfinite(log_lik)
-    if not finite_mask.any():
-        return []
-    anchors = [float(log_lik[finite_mask].max())]
-    thresholds = np.array(threshold_points(constraints, objective), dtype=float)
-    anchors.extend(log_likelihood_vector(thresholds, obs).tolist())
-    singles = solver._singleton_feasible(rows, points.size) & finite_mask
-    if singles.any():
-        anchors.append(float(log_lik[singles].min()))
-    deepest = solver._deepest_dominant_level(rows, log_lik)
-    if deepest is not None:
-        anchors.append(deepest)
-    anchors = [a for a in anchors if math.isfinite(a)]
-    selected = []
-    for a in sorted(set(anchors), reverse=True):
-        if not selected or selected[-1] - a > 1e-9:
-            selected.append(a)
-    return selected
-
-
-class TestAnchorStream:
-    """``_anchor_shifts`` yields the anchors at or above the grid maximum
-    before it searches for the deep ones; the stream must be the list the
-    eager search built, anchor for anchor."""
+class TestAnchorList:
+    """``_anchor_shifts`` is one descending list, each anchor more than 1e-9
+    below the last. Each source's anchor is in it, or lies at most 1e-9
+    below one that is, and every anchor is some source's."""
 
     @staticmethod
     def _instances(rng, count):
@@ -1536,20 +1596,33 @@ class TestAnchorStream:
             points = build_grid(constraints, objective, rng.choice((12, 200, 2000))).as_array()
             yield constraints, objective, Observation(n, k), points
 
-    def test_stream_matches_eager_anchors(self):
+    def test_anchors_cover_every_source(self):
         rng = random.Random(25)
         above, deepest_at_top, inputs = 0, 0, 0
         for constraints, objective, obs, points in self._instances(rng, 240):
             rows = constraint_rows(constraints, points)
             log_lik = log_likelihood_vector(points, obs)
-            args = (constraints, rows, objective, obs, points, log_lik)
-            want = _eager_anchor_shifts(*args)
-            assert list(solver._anchor_shifts(*args)) == want, (constraints, obs, objective)
-            if want:
-                top = float(log_lik[np.isfinite(log_lik)].max())
-                above += want[0] > top
-                deepest_at_top += solver._deepest_dominant_level(rows, log_lik) == top
+            anchors = solver._anchor_shifts(constraints, rows, objective, obs, points, log_lik)
             inputs += 1
+            finite = np.isfinite(log_lik)
+            if not finite.any():
+                assert anchors == []
+                continue
+            top = float(log_lik[finite].max())
+            thresholds = np.array(threshold_points(constraints, objective), dtype=float)
+            sources = [top, *log_likelihood_vector(thresholds, obs).tolist()]
+            singles = solver._singleton_feasible(rows, points.size) & finite
+            if singles.any():
+                sources.append(float(log_lik[singles].min()))
+            level = solver._deepest_dominant_level(rows, log_lik)
+            sources.append(level)
+            sources = [a for a in sources if math.isfinite(a)]
+            assert all(a - b > 1e-9 for a, b in zip(anchors, anchors[1:])), anchors
+            assert set(anchors) <= set(sources)
+            for source in sources:
+                assert any(0.0 <= a - source <= 1e-9 for a in anchors), (source, anchors)
+            above += anchors[0] > top
+            deepest_at_top += level == top
         assert inputs >= 200
         assert above > 0 and deepest_at_top > 0, (above, deepest_at_top)
 
@@ -1649,7 +1722,7 @@ class TestRowsOnly:
                 obs = Observation(n, k)
                 log_lik = log_likelihood_vector(points, obs)
                 args = (constraints, rows, objective, obs, points, log_lik)
-                assert list(solver._anchor_shifts(*args)) == _reference_anchor_shifts(*args), args[:4]
+                assert solver._anchor_shifts(*args) == _reference_anchor_shifts(*args), args[:4]
 
     def test_homogeneous_rows_byte_equal(self):
         rng = random.Random(31)

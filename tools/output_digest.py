@@ -28,7 +28,10 @@ output differs, its outcome before and after: the error type it raised,
 or its solve status (any other document is an ``output``). Where a bound
 moved within one status, the line says whether the move is conservative
 (towards the objective's worse side, the direction its ``objective``
-names) or optimistic. The last lines count the changed ops per category.
+names) or optimistic. A gsn-case or gsn-ties op gets a line per changed
+goal instead, ``G2: satisfied -> unsatisfied`` (in gsn-ties, prefixed by
+the tie step), and a gsn-case op one per changed claim, its solve read
+as above. The last lines count the changes per category.
 
 The pools come from ``benchmark/workloads.py``, which is only imported.
 ``--extreme N`` adds a pool named ``extreme`` of N solves per seed at
@@ -284,11 +287,65 @@ def change_category(old, new) -> str:
     return f"{category}, {'conservative' if worse else 'optimistic'}"
 
 
+def _bound_move(category: str, old, new) -> str:
+    """The bound's move, for a category that names one."""
+    if category.endswith(("conservative", "optimistic")):
+        return f" ({old['bound']!r} -> {new['bound']!r})"
+    return ""
+
+
+def _status_maps(doc) -> dict | None:
+    """A gsn-case or gsn-ties output's goal status maps, keyed by the label
+    prefix of their goals: ``""`` for gsn-case, each tie step for gsn-ties;
+    None for any other document."""
+    if doc is None or "raised" in doc:
+        return None
+    if "statuses" in doc:
+        return {"": doc["statuses"]}
+    if all(step in doc for step in TIE_STEPS):
+        return {f"{step} ": doc[step]["statuses"] for step in TIE_STEPS}
+    return None
+
+
+def _goal_status(statuses: dict, goal: str) -> str:
+    """A goal's status in one status map, the error type if evaluating the
+    case raised, or ``absent``."""
+    return statuses["raised"] if "raised" in statuses else statuses.get(goal, "absent")
+
+
+def goal_changes(old, new):
+    """Yield ``(label, kind, category, bound move)`` for each part of a
+    gsn-case or gsn-ties output that differs: a goal's status as
+    ``"satisfied -> unsatisfied"``, labelled by the goal and, in gsn-ties,
+    its tie step; and a gsn-case claim's solve through ``change_category``.
+    Yields nothing unless both outputs hold status maps."""
+    old_maps, new_maps = _status_maps(old), _status_maps(new)
+    if old_maps is None or new_maps is None:
+        return
+    for prefix in old_maps:
+        before, after = old_maps[prefix], new_maps[prefix]
+        listed = [statuses for statuses in (before, after) if "raised" not in statuses]
+        for goal in dict.fromkeys(goal for statuses in listed for goal in statuses):
+            old_status, new_status = _goal_status(before, goal), _goal_status(after, goal)
+            if old_status != new_status:
+                yield f"{prefix}{goal}", "goal", f"{old_status} -> {new_status}", ""
+    old_claims, new_claims = old.get("claims", {}), new.get("claims", {})
+    for goal in {**old_claims, **new_claims}:
+        before, after = old_claims.get(goal), new_claims.get(goal)
+        if before != after:
+            category = change_category(before, after)
+            yield f"{goal} claim", "claim", category, _bound_move(category, before, after)
+
+
 def compare(old_dump: dict, new_dump: dict):
     """Yield a line per op whose output differs between two ``--dump``
-    documents, then one line per category with its count."""
+    documents, then one line per category with its count.
+
+    A gsn-case or gsn-ties op gets a line per changed part instead, as
+    ``goal_changes`` finds them; its categories are counted as ``goal``
+    or ``claim`` ones. An op with no changed part found gets one line."""
     counts: collections.Counter = collections.Counter()
-    ops = 0
+    ops = changed = 0
     for workload in {**old_dump, **new_dump}:
         old_seeds, new_seeds = old_dump.get(workload, {}), new_dump.get(workload, {})
         for seed in {**old_seeds, **new_seeds}:
@@ -298,13 +355,17 @@ def compare(old_dump: dict, new_dump: dict):
                 old, new = old_ops.get(inst_id), new_ops.get(inst_id)
                 if old == new:
                     continue
-                category = change_category(old, new)
-                counts[category] += 1
-                line = f"{workload} {seed} {inst_id}: {category}"
-                if category.endswith(("conservative", "optimistic")):
-                    line += f" ({old['bound']!r} -> {new['bound']!r})"
-                yield line
-    yield f"changed: {sum(counts.values())} of {ops} ops"
+                changed += 1
+                op = f"{workload} {seed} {inst_id}"
+                parts = list(goal_changes(old, new))
+                for label, kind, category, move in parts:
+                    counts[f"{kind}: {category}"] += 1
+                    yield f"{op}: {label}: {category}{move}"
+                if not parts:
+                    category = change_category(old, new)
+                    counts[category] += 1
+                    yield f"{op}: {category}{_bound_move(category, old, new)}"
+    yield f"changed: {changed} of {ops} ops"
     for category, count in counts.most_common():
         yield f"{count:8d}  {category}"
 
