@@ -327,8 +327,7 @@ def _evaluate_binding(claim: QuantClaim, obs: Observation, resolution: int) -> s
     bound too, and no further window runs. The windows run deepest
     anchor first, and the deepest window's value refutes most refuted
     claims. A claim that holds runs every window: its last value is the
-    bound ``solve`` reports, which re-values the same row on the same
-    points with the same scorer.
+    bound ``solve`` reports.
     """
     grid = build_grid(claim.constraints, claim.objective, resolution)
     feasible = False

@@ -169,6 +169,34 @@ def _posterior_ratio(
     return values, errors
 
 
+def score_rows(log_lik, gains, indices, masses, obs: Observation):
+    """Posterior value and error per row of ``(grid indices, masses)``, as
+    ``_posterior_ratio`` returns them, over a grid's ``log_lik`` and
+    ``gains``: the one scorer of prior rows. Rows are scored in one batch
+    per count of carried points, on those points alone, so each row's
+    value is bit for bit ``posterior_value`` of its carried prior (a row
+    padded with zero masses can round differently). A row that carries
+    no point reads NaN with no error.
+    """
+    values = np.full(len(masses), np.nan)
+    errors: list[ZeroEvidenceError | None] = [None] * len(masses)
+    carried = masses > 0.0
+    sizes = carried.sum(axis=1)
+    for size in np.unique(sizes[sizes > 0]).tolist():
+        batch = np.nonzero(sizes == size)[0]
+        keep = carried[batch]
+        batch_indices = indices[batch][keep].reshape(-1, size)
+        values[batch], batch_errors = _posterior_ratio(
+            log_lik[batch_indices],
+            gains[batch_indices],
+            masses[batch][keep].reshape(-1, size),
+            obs,
+        )
+        for row, error in zip(batch.tolist(), batch_errors):
+            errors[row] = error
+    return values, errors
+
+
 def posterior_value(
     prior: PriorDistribution, obs: Observation, objective: ObjectiveSpec
 ) -> float:

@@ -16,8 +16,8 @@ stream, while the round's supports of one size share one vertex
 enumeration, and their blends, mass drops, renormalisation and
 admissibility test run as arrays over ``(trials, m)``. The accepted
 ``(grid indices, masses)`` rows are scored against the grid's
-log-likelihoods and gains, computed once per audit, by the batched
-posterior scorer; no ``PriorDistribution`` is built.
+log-likelihoods and gains, computed once per audit, by
+``inference.score_rows``; no ``PriorDistribution`` is built.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ from .inference import (
     CONSERVATIVE_MAX,
     Observation,
     ObjectiveSpec,
-    _posterior_ratio,
     log_likelihood_vector,
     objective_gain,
     posterior_value,  # noqa: F401  (bound by name in benchmark/spans.py)
+    score_rows,
 )
 from .priors import (
     PfdGrid,
@@ -351,10 +351,11 @@ def check_conservatism(
     entropy = [words + entropy_words(i) for i in range(trials)]
     seeds = seed_states(entropy, 1)[:, 0].tolist()
     for indices, masses in sample_feasible_masses(constraints, grid, seeds):
-        values, errors = _score(log_lik, gains, indices, masses, obs)
+        values, errors = score_rows(log_lik, gains, indices, masses, obs)
         for value, error in zip(values.tolist(), errors):
             index = len(records)
-            if error is not None:
+            if math.isnan(value):  # no evidence, or a seed the sampler gave up on
+                error = error or _sampling_failure(MAX_ATTEMPTS)
                 records.append(TrialRecord(index=index, margin=None, error=str(error)))
                 continue
             margin = (bound - value) if maximize else (value - bound)
@@ -368,29 +369,3 @@ def check_conservatism(
         worst_margin=worst,
         records=tuple(records),
     )
-
-
-def _score(log_lik, gains, indices, masses, obs: Observation):
-    """Posterior value and error per row of sampled ``(indices, masses)``,
-    as ``_posterior_ratio`` returns them; a row of zero masses gets the
-    sampling failure. Rows are scored in one batch per count of carried
-    points, on those points alone, so each row's value is bit for bit
-    ``posterior_value`` of its prior.
-    """
-    values = np.full(len(masses), np.nan)
-    errors: list[Exception | None] = [_sampling_failure(MAX_ATTEMPTS)] * len(masses)
-    carried = masses > 0.0
-    sizes = carried.sum(axis=1)
-    for size in np.unique(sizes[sizes > 0]).tolist():
-        batch = np.nonzero(sizes == size)[0]
-        keep = carried[batch]
-        batch_indices = indices[batch][keep].reshape(-1, size)
-        values[batch], batch_errors = _posterior_ratio(
-            log_lik[batch_indices],
-            gains[batch_indices],
-            masses[batch][keep].reshape(-1, size),
-            obs,
-        )
-        for row, error in zip(batch.tolist(), batch_errors):
-            errors[row] = error
-    return values, errors

@@ -14,9 +14,9 @@ vertices of the constraint polytope restricted to every support of up to
 (constraints + 1) points, without going through the ratio transformation
 or the simplex. It shares its vertex enumerator, ``feasible_vertices``,
 with the audit's prior sampler, and judges and ranks vertices as
-``solve`` judges and ranks its candidates: masses cleaned by
-``drop_roundoff``, admitted by ``rows_admit`` and ranked by
-``_keep_best``. Both finish with ``_result``.
+``solve`` judges and values its candidates: masses cleaned by
+``drop_roundoff``, admitted by ``rows_admit`` and valued by
+``score_rows``. Both report the winner's value through ``_result``.
 
 Likelihood scaling: the posterior ratio is invariant under a common
 rescaling of the likelihood vector, but a single scaling cannot make a
@@ -50,18 +50,18 @@ own, unless roundoff makes the basis singular or infeasible there. Every
 candidate witness leaves the window's masses through
 ``priors.admitted_row``, as ``check_feasible``'s does: it loses its
 roundoff masses (``drop_roundoff``), must pass ``rows_admit`` on the
-solve's own rows, and stays a ``(support, masses)`` row that the batched
-posterior scorer values exactly on its own support. The windows run as
+solve's own rows, and stays a ``(support, masses)`` row that
+``score_rows`` values exactly on its own support. The windows run as
 one stream, ``_running_best``, that yields the running best after each
 window whose candidate is at least as conservative. A window's
 candidate depends on its anchor alone, so the last item's value is the
 same in any window order; ``solve`` reads the stream to the end, and
-only the last item is built as a prior and re-valued. A GSN goal
-(``gsn._evaluate_binding``) stops at the first item that refutes its
-claim, since the running best never moves back. The deep windows come
-first because they are cheap: their ratio-LP proposal usually verifies
-at once, where the window at the grid maximum often bisects, and their
-candidates refute most refuted claims.
+its bound is the last item's value, with that row's prior as the
+witness. A GSN goal (``gsn._evaluate_binding``) stops at the first item
+that refutes its claim, since the running best never moves back. The
+deep windows come first because they are cheap: their ratio-LP proposal
+usually verifies at once, where the window at the grid maximum often
+bisects, and their candidates refute most refuted claims.
 """
 
 from __future__ import annotations
@@ -78,11 +78,11 @@ from .inference import (
     CONSERVATIVE_MAX,
     Observation,
     ObjectiveSpec,
-    _posterior_ratio,
     log_likelihood_vector,
     objective_gain,
     objective_to_dict,
-    posterior_value,
+    posterior_value,  # noqa: F401  (bound by name in benchmark/spans.py)
+    score_rows,
 )
 from .priors import (
     DEFAULT_RESOLUTION,
@@ -387,38 +387,35 @@ def _window_masses(window: _Window, maximize: bool, vertex: LpResult) -> np.ndar
     return x / total
 
 
-def _keep_best(best, log_lik, gains, supports, masses, obs, maximize, ties_replace=False):
+def _keep_best(best, log_lik, gains, supports, masses, obs, maximize):
     """The most conservative of ``best`` and the rows ``(supports, masses)``.
 
     ``best`` is None or ``(value, support, masses)``, and so is the
-    result. Rows are valued by ``_posterior_ratio`` over the grid's
-    ``log_lik`` and ``gains``; a row with no evidence (NaN) is skipped, and
-    on a tie the earlier row stays: the first of the batch, and ``best``
-    over it unless ``ties_replace``.
+    result. Rows are valued by ``score_rows`` over the grid's ``log_lik``
+    and ``gains``; a row with no evidence (NaN) is skipped, and on a tie
+    the earlier row stays: the first of the batch, and ``best`` over it.
     """
-    values, _ = _posterior_ratio(log_lik[supports], gains[supports], masses, obs)
+    values, _ = score_rows(log_lik, gains, supports, masses, obs)
     if np.isnan(values).all():
         return best
     idx = int(np.nanargmax(values) if maximize else np.nanargmin(values))
-    if best is None or (ties_replace and values[idx] == best[0]):
-        return values[idx], supports[idx], masses[idx]
-    if values[idx] > best[0] if maximize else values[idx] < best[0]:
+    if best is None or (values[idx] > best[0] if maximize else values[idx] < best[0]):
         return values[idx], supports[idx], masses[idx]
     return best
 
 
-def _result(constraints, obs, objective, grid, witness=None) -> CbiResult:
-    """The infeasible result without a ``witness``; otherwise the prior that
-    the winning row ``witness = (support, masses)`` carries, re-valued by
-    ``posterior_value`` on those carried points alone (an oracle row can
-    hold masses that ``drop_roundoff`` set to zero). It is optimal when
-    its support holds only the points the constraints and objective force
-    onto every grid."""
-    if witness is None:
+def _result(constraints, obs, objective, grid, best=None) -> CbiResult:
+    """The infeasible result without ``best``; otherwise the winning row
+    ``best = (value, support, masses)``: its ``score_rows`` value is the
+    bound, and the prior on its carried points (an oracle row can hold
+    masses that ``drop_roundoff`` zeroed) is the witness. It is optimal
+    when its support holds only the points the constraints and objective
+    force onto every grid."""
+    if best is None:
         prior, bound, status = None, None, STATUS_INFEASIBLE
     else:
-        prior = carried_prior(grid.as_array(), *witness)
-        bound = posterior_value(prior, obs, objective)
+        value, support, masses = best
+        prior, bound = carried_prior(grid.as_array(), support, masses), float(value)
         pinned = set(forced_grid_points(constraints, objective))
         status = STATUS_OPTIMAL if set(prior.support) <= pinned else STATUS_GRID_LIMITED
     return CbiResult(bound, prior, objective, obs, len(grid), status)
@@ -429,8 +426,8 @@ def _running_best(constraints, obs: Observation, objective: ObjectiveSpec, grid:
 
     The windows run deepest anchor first. After each window whose admitted
     candidate is at least as conservative as the running best, the
-    candidate replaces it and is yielded, ``(value, support, masses)`` as
-    ``_keep_best`` holds it. The values never fall for a maximised
+    candidate replaces it and is yielded as ``(value, support, masses)``,
+    its value by ``score_rows``. The values never fall for a maximised
     objective and never rise for a minimised one, so a prefix of the
     stream bounds its last value from one side. A window's candidate
     depends on its anchor alone, so the last value is the most
@@ -469,15 +466,15 @@ def _running_best(constraints, obs: Observation, objective: ObjectiveSpec, grid:
             vertex = gate if keep.size == points.size else grid_feasibility(window.rows, keep.size)
         x = _window_masses(window, maximize, vertex)
         row = None if x is None else admitted_row(rows, x)
-        if row is not None:
-            # scored on its own: padded rows of a batch can round differently
-            support, masses = row
-            kept = _keep_best(
-                best, log_lik, gains, support[None], masses[None], obs, maximize, ties_replace=True
-            )
-            if kept is not best:
-                best = kept
-                yield best
+        if row is None:
+            continue
+        (value,), _ = score_rows(log_lik, gains, row[0][None], row[1][None], obs)
+        # a row without evidence reads NaN; a tie replaces the running best
+        behind = best is not None and (value < best[0] if maximize else value > best[0])
+        if np.isnan(value) or behind:
+            continue
+        best = value, *row
+        yield best
     if best is None:
         raise ZeroEvidenceError(
             f"no prior admitted by the constraints gives observation "
@@ -493,11 +490,11 @@ def solve(
 ) -> CbiResult:
     """The conservative posterior bound over all grid-supported priors
     satisfying the partial knowledge, with the worst-case prior as witness:
-    the last item of ``_running_best``, built and re-valued by ``_result``."""
+    the last item of ``_running_best``, finished by ``_result``."""
     best = None
     for best in _running_best(constraints, obs, objective, grid):
         pass
-    return _result(constraints, obs, objective, grid, None if best is None else best[1:])
+    return _result(constraints, obs, objective, grid, best)
 
 
 #: supports per ``feasible_vertices`` call in ``oracle_solve``
@@ -558,7 +555,7 @@ def oracle_solve(
             f"no admissible prior gives observation n={obs.n}, k={obs.k} "
             "positive probability"
         )
-    return _result(constraints, obs, objective, coarse_grid, None if best is None else best[1:])
+    return _result(constraints, obs, objective, coarse_grid, best)
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,6 +16,7 @@ from relbound.inference import (
     objective_gain,
     objective_to_dict,
     posterior_value,
+    score_rows,
 )
 from relbound.numerics import EXP_UNDERFLOW
 from relbound.priors import PriorDistribution
@@ -313,3 +314,62 @@ class TestBatchedScorer:
         gains = np.array([[0.2, 0.9]] * 2)
         values, errors = _posterior_ratio(lls, gains, masses, Observation(5, 0))
         assert values.tolist() == [0.2, 0.55] and errors == [None, None]
+
+
+class TestScoreRows:
+    """``score_rows``, the one scorer of ``(grid indices, masses)`` rows:
+    each row is scored on its carried points alone."""
+
+    GRID = np.concatenate([[0.0], np.geomspace(1e-9, 0.9, 60), [1.0]])
+
+    def score(self, indices, masses, obs, objective):
+        return score_rows(
+            log_likelihood_vector(self.GRID, obs),
+            objective_gain(objective, self.GRID),
+            np.array(indices, dtype=np.intp),
+            np.array(masses, dtype=float),
+            obs,
+        )
+
+    @pytest.mark.parametrize("obs", _OBSERVATIONS[1:])
+    @pytest.mark.parametrize("objective", _OBJECTIVES)
+    def test_padding_at_index_zero_changes_no_bit(self, obs, objective):
+        # rows of 1 to 6 carried points inside (0, 1), padded to 24 columns
+        # with index 0 at mass 0, as the audit sampler pads them, at the
+        # front, the back or between carried points. Rows that wide give
+        # ``_posterior_ratio`` sums that round differently from the
+        # carried points' own
+        rng = np.random.default_rng(obs.n + obs.k)
+        carried, padded = [], []
+        for _ in range(120):
+            size = int(rng.integers(1, 7))
+            indices = np.sort(rng.choice(np.arange(1, self.GRID.size - 1), size, replace=False))
+            masses = rng.random(size) + 0.01
+            masses /= masses.sum()
+            carried.append((indices, masses))
+            at = np.sort(rng.integers(0, size + 1, 24 - size))
+            padded.append((np.insert(indices, at, 0), np.insert(masses, at, 0.0)))
+        want, _ = self.score(*zip(*padded), obs, objective)
+        for (indices, masses), value in zip(carried, want):
+            (alone,), _ = self.score([indices], [masses], obs, objective)
+            prior = PriorDistribution(tuple(self.GRID[indices]), tuple(masses))
+            assert value.tobytes() == alone.tobytes()
+            assert value.tobytes() == _error_text(posterior_value, prior, obs, objective)
+
+    def test_a_row_that_carries_nothing_reads_nan_without_error(self):
+        obs = Observation(50, 3)
+        values, errors = self.score([[0, 0], [4, 9]], [[0.0, 0.0], [0.5, 0.5]], obs, _OBJECTIVES[0])
+        assert np.isnan(values[0]) and errors[0] is None
+        assert not np.isnan(values[1]) and errors[1] is None
+
+    def test_a_row_without_evidence_reads_nan_with_the_error(self):
+        # after a failure and a success, pfd 0 and pfd 1 both have
+        # likelihood zero
+        obs = Observation(50, 3)
+        last = self.GRID.size - 1
+        indices, masses = [[0, last, 5], [0, 5, 7]], [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]
+        values, errors = self.score(indices, masses, obs, _OBJECTIVES[1])
+        assert np.isnan(values).all()
+        assert all(isinstance(error, ZeroEvidenceError) for error in errors)
+        prior = PriorDistribution((0.0, 1.0), (0.5, 0.5))
+        assert str(errors[0]) == _error_text(posterior_value, prior, obs, _OBJECTIVES[1])

@@ -11,10 +11,11 @@ import numpy as np
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
 
-def _run(*args) -> str:
+def _run(*args, status=0) -> str:
     proc = subprocess.run(
-        [sys.executable, str(TOOL), *args], capture_output=True, text=True, check=True, timeout=300
+        [sys.executable, str(TOOL), *args], capture_output=True, text=True, timeout=300
     )
+    assert proc.returncode == status, proc.stderr
     return proc.stdout
 
 
@@ -227,7 +228,12 @@ def test_compare(tmp_path):
     paths = [tmp_path / "old.json", tmp_path / "new.json"]
     for path, doc in zip(paths, (old, new)):
         path.write_text(json.dumps(doc))
-    assert _run("--compare", *map(str, paths)).splitlines() == [
+    # a dump compared with itself changes nothing, and exits 0
+    assert _run("--compare", str(paths[0]), str(paths[0])).splitlines() == [
+        "changed: 0 of 11 ops"
+    ]
+    # any changed op exits 1
+    assert _run("--compare", *map(str, paths), status=1).splitlines() == [
         "extreme 5 e0: ZeroEvidenceError -> infeasible",
         # a larger bound is the worse side of a maximised objective
         "extreme 5 e1: optimal -> optimal, conservative (0.1 -> 0.2)",

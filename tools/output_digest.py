@@ -31,7 +31,9 @@ moved within one status, the line says whether the move is conservative
 names) or optimistic. A gsn-case or gsn-ties op gets a line per changed
 goal instead, ``G2: satisfied -> unsatisfied`` (in gsn-ties, prefixed by
 the tie step), and a gsn-case op one per changed claim, its solve read
-as above. The last lines count the changes per category.
+as above. The last lines count the changes per category. It exits with
+status 1 when any op's output differs and 0 when none does, so a claim
+that a change keeps outputs bit for bit is one command.
 
 The pools come from ``benchmark/workloads.py``, which is only imported.
 ``--extreme N`` adds a pool named ``extreme`` of N solves per seed at
@@ -396,9 +398,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare is not None:
         old_dump, new_dump = (json.loads(Path(path).read_text()) for path in args.compare)
-        for line in compare(old_dump, new_dump):
-            print(line)
-        return 0
+        lines = list(compare(old_dump, new_dump))
+        print("\n".join(lines))
+        # without a change, the count of changed ops is the only line
+        return int(len(lines) > 1)
     alone = args.extreme or args.oracle or args.audit_seeds or args.gsn_ties
     pools = [
         (workload, lambda seed, w=workload: pool_outputs(w, seed, args.limit))
