@@ -31,7 +31,7 @@ from .priors import (
 )
 from .solver import (
     _running_best,
-    solve,  # noqa: F401  importable from here, though goals read _running_best
+    solve,  # noqa: F401  (bound by name in benchmark/spans.py; goals read _running_best)
 )
 
 KINDS = frozenset(
@@ -139,32 +139,6 @@ class Violation:
         return f"[{self.code}] {self.subject}: {self.message}"
 
 
-def _find_cycle(case: SafetyCase, children: Mapping[str, list[str]]) -> list[str] | None:
-    """The first ``supported_by`` cycle a depth-first search meets, starting
-    from the node ids in sorted order; the search keeps its path on an
-    explicit stack, so no depth reaches the recursion limit."""
-    state: dict[str, int] = {}  # 0 on the path, 1 done
-    for start in sorted(node.id for node in case.nodes):
-        if start in state:
-            continue
-        state[start] = 0
-        path = [start]
-        pending = [iter(children.get(start, ()))]
-        while pending:
-            for nxt in pending[-1]:
-                if state.get(nxt) == 0:
-                    return path[path.index(nxt) :] + [nxt]
-                if nxt not in state:
-                    state[nxt] = 0
-                    path.append(nxt)
-                    pending.append(iter(children.get(nxt, ())))
-                    break
-            else:
-                state[path.pop()] = 1
-                pending.pop()
-    return None
-
-
 def validate(case: SafetyCase, module_registry: Iterable[str] = ()) -> list[Violation]:
     """Structural well-formedness; an empty list means the case is well formed."""
     registry = set(module_registry)
@@ -186,13 +160,23 @@ def validate(case: SafetyCase, module_registry: Iterable[str] = ()) -> list[Viol
     elif root.kind != "goal":
         violations.append(Violation("root-not-goal", case.root, f"root is a {root.kind}"))
 
-    supported = case.children()
-    cycle = _find_cycle(case, supported)
-    if cycle is not None:
+    # graphlib searches from each node to its successors, so with each
+    # child added as its parent's successor it reports a cycle in edge
+    # direction, its first node repeated at the end
+    order = graphlib.TopologicalSorter()
+    for node_id in sorted(nodes):
+        order.add(node_id)
+    for src, dst in case.supported_by:
+        order.add(dst, src)
+    try:
+        order.prepare()
+    except graphlib.CycleError as err:
+        cycle = err.args[1]
         violations.append(
             Violation("cycle", cycle[0], "supported_by cycle: " + " -> ".join(cycle))
         )
 
+    supported = case.children()
     for node in sorted(case.nodes, key=lambda n: n.id):
         children = [nodes[c] for c in supported.get(node.id, [])]
         if node.kind == "goal":

@@ -45,8 +45,9 @@ on the whole grid before any window, as ``check_feasible`` does: an
 infeasible set gets no window, and a feasible one hands that phase 1 to
 every window that keeps every column, as the window anchored at the
 grid maximum does. Both programs range over the same cone of masses, so
-the ratio LP starts from that feasible basis and runs no phase 1 of its
-own, unless roundoff makes the basis singular or infeasible there. Every
+when that phase 1's vertex carries live evidence the ratio LP starts from
+its basis and runs no phase 1 of its own, unless roundoff makes the basis
+singular or infeasible there; otherwise the ratio LP runs its own. Every
 candidate witness leaves the window's masses through
 ``priors.admitted_row``, as ``check_feasible``'s does: it loses its
 roundoff masses (``drop_roundoff``), must pass ``rows_admit`` on the
@@ -93,7 +94,7 @@ from .priors import (
     admitted_row,
     build_grid,
     carried_prior,
-    check_feasible,  # noqa: F401  importable from here, though solve does not call it
+    check_feasible,  # noqa: F401  (bound by name in benchmark/spans.py; solve does not call it)
     constraint_rows,
     drop_roundoff,
     equality_cuts,
@@ -262,9 +263,10 @@ def _window_ratio_value(window: _Window, maximize: bool, b_ub, basis) -> float |
     {A x <= 0, x >= 0} as the sign tests: column j is scaled by 1/lik_j
     and the live mass, not the total, is normalised. So ``basis``, a
     feasible basis of the sign tests' program whose vertex carries live
-    evidence, is a feasible basis here too, and phase 2 starts from it;
-    only a basis that roundoff makes singular or infeasible falls back
-    to a phase 1 of this program's own.
+    evidence, is a feasible basis here too, and phase 2 starts from it.
+    It is None when the sign tests' phase-1 vertex carries no live
+    evidence, which is no vertex here; then, as for a basis that roundoff
+    makes singular or infeasible, this program runs a phase 1 of its own.
 
     The optimal value is the window's candidate bound. The solution
     itself is not trusted: recovering prior masses divides by the scaled
@@ -298,23 +300,24 @@ def _window_masses(window: _Window, maximize: bool, vertex: LpResult) -> np.ndar
     ``vertex`` is the sign tests' phase 1, ``grid_feasibility`` over the
     window's kept columns: every sign test shares the window's
     constraints, so one phase 1 serves them all. If it fails, every sign
-    test does, and otherwise its basis starts the ratio LP. The ratio LP
-    proposes the bound; sign tests at a whisker to either side confirm
-    and tighten it (falling back to bisection over [0, 1] when the
-    proposal does not verify), and the argmin of the final achievable
-    sign test is the witness. If no level in [0, 1] is beaten, one more
-    sign test just past the bracket's low end finds a window whose priors
-    all score the objective's best case, 0 or 1. A level at or past the
-    best live gain (the largest when maximising, the smallest when
-    minimising) is not beaten, and its sign test runs no LP; the levels
-    tested stay the same. The ratio LP's objective
-    is bounded by the largest gain and its program is feasible, so when it
-    reports neither optimum that is roundoff: the bisection then runs
-    without a proposal.
+    test does. Otherwise its basis starts the ratio LP when its vertex
+    carries live evidence; when it does not, the basis passed is None and
+    the ratio LP runs its own phase 1. The ratio LP proposes the bound;
+    sign tests at a whisker to either side confirm and tighten it (falling
+    back to bisection over [0, 1] when the proposal does not verify), and
+    the argmin of the final achievable sign test is the witness. If no
+    level in [0, 1] is beaten, one more sign test just past the bracket's
+    low end finds a window whose priors all score the objective's best
+    case, 0 or 1. A level at or past the best live gain (the largest when
+    maximising, the smallest when minimising) is not beaten, and its sign
+    test runs no LP; the levels tested stay the same. The ratio LP's
+    objective is bounded by the largest gain, so it reports no optimum
+    only on roundoff or on a window with no live evidence: the bisection
+    then runs without a proposal.
     """
     if vertex.status != "optimal":
         return None
-    start, basis = vertex.start, vertex.basis
+    start = vertex.start
     # from ``start`` on, a sign test reads only the constraints' shape
     n_ub = start.n_cols - window.keep.size
     b_ub = np.zeros(n_ub) if n_ub else None
@@ -322,14 +325,10 @@ def _window_masses(window: _Window, maximize: bool, vertex: LpResult) -> np.ndar
     def sign_lp(cost, maximize):
         return solve_lp(cost, b_ub=b_ub, maximize=maximize, start=start)
 
-    if not np.any(vertex.x[window.live] > 0.0):
-        # phase 1 stopped where only parked columns carry mass, which is
-        # no vertex of the ratio LP; the one with the most live mass is
-        densest = sign_lp(window.live.astype(float), True)
-        if densest.status != "optimal" or densest.value <= 0.0:
-            return None  # no prior in the window has live evidence
-        basis = densest.basis
-    proposal = _window_ratio_value(window, maximize, b_ub, basis)
+    # a phase-1 vertex where only parked columns carry mass is no vertex of
+    # the ratio LP, which then runs a phase 1 of its own
+    live = np.any(vertex.x[window.live] > 0.0)
+    proposal = _window_ratio_value(window, maximize, b_ub, vertex.basis if live else None)
 
     # the bracket runs on u = level when maximising and on u = -level when
     # minimising, so that a larger u is always harder to beat. IEEE negation
@@ -381,10 +380,7 @@ def _window_masses(window: _Window, maximize: bool, vertex: LpResult) -> np.ndar
             return None
     x = np.zeros(window.n_grid)
     x[window.keep] = witness
-    total = x.sum()
-    if not math.isfinite(total) or total <= 0.0:
-        return None
-    return x / total
+    return x / x.sum()
 
 
 def _keep_best(best, log_lik, gains, supports, masses, obs, maximize):

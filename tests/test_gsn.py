@@ -118,6 +118,41 @@ class TestValidate:
         codes = [v.code for v in validate(case)]
         assert "cycle" in codes
 
+    def test_cycle_reported_exactly_when_peeling_leaves_nodes(self):
+        # random graphs with self-loops and repeated edges: a cycle is
+        # reported exactly when Kahn's peeling of the graph leaves nodes,
+        # and the reported path walks supported_by edges back to its start
+        rng = random.Random(28)
+        cyclic = 0
+        for _ in range(2000):
+            ids = [f"G{i}" for i in range(rng.randint(1, 9))]
+            n_edges = rng.randint(0, 2 * len(ids))
+            edges = [(rng.choice(ids), rng.choice(ids)) for _ in range(n_edges)]
+            indegree = {node_id: 0 for node_id in ids}
+            for _, dst in edges:
+                indegree[dst] += 1
+            ready = [node_id for node_id, d in indegree.items() if d == 0]
+            peeled = 0
+            while ready:
+                src = ready.pop()
+                peeled += 1
+                for edge_src, dst in edges:
+                    if edge_src == src:
+                        indegree[dst] -= 1
+                        if indegree[dst] == 0:
+                            ready.append(dst)
+            case = make_case([goal(i, undeveloped=True) for i in ids], edges, root=ids[0])
+            cycles = [v for v in validate(case) if v.code == "cycle"]
+            if peeled == len(ids):
+                assert cycles == []
+                continue
+            cyclic += 1
+            (violation,) = cycles
+            path = violation.message.removeprefix("supported_by cycle: ").split(" -> ")
+            assert violation.subject == path[0] == path[-1]
+            assert all(step in edges for step in zip(path, path[1:]))
+        assert 0 < cyclic < 2000
+
     def test_undeveloped_goal_without_support_permitted(self):
         case = make_case(
             [goal("G1"), GsnNode("S1", "strategy", "s"), goal("G3", undeveloped=True)],

@@ -3,7 +3,8 @@ private name a module defines is read somewhere in the package.
 
 The checks parse each module with the standard library's ``ast`` and
 need no linter. An import meant only to re-export a name says so on its
-own line with ``# noqa: F401``.
+own line with ``# noqa: F401``, and is kept only for a binding that
+``benchmark/spans.py`` wraps by name.
 """
 
 import ast
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "relbound"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "relbound"
+SPANS = ROOT / "benchmark" / "spans.py"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -50,6 +53,51 @@ def test_checker_flags_an_unused_import():
     source = "import math\nfrom os import path, sep\nfrom json import dumps  # noqa: F401\n"
     assert unused_imports(source + "print(sep)\n") == ["math", "path"]
     assert unused_imports(source + "__all__ = ['math', 'path', 'sep']\n") == []
+
+
+def noqa_bindings(module: str, source: str) -> list[tuple[str, str]]:
+    """``(module, name)`` for every name ``source`` imports on a line
+    marked ``# noqa: F401``."""
+    lines = source.splitlines()
+    return [
+        (module, alias.asname or alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if "# noqa: F401" in lines[alias.lineno - 1]
+    ]
+
+
+def span_bindings(source: str) -> set[tuple[str, str]]:
+    """The ``(module, "name")`` pairs in the ``TARGETS`` dict of a source
+    laid out as ``benchmark/spans.py``, read without importing it."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return {
+                (pair.elts[0].id, pair.elts[1].value)
+                for pair in ast.walk(node.value)
+                if isinstance(pair, ast.Tuple)
+                and len(pair.elts) == 2
+                and isinstance(pair.elts[0], ast.Name)
+                and isinstance(pair.elts[1], ast.Constant)
+            }
+    raise AssertionError("no TARGETS assignment")
+
+
+def test_every_noqa_binding_is_wrapped_by_spans():
+    # a binding kept for the benchmark's spans goes once they stop naming it
+    bindings = [pair for path in MODULES for pair in noqa_bindings(path.stem, path.read_text())]
+    assert bindings
+    assert set(bindings) <= span_bindings(SPANS.read_text())
+
+
+def test_binding_checkers():
+    source = "from .a import f, g  # noqa: F401\nfrom .b import h as k  # noqa: F401\nimport x\n"
+    assert noqa_bindings("m", source) == [("m", "f"), ("m", "g"), ("m", "k")]
+    spans = "T = {1: [(m, 'f')]}\nTARGETS = {'s': ([(m, 'f'), (n, 'g')], None)}\n"
+    assert span_bindings(spans) == {("m", "f"), ("n", "g")}
 
 
 def _is_private(name: str) -> bool:

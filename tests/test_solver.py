@@ -795,9 +795,10 @@ class TestCurve:
 
 
 class TestWindowRatioLp:
-    """A window's ratio LP starts from the sign tests' basis. Started by its
-    own artificial phase 1 instead, it spun to the iteration limit on one
-    instance here and proposed too low a bound on another."""
+    """A window's ratio LP starts from the sign tests' basis when that
+    basis's vertex carries live evidence. Started by its own artificial
+    phase 1 instead, it spun to the iteration limit on one instance here
+    and proposed too low a bound on another."""
 
     @staticmethod
     def _assert_witness_attains_bound(constraints, obs, objective, result):
@@ -830,9 +831,10 @@ class TestWindowRatioLp:
         self._assert_witness_attains_bound(constraints, obs, objective, result)
         assert result.bound == pytest.approx(0.0061539877, rel=1e-8)
 
-    def test_ratio_lp_runs_no_phase_one(self, monkeypatch):
+    def test_ratio_lp_runs_own_phase_one_without_live_vertex(self, monkeypatch):
         # phase 1 leaves every window of this instance at a vertex with no
-        # live mass, so each ratio LP starts from the vertex of most live mass
+        # live mass, which is no vertex of the ratio LP, so each ratio LP
+        # runs a phase 1 of its own
         constraints = [MeanBound(0.0073911406827693645)]
         obs = Observation(22012, 51)
         objective = PosteriorExpectedPfd()
@@ -862,11 +864,43 @@ class TestWindowRatioLp:
         monkeypatch.setattr(solver, "_window_masses", counting_window_masses)
         result = solve(constraints, obs, objective, grid)
         self._assert_witness_attains_bound(constraints, obs, objective, result)
-        # the sign tests' phase 1 is each window's only one, and the last
-        # window, anchored at the grid maximum, keeps the whole grid and
-        # reuses the gate's: one per solve for each kept set
-        assert per_window == [1] * (len(new_set) - 1) + [0]
-        assert phase_ones == sum(new_set) == len(new_set)
+        assert result.bound == 0.99604
+        # each window runs the sign tests' phase 1 and the ratio LP's, but
+        # the last, anchored at the grid maximum, keeps the whole grid and
+        # reuses the gate's sign-test phase 1
+        assert sum(new_set) == len(new_set) == 4
+        assert per_window == [2, 2, 2, 1]
+
+    def test_window_without_a_live_vertex_keeps_its_prior(self):
+        # extreme seed-24 input ``e1139``: phase 1 leaves the 30-column
+        # window at a vertex with no live mass. An LP for the most live
+        # mass read -4.7e-11 there, so the window was dropped as holding
+        # no prior with evidence, and ``solve`` raised ZeroEvidenceError;
+        # the ratio LP's own phase 1 finds the admitted prior
+        # {0.9208: 0.22429, 0.9604: 0.77571}
+        constraints = [ConfidenceBound(0.5, 0.0), PriorReliability(1000, 1e-12), MeanBound(1.0)]
+        obs, objective = Observation(10, 5), FutureReliability(10)
+        result = solve(constraints, obs, objective, build_grid(constraints, objective, 50))
+        assert result.solver_status == solver.STATUS_GRID_LIMITED
+        assert result.bound == pytest.approx(8.568860180241e-12, rel=1e-9)
+        self._assert_witness_attains_bound(constraints, obs, objective, result)
+
+    def test_ratio_lp_sees_an_atom_the_sign_tests_barely_weigh(self):
+        # solve-mix seed-312 input ``s353``. In the 165-column window the
+        # ratio LP proposes 0.95236 and the bisection finds 0.95248. Sign
+        # tests weight each atom by its likelihood, and the atom at 0.94852
+        # carries 12.79 nats more log-likelihood than the one at 0.95248,
+        # so a Dinkelbach iteration on sign tests stops at 0.94852; the
+        # ratio LP divides by the likelihood and sees the better atom
+        constraints = [
+            ConfidenceBound(1.1764570427093294e-05, 0.7325230947803479),
+            PerfectionConfidence(0.4595685704192142),
+            PriorReliability(271, 0.5412130704132061),
+        ]
+        obs, objective = Observation(204, 42), PosteriorExpectedPfd()
+        result = solve(constraints, obs, objective, build_grid(constraints, objective, 500))
+        assert result.bound >= 0.9524
+        self._assert_witness_attains_bound(constraints, obs, objective, result)
 
     def test_bound_not_below_subgrid_oracle(self):
         # the ratio LP's cold phase 1 once proposed 0.0041525 here, and the
@@ -1072,17 +1106,13 @@ def _reference_window_masses(window, maximize):
     )
     if vertex.status != "optimal":
         return None, None, 0, []
-    start, basis = vertex.start, vertex.basis
+    start = vertex.start
 
     def sign_lp(cost, maximize):
         return solver.solve_lp(cost, b_ub=b_ub, maximize=maximize, start=start)
 
-    if not np.any(vertex.x[window.live] > 0.0):
-        densest = sign_lp(window.live.astype(float), True)
-        if densest.status != "optimal" or densest.value <= 0.0:
-            return None, None, 0, []
-        basis = densest.basis
-    proposal = solver._window_ratio_value(window, maximize, b_ub, basis)
+    live = np.any(vertex.x[window.live] > 0.0)
+    proposal = solver._window_ratio_value(window, maximize, b_ub, vertex.basis if live else None)
     failed_at = None
     late_passes = 0
     tests = []
@@ -1210,10 +1240,9 @@ class TestWindowBisection:
         # live gain as not beaten, so the window search, which runs no sign
         # test there, must end where the reference does
         assert not any(past and beaten for past, beaten in tests)
-        lead = len(costs) - len(tests)  # the densest-vertex LP, if it ran
-        reference_costs = costs[:lead] + [
-            cost for cost, (past, _) in zip(costs[lead:], tests) if not past
-        ]
+        # every LP the reference runs from the phase 1 is a sign test
+        assert len(costs) == len(tests)
+        reference_costs = [cost for cost, (past, _) in zip(costs, tests) if not past]
         costs.clear()
         got = solver._window_masses(
             window, maximize, grid_feasibility(window.rows, window.keep.size)
