@@ -55,7 +55,7 @@ from .priors import (
     equality_cuts,
     rows_admit,
 )
-from .solver import feasible_vertices, solve
+from .solver import STATUS_INFEASIBLE, feasible_vertices, solve
 
 PASS = "pass"
 FAIL = "fail"
@@ -336,7 +336,7 @@ def check_conservatism(
         raise ValueError(f"bound must be a finite number, got {bound!r}")
     if bound is None:
         result = solve(constraints, obs, objective, grid)
-        if result.solver_status == "infeasible":
+        if result.solver_status == STATUS_INFEASIBLE:
             raise InfeasibleConstraintsError("cannot audit an infeasible constraint set")
         bound = result.bound
     maximize = objective.direction == CONSERVATIVE_MAX

@@ -41,9 +41,6 @@ import numpy as np
 _COST_TOL = 1e-9
 _PIVOT_TOL = 1e-11
 _FEAS_TOL = 1e-7
-#: a ray column whose reduced cost is this close to zero is roundoff noise,
-#: not a genuinely improving direction
-_RAY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,7 @@ class PhaseOne:
     """
 
     n_cols: int
-    status: str  # "feasible" | "infeasible" | "unbounded"
+    status: str  # "feasible" | "infeasible"
     T: np.ndarray | None = None
     basis: tuple[int, ...] = ()
     _path: list = field(default_factory=list, init=False, repr=False, compare=False)
@@ -160,10 +157,10 @@ def _phase_one(A: np.ndarray, b: np.ndarray) -> PhaseOne:
     z[-1] = -T[:, -1].sum()
     # phase 1 only needs a feasible point, not dual optimality: stop as soon
     # as the artificial objective reaches zero (degenerate pivoting beyond
-    # that point just churns the tableau)
-    status, _ = _pivot_loop(T, z, basis, n_cols=nvar + m, stop_value=_FEAS_TOL / 2)
-    if status == "unbounded":  # cannot happen: phase-1 objective is bounded below
-        return PhaseOne(nvar, "unbounded")
+    # that point just churns the tableau). The artificial objective alone
+    # decides feasibility, also when roundoff stops the walk at an improving
+    # column with no positive entry
+    _pivot_loop(T, z, basis, n_cols=nvar + m, stop_value=_FEAS_TOL / 2)
     if -z[-1] > _FEAS_TOL:
         return PhaseOne(nvar, "infeasible")
 
@@ -257,7 +254,6 @@ def _pivot_loop(T, z, basis, n_cols, max_iter=100_000, stop_value=None, path=Non
     tableau. At its first other step it copies ``T``, re-applies the
     steps taken so far, and records its own in place of the rest.
     """
-    blocked: set[int] = set()
     stalled = 0
     replayed = None if path is None else 0  # None once T is this walk's own
     rhs = T[:, -1]
@@ -265,9 +261,6 @@ def _pivot_loop(T, z, basis, n_cols, max_iter=100_000, stop_value=None, path=Non
         if stop_value is not None and -z[-1] <= stop_value:
             break
         costs = z[:n_cols]
-        if blocked:
-            costs = costs.copy()
-            costs[list(blocked)] = 0.0
         if stalled < _STALL_LIMIT:
             j = int(costs.argmin())  # Dantzig: steepest reduced cost
             if costs[j] >= -_COST_TOL:
@@ -286,14 +279,8 @@ def _pivot_loop(T, z, basis, n_cols, max_iter=100_000, stop_value=None, path=Non
                 T = _rebuild(T, path, replayed)
                 replayed = None
             i, row = _ratio_test(T, j, basis), None
-            if path is not None and len(path) < _PATH_CAP and i < 0:
-                path.append((j, i, None, None))
-        if i < 0:  # no positive entry in column j
-            if z[j] > -_RAY_TOL:
-                # a zero-cost ray whose reduced cost is roundoff noise
-                blocked.add(j)
-                continue
-            return "unbounded", None
+            if i < 0:  # an improving column with no positive entry
+                return "unbounded", None
         before = z[-1]
         if row is None:
             _pivot(T, z, basis, i, j)
@@ -338,8 +325,7 @@ def _rebuild(start_T, path, steps):
     the record is cut there, for the caller to go on recording."""
     T = start_T.copy()
     for j, i, _, _ in path[:steps]:
-        if i >= 0:
-            _eliminate(T, i, j)
+        _eliminate(T, i, j)
     del path[steps:]
     return T
 

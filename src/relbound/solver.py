@@ -145,23 +145,19 @@ class CbiResult:
 def _singleton_feasible(rows, n_points: int) -> np.ndarray:
     """Which grid points can carry a feasible point-mass prior.
 
-    An ``"eq"`` row is a 0/1 indicator, so a point mass meets it only
-    when its right-hand side is (within 1e-9) that point's coefficient.
+    A point mass meets an ``"eq"`` row as ``rows_admit`` judges it: when
+    that point's coefficient is within ``MASS_TOL`` of the right-hand side.
     """
     ok = np.ones(n_points, dtype=bool)
     for row in rows:
         if row.sense == "le":
             ok &= row.coeffs <= row.rhs + 1e-12
-        elif row.rhs >= 1.0 - 1e-9:
-            ok &= row.coeffs == 1.0
-        elif row.rhs <= 1e-9:
-            ok &= row.coeffs == 0.0
         else:
-            ok &= False
+            ok &= np.abs(row.coeffs - row.rhs) <= MASS_TOL
     return ok
 
 
-def _deepest_dominant_level(rows, log_lik: np.ndarray) -> float | None:
+def _deepest_dominant_level(rows, log_lik: np.ndarray) -> float:
     """The lowest likelihood level L such that the constraints are satisfiable
     with every atom at likelihood <= L. The evidence-dominant atom of a
     worst-case prior can sink exactly this deep, so it is a window anchor.
@@ -176,11 +172,9 @@ def _deepest_dominant_level(rows, log_lik: np.ndarray) -> float | None:
     ``rows_admit`` lets each row miss by that much. One ``rows_admit``
     call then decides every level. With none admitted, the top level is
     returned: it keeps every point, and ``solve`` has already found the
-    whole grid feasible.
+    whole grid feasible. Some grid point must have finite likelihood.
     """
     levels = np.unique(log_lik[np.isfinite(log_lik)])
-    if levels.size == 0:
-        return None
     first_rhs: dict[int, float] = {}
     for cut, rhs in equality_cuts(rows):
         first_rhs.setdefault(cut, rhs)
@@ -214,9 +208,7 @@ def _anchor_shifts(constraints, rows, objective, obs, points, log_lik) -> list[f
     singles = _singleton_feasible(rows, points.size) & finite_mask
     if singles.any():
         anchors.append(float(log_lik[singles].min()))
-    level = _deepest_dominant_level(rows, log_lik)
-    if level is not None:
-        anchors.append(level)
+    anchors.append(_deepest_dominant_level(rows, log_lik))
     selected: list[float] = []
     for a in sorted({a for a in anchors if math.isfinite(a)}, reverse=True):
         if not selected or selected[-1] - a > 1e-9:

@@ -58,16 +58,32 @@ def test_solve_accepts_wrapped_documents_and_demand_log(files, capsys):
     assert out["observation"] == {"n": 3, "k": 1}
 
 
+def test_solve_accepts_a_lone_constraint_and_a_wrapped_observation(files, capsys):
+    write, _ = files
+    constraints = write_json(write, "c.json", {"type": "mean_bound", "m": 0.1})
+    observation = write_json(write, "o.json", {"observation": {"n": 7, "k": 2}})
+    objective = write_json(write, "obj.json", {"type": "posterior_expected_pfd"})
+    code = main(
+        ["solve", "--constraints", constraints, "--observation", observation,
+         "--objective", objective, "--grid", "50"]
+    )
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["observation"] == {"n": 7, "k": 2}
+    assert out["witness"]["support"]
+
+
+#: a confidence bound holds with equality: the 0.1 of mass above pfd 0.1
+#: puts the mean above 0.01, past the mean bound
+_INFEASIBLE = [
+    {"type": "confidence_bound", "epsilon": 0.1, "theta": 0.9},
+    {"type": "mean_bound", "m": 0.005},
+]
+
+
 def test_solve_infeasible_names_subset(files, capsys):
     write, _ = files
-    constraints = write_json(
-        write,
-        "c.json",
-        [
-            {"type": "confidence_bound", "epsilon": 0.1, "theta": 0.9},
-            {"type": "mean_bound", "m": 0.005},
-        ],
-    )
+    constraints = write_json(write, "c.json", _INFEASIBLE)
     observation = write_json(write, "o.json", {"n": 10, "k": 0})
     objective = write_json(write, "obj.json", {"type": "posterior_expected_pfd"})
     code = main(
@@ -319,6 +335,34 @@ def test_curve_without_counts_is_a_usage_error(files, capsys, n_values):
     assert captured.err.startswith("usage error: --n-values")
 
 
+def test_curve_with_a_bad_count_is_a_usage_error(files, capsys):
+    write, _ = files
+    constraints = write_json(write, "c.json", [{"type": "mean_bound", "m": 0.01}])
+    objective = write_json(write, "obj.json", {"type": "future_reliability", "t": 10})
+    code = main(
+        ["curve", "--constraints", constraints, "--objective", objective,
+         "--n-values", "1,x", "--grid", "80"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "usage error: bad --n-values list: '1,x'\n"
+
+
+def test_curve_on_an_infeasible_set_exits_2(files, capsys):
+    write, _ = files
+    constraints = write_json(write, "c.json", _INFEASIBLE)
+    objective = write_json(write, "obj.json", {"type": "posterior_expected_pfd"})
+    code = main(
+        ["curve", "--constraints", constraints, "--objective", objective,
+         "--n-values", "10,100", "--grid", "100"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "infeasible: constraint set is infeasible on the grid\n"
+
+
 def test_prior_from_verification_intervals(files, capsys):
     write, _ = files
     coverage = write("cov.csv", "lo,hi\n0.0,0.5\n0.5,0.9\n")
@@ -350,6 +394,22 @@ def test_measure_decomposition(files, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["total_error"] == pytest.approx(0.06, abs=1e-15)
+
+
+def test_measure_interpretability(files, capsys):
+    write, _ = files
+    dataset = write("d.csv", "point_id,weight,disagree\na,0.25,0\nb,0.5,1\nc,0.25,1\n")
+    code = main(["measure", "--dataset", dataset, "--kind", "interpretability"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out == {"measure": "interpretability", "value": 0.75}
+
+
+def test_measure_needs_a_dataset_or_a_decomposition(capsys):
+    assert main(["measure"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: measure needs --dataset or --decomposition\n"
 
 
 def test_measure_rejects_nan_weight(files, capsys):
@@ -436,6 +496,25 @@ def test_gsn_render_deterministic_bytes(files, tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(out_path.read_bytes())
     assert outputs[0] == outputs[1]
+
+def test_gsn_render_prints_dot(files, capsys):
+    write, _ = files
+    case = write_json(
+        write,
+        "case.json",
+        {
+            "root": "G1",
+            "nodes": [
+                {"id": "G1", "kind": "goal", "statement": "safe"},
+                {"id": "Sn1", "kind": "solution", "statement": "tests"},
+            ],
+            "supported_by": [["G1", "Sn1"]],
+        },
+    )
+    assert main(["gsn", "render", "--case", case]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("digraph safety_case {\n")
+    assert '  "G1" -> "Sn1";\n}\n' in out
 
 
 
@@ -645,6 +724,21 @@ def test_audit_round_trip(files, capsys):
     assert code == 0
     assert out["trials"] == 10
     assert out["violations"] == 0
+
+
+def test_audit_of_an_infeasible_set_exits_2(files, capsys):
+    write, _ = files
+    constraints = write_json(write, "c.json", _INFEASIBLE)
+    observation = write_json(write, "o.json", {"n": 10, "k": 0})
+    objective = write_json(write, "obj.json", {"type": "posterior_expected_pfd"})
+    code = main(
+        ["audit", "--constraints", constraints, "--observation", observation,
+         "--objective", objective, "--trials", "3", "--grid", "100"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "infeasible: cannot audit an infeasible constraint set\n"
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

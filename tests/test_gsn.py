@@ -102,6 +102,20 @@ class TestNodeInvariants:
         with pytest.raises(ValueError):
             make_case([goal("G1"), goal("G1")], [])
 
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="unknown node kind 'widget'"):
+            GsnNode("W1", "widget", "x")
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+    def test_claim_threshold_must_lie_in_the_unit_interval(self, threshold):
+        with pytest.raises(ValueError, match="threshold must lie in"):
+            QuantClaim((MeanBound(0.1),), FutureReliability(1), threshold, ">=")
+
+    @pytest.mark.parametrize("comparison", ["<", ">", "==", ""])
+    def test_claim_comparison_must_be_le_or_ge(self, comparison):
+        with pytest.raises(ValueError, match="comparison must be"):
+            QuantClaim((MeanBound(0.1),), FutureReliability(1), 0.5, comparison)
+
 
 class TestValidate:
     def test_minimal_chain_clean(self):
@@ -204,6 +218,18 @@ class TestValidate:
         codes = [v.code for v in validate(case)]
         assert "context-on-support-edge" in codes
 
+    @pytest.mark.parametrize("kind", ["context", "assumption", "justification"])
+    def test_annotation_supporting_a_node_flagged(self, kind):
+        case = make_case(
+            [goal("G1"), GsnNode("Sn1", "solution", "e"), GsnNode("A1", kind, "a"),
+             goal("G2", undeveloped=True)],
+            [("G1", "Sn1"), ("A1", "G2")],
+            [("G1", "A1")],
+        )
+        violations = validate(case)
+        assert [(v.code, v.subject) for v in violations] == [("context-on-support-edge", "A1")]
+        assert violations[0].message == f"{kind} nodes cannot support anything"
+
     def test_context_edge_direction(self):
         case = make_case(
             [goal("G1"), GsnNode("S1", "strategy", "s"), goal("G2"),
@@ -218,6 +244,19 @@ class TestValidate:
         case = make_case([goal("G1")], [("G1", "GHOST")])
         codes = [v.code for v in validate(case)]
         assert codes == ["unknown-node"]
+
+    def test_root_must_be_declared(self):
+        case = make_case([goal("G1", undeveloped=True)], [], root="G9")
+        assert [(v.code, v.subject) for v in validate(case)] == [("root-missing", "G9")]
+
+    def test_away_goal_must_be_a_leaf(self):
+        case = make_case(
+            [goal("G1"), GsnNode("AG1", "away-goal", "claim", module_ref="platform"),
+             goal("G2", undeveloped=True)],
+            [("G1", "AG1"), ("AG1", "G2")],
+        )
+        codes = [v.code for v in validate(case, module_registry={"platform"})]
+        assert codes == ["away-goal-not-leaf"]
 
     def test_root_must_be_goal(self):
         case = make_case(
@@ -564,6 +603,17 @@ class TestJsonRoundtrip:
         case = top_level_shape()
         again = case_from_dict(case_to_dict(case))
         assert again == case
+
+    def test_roundtrip_preserves_away_goal_module_ref(self):
+        case = make_case(
+            [goal("G1"), GsnNode("AG1", "away-goal", "claim", module_ref="platform")],
+            [("G1", "AG1")],
+        )
+        doc = case_to_dict(case)
+        assert doc["nodes"][1] == {
+            "id": "AG1", "kind": "away-goal", "statement": "claim", "module_ref": "platform"
+        }
+        assert case_from_dict(doc) == case
 
     @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
     def test_undeveloped_must_be_a_boolean(self, flag):

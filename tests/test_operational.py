@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_admission import reference_satisfies_all
 
-from relbound.errors import ParseError, SamplingFailureError, ZeroEvidenceError
+from relbound.errors import (
+    InfeasibleConstraintsError,
+    ParseError,
+    SamplingFailureError,
+    ZeroEvidenceError,
+)
 from relbound import operational
 from relbound.inference import (
     CONSERVATIVE_MAX,
@@ -306,6 +311,14 @@ class TestConservatism:
             check_conservatism(
                 constraints, Observation(10, 0), FutureReliability(5), 3, 0, grid, bound=bound
             )
+
+    def test_infeasible_set_refused(self):
+        # the confidence bound leaves 0.1 of the mass above pfd 0.1, so the
+        # prior mean exceeds 0.01
+        constraints = [ConfidenceBound(0.1, 0.9), MeanBound(0.005)]
+        grid = build_grid(constraints, resolution=100)
+        with pytest.raises(InfeasibleConstraintsError, match="cannot audit an infeasible"):
+            check_conservatism(constraints, Observation(10, 0), PosteriorExpectedPfd(), 3, 0, grid)
 
     @pytest.mark.parametrize("trials", [True, 2.5, "3"])
     def test_trials_must_be_a_count(self, trials):

@@ -169,17 +169,13 @@ def _reference_pivot_loop(T, z, basis, n_cols, max_iter=100_000, stop_value=None
     """Reference pivot loop: the ratio test on numpy arrays. Returns the
     status and the final right-hand side (None unless "optimal").
 
-    ``steps``, if given, receives each step's entering column and leaving
-    row (-1 when the column has no positive entry)."""
-    blocked: set[int] = set()
+    ``steps``, if given, receives each pivot's entering column and leaving
+    row."""
     stalled = 0
     for _ in range(max_iter):
         if stop_value is not None and -z[-1] <= stop_value:
             return "optimal", T[:, -1]
         costs = z[:n_cols]
-        if blocked:
-            costs = costs.copy()
-            costs[list(blocked)] = 0.0
         if stalled < simplex._STALL_LIMIT:
             j = int(np.argmin(costs))
             if costs[j] >= -simplex._COST_TOL:
@@ -192,11 +188,6 @@ def _reference_pivot_loop(T, z, basis, n_cols, max_iter=100_000, stop_value=None
         col = T[:, j]
         rows = np.nonzero(col > simplex._PIVOT_TOL)[0]
         if rows.size == 0:
-            if steps is not None:
-                steps.append((j, -1))
-            if z[j] > -simplex._RAY_TOL:
-                blocked.add(j)
-                continue
             return "unbounded", None
         ratios = T[rows, -1] / col[rows]
         best = ratios.min()
@@ -310,21 +301,14 @@ def test_pivot_loop_on_degenerate_stretch_matches_reference(monkeypatch):
     assert pivots > simplex._STALL_LIMIT
 
 
-def test_pivot_loop_blocks_zero_cost_ray_like_reference():
-    # x0 has the steepest reduced cost, but no positive entry and a cost
-    # within _RAY_TOL of zero: it is blocked, and x1 enters instead
-    T, z, basis = _canonical(
-        np.array([[-1.0, 1.0], [0.0, 2.0]]), np.array([2.0, 3.0]), np.array([-5e-7, -1e-7])
-    )
-    assert _assert_loop_matches_reference(T, z, basis, n_cols=4) == "optimal"
-    assert _run_loop(simplex._pivot_loop, T, z, basis, n_cols=4)[3] == [2, 1]
-
-
 def test_pivot_loop_reports_unbounded_like_reference():
-    T, z, basis = _canonical(
-        np.array([[-1.0, 1.0], [0.0, 2.0]]), np.array([2.0, 3.0]), np.array([-1.0, -2.0])
-    )
-    assert _assert_loop_matches_reference(T, z, basis, n_cols=4) == "unbounded"
+    # x0 has no positive entry: once it enters, however small its improving
+    # reduced cost, the program reads unbounded
+    for costs in ([-1.0, -2.0], [-2.0, -1.0], [-5e-7, -1e-7]):
+        T, z, basis = _canonical(
+            np.array([[-1.0, 1.0], [0.0, 2.0]]), np.array([2.0, 3.0]), np.array(costs)
+        )
+        assert _assert_loop_matches_reference(T, z, basis, n_cols=4) == "unbounded"
 
 
 def test_pivot_loop_raises_on_nan_ratio_like_reference():
@@ -597,10 +581,6 @@ def _assert_record_is_path(start, steps):
     z = np.zeros(T.shape[1])
     basis = list(start.basis)
     for j, i, row, rhs in record:
-        if i < 0:
-            assert row is None and rhs is None
-            assert not np.any(T[:, j] > simplex._PIVOT_TOL)
-            continue
         _reference_pivot(T, z, basis, i, j)
         assert row.tobytes() == T[i].tobytes()
         assert rhs.tobytes() == T[:, -1].tobytes()
@@ -793,37 +773,26 @@ def _ray_cost(*costs):
     return np.concatenate([costs, np.zeros(3)])
 
 
-def test_replay_blocks_zero_cost_ray_like_reference(monkeypatch):
+def test_replay_reports_unbounded_column_like_reference(monkeypatch):
     start = _ray_start()
     rebuilds = _Rebuilds(monkeypatch)
-    # x0 is steepest but its cost is roundoff noise: blocked; then x1, x2
-    path = _ray_cost(-5e-7, -2e-7, -1e-7, -0.5e-7)
+    # x2 enters on row 1, then x1 on row 0, which leaves x0 with cost c0 + c1
+    path = _ray_cost(1.0, -0.5, -1.0, 0.0)
     assert _assert_phase_two_matches_reference(start, path) == "optimal"
-    assert [(j, i) for j, i, _, _ in start._path] == [(0, -1), (1, 0), (2, 1)]
-    # the whole record again, and a prefix of it: the ray step replays
-    for cost in (path, _ray_cost(-5e-7, -2e-7, 0.0, 0.0), path):
-        assert _assert_phase_two_matches_reference(start, cost) == "optimal"
-    assert rebuilds.parts == [0]
-    # x3 now beats x2 after the ray step and the pivot on x1: the rebuild
-    # re-applies that pivot, past the ray step before it
-    assert _assert_phase_two_matches_reference(start, _ray_cost(-5e-7, -2e-7, -1e-7, -1.5e-7)) == "optimal"
-    assert rebuilds.parts == [0, 2]
-    assert [(j, i) for j, i, _, _ in start._path] == [(0, -1), (1, 0), (3, 1)]
+    assert [(j, i) for j, i, _, _ in start._path] == [(2, 1), (1, 0)]
+    # x0 improves after the first replayed step: it enters and reads
+    # unbounded, and the record keeps the step taken
+    assert _assert_phase_two_matches_reference(start, _ray_cost(-1.0, -0.5, -2.0, 0.0)) == "unbounded"
+    assert [(j, i) for j, i, _, _ in start._path] == [(2, 1)]
+    assert _assert_phase_two_matches_reference(start, _ray_cost(0.6, -0.5, -1.0, 0.0)) == "optimal"
+    # ... and after the whole replayed record
+    assert _assert_phase_two_matches_reference(start, _ray_cost(0.4, -0.5, -1.0, 0.0)) == "unbounded"
+    assert [(j, i) for j, i, _, _ in start._path] == [(2, 1), (1, 0)]
     assert _assert_phase_two_matches_reference(start, path) == "optimal"
-
-
-def test_replay_reports_unbounded_column_like_reference():
-    start = _ray_start()
-    path = _ray_cost(-5e-7, -2e-7, -1e-7, 0.0)
-    assert _assert_phase_two_matches_reference(start, path) == "optimal"
-    # the recorded ray step, now with a genuinely improving cost
+    assert rebuilds.parts == [0, 1, 1, 2]
+    # x0 steepest from the start: no step is kept
     assert _assert_phase_two_matches_reference(start, _ray_cost(-1.0, -0.5, 0.0, 0.0)) == "unbounded"
-    # the pivot on x1 first, then the ray: that pivot leaves x0 with cost
-    # c0 + c1, so the ray is blocked, or not, on the replayed prefix
-    assert _assert_phase_two_matches_reference(start, _ray_cost(-5e-7, -1.0, 0.0, 0.0)) == "unbounded"
-    assert [(j, i) for j, i, _, _ in start._path] == [(1, 0), (0, -1)]
-    assert _assert_phase_two_matches_reference(start, _ray_cost(1.0 - 5e-7, -1.0, 0.0, 0.0)) == "optimal"
-    assert _assert_phase_two_matches_reference(start, _ray_cost(-0.5, -1.0, 0.0, 0.0)) == "unbounded"
+    assert start._path == []
     assert _assert_phase_two_matches_reference(start, path) == "optimal"
 
 

@@ -885,6 +885,41 @@ class TestWindowRatioLp:
         assert result.bound == pytest.approx(8.568860180241e-12, rel=1e-9)
         self._assert_witness_attains_bound(constraints, obs, objective, result)
 
+    def test_phase_one_stopped_by_an_improving_ray_reads_infeasible(self, monkeypatch):
+        # extreme seed-5 input ``e24``: one phase 1 enters a column with an
+        # improving reduced cost and no positive entry while the artificial
+        # objective is still 1. The artificials decide: that program is
+        # infeasible, and the solve is unchanged
+        constraints = [
+            PriorReliability(10, 1e-12),
+            PerfectionConfidence(0.999999999999),
+            ConfidenceBound(0.5, 0.999999999999),
+            MeanBound(0.5),
+        ]
+        obs, objective = Observation(10, 1), PosteriorConfidence(0.5)
+        walks = []
+        pivot_loop, phase_one = simplex._pivot_loop, simplex._phase_one
+
+        def recording_pivot_loop(T, z, *args, **kwargs):
+            status, rhs = pivot_loop(T, z, *args, **kwargs)
+            if kwargs.get("stop_value") is not None:
+                walks.append((status, -z[-1]))
+            return status, rhs
+
+        def recording_phase_one(A, b):
+            start = phase_one(A, b)
+            walks[-1] += (start.status,)
+            return start
+
+        monkeypatch.setattr(simplex, "_pivot_loop", recording_pivot_loop)
+        monkeypatch.setattr(simplex, "_phase_one", recording_phase_one)
+        result = solve(constraints, obs, objective, build_grid(constraints, objective, 500))
+        assert ("unbounded", 1.0, "infeasible") in walks
+        assert {start for *_, start in walks} == {"feasible", "infeasible"}
+        assert result.solver_status == solver.STATUS_OPTIMAL
+        assert result.bound == 0.0
+        assert result.witness.support == (0.0, 0.5000000000005)
+
     def test_ratio_lp_sees_an_atom_the_sign_tests_barely_weigh(self):
         # solve-mix seed-312 input ``s353``. In the 165-column window the
         # ratio LP proposes 0.95236 and the bisection finds 0.95248. Sign
@@ -959,8 +994,6 @@ def _brute_deepest_dominant_level(rows, log_lik):
     coefficient, and the mass below a run is the right-hand side of the
     first row that steps up at its start."""
     levels = np.unique(log_lik[np.isfinite(log_lik)])
-    if levels.size == 0:
-        return None
     n = log_lik.size
     eq = [r for r in rows if r.sense == "eq"]
     starts = [0] + [b for b in range(1, n) if any(r.coeffs[b - 1] != r.coeffs[b] for r in eq)]
@@ -1063,11 +1096,17 @@ class TestDeepestDominantLevel:
                 solver._deepest_dominant_level(rows, log_lik)
         assert calls == 0
 
-    def test_no_finite_level_gives_none(self):
-        points = build_grid((), None, 2).as_array()
-        log_lik = log_likelihood_vector(points, Observation(10, 3))
-        assert _brute_deepest_dominant_level([], log_lik) is None
-        assert solver._deepest_dominant_level([], log_lik) is None
+    def test_no_finite_level_is_never_searched(self):
+        # no grid point has positive likelihood: there is no window anchor,
+        # so the level search is never asked, and ``solve`` finds no prior
+        # with evidence
+        grid = build_grid((), None, 2)
+        points, obs, objective = grid.as_array(), Observation(10, 5), PosteriorExpectedPfd()
+        log_lik = log_likelihood_vector(points, obs)
+        assert not np.isfinite(log_lik).any()
+        assert solver._anchor_shifts((), [], objective, obs, points, log_lik) == []
+        with pytest.raises(ZeroEvidenceError):
+            solve((), obs, objective, grid)
 
     def test_extreme_seed_5_e541_reads_the_deeper_window(self):
         # extreme seed 5 e541. ``rows_admit`` lets the mean row miss by
