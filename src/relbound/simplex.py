@@ -164,7 +164,7 @@ def _phase_one(A: np.ndarray, b: np.ndarray) -> PhaseOne:
     if -z[-1] > _FEAS_TOL:
         return PhaseOne(nvar, "infeasible")
 
-    # drive leftover artificials out of the basis; drop redundant rows
+    # drive leftover artificials out of the basis (z is read no more); drop redundant rows
     in_basis = np.zeros(nvar + m, dtype=bool)
     in_basis[basis] = True
     keep = np.ones(m, dtype=bool)
@@ -174,7 +174,8 @@ def _phase_one(A: np.ndarray, b: np.ndarray) -> PhaseOne:
         pivot_cols = np.nonzero((np.abs(T[i, :nvar]) > _PIVOT_TOL) & ~in_basis[:nvar])[0]
         if pivot_cols.size:
             j = int(pivot_cols[0])
-            _pivot(T, z, basis, i, j)
+            _eliminate(T, i, j)
+            basis[i] = j
             in_basis[j] = True
         else:
             keep[i] = False  # redundant: the row is zero over the real variables
@@ -194,7 +195,6 @@ def _crash(A: np.ndarray, b: np.ndarray, basis) -> PhaseOne | None:
     T = np.empty((m, nvar + 1))
     T[:, :nvar] = A
     T[:, -1] = b
-    z = np.zeros(nvar + 1)  # no objective: _pivot leaves it alone
     rows = [-1] * m
     free = np.ones(m, dtype=bool)
     for j in basis:
@@ -202,7 +202,8 @@ def _crash(A: np.ndarray, b: np.ndarray, basis) -> PhaseOne | None:
         i = int(np.argmax(entries))
         if not entries[i] > _PIVOT_TOL:
             return None
-        _pivot(T, z, rows, i, j)
+        _eliminate(T, i, j)
+        rows[i] = j
         free[i] = False
     if not np.all(T[:, -1] >= 0.0):
         return None
@@ -217,10 +218,6 @@ def _phase_two(start: PhaseOne, cost: np.ndarray):
     if start.status != "feasible":
         return None, None, start.status
     nvar = start.n_cols
-    if start.T.shape[0] == 0:
-        if np.any(cost < -_COST_TOL):
-            return None, None, "unbounded"
-        return np.zeros(nvar), (), "optimal"
     basis = list(start.basis)
     z = np.zeros(nvar + 1)
     cb = cost[basis]
@@ -272,29 +269,27 @@ def _pivot_loop(T, z, basis, n_cols, max_iter=100_000, stop_value=None, path=Non
                 break
             j = int(negative[0])
         if replayed is not None and replayed < len(path) and path[replayed][0] == j:
-            _, i, row, step_rhs = path[replayed]
+            _, i, row, rhs = path[replayed]
             replayed += 1
         else:
             if replayed is not None:
                 T = _rebuild(T, path, replayed)
                 replayed = None
-            i, row = _ratio_test(T, j, basis), None
+            i = _ratio_test(T, j, basis)
             if i < 0:  # an improving column with no positive entry
                 return "unbounded", None
-        before = z[-1]
-        if row is None:
-            _pivot(T, z, basis, i, j)
+            _eliminate(T, i, j)
+            row, rhs = T[i], T[:, -1]
             if path is not None and len(path) < _PATH_CAP:
-                path.append((j, i, T[i].copy(), T[:, -1].copy()))
-        else:
-            if z[j] != 0.0:
-                z -= z[j] * row
-            basis[i] = j
-            rhs = step_rhs
+                path.append((j, i, row.copy(), rhs.copy()))
+        before = z[-1]
+        if z[j] != 0.0:
+            z -= z[j] * row
+        basis[i] = j
         stalled = stalled + 1 if z[-1] <= before + 1e-15 else 0
     else:
         raise RuntimeError("simplex iteration limit reached")
-    return "optimal", rhs if replayed is not None else T[:, -1]
+    return "optimal", rhs
 
 
 def _ratio_test(T, j, basis) -> int:
@@ -330,15 +325,8 @@ def _rebuild(start_T, path, steps):
     return T
 
 
-def _pivot(T, z, basis, i, j):
-    _eliminate(T, i, j)
-    if z[j] != 0.0:
-        z -= z[j] * T[i]
-    basis[i] = j
-
-
 def _eliminate(T, i, j):
-    """The tableau part of a pivot on row ``i``, column ``j``."""
+    """Pivot ``T`` on row ``i``, column ``j``; basis and objective are the caller's."""
     T[i] /= T[i, j]
     # one rank-1 update for every other row: row r loses T[r, j] * T[i],
     # the same product and difference a row-by-row update computes; a row

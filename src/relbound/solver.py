@@ -311,11 +311,7 @@ def _window_masses(window: _Window, maximize: bool, vertex: LpResult) -> np.ndar
         return None
     start = vertex.start
     # from ``start`` on, a sign test reads only the constraints' shape
-    n_ub = start.n_cols - window.keep.size
-    b_ub = np.zeros(n_ub) if n_ub else None
-
-    def sign_lp(cost, maximize):
-        return solve_lp(cost, b_ub=b_ub, maximize=maximize, start=start)
+    b_ub = np.zeros(start.n_cols - window.keep.size)
 
     # a phase-1 vertex where only parked columns carry mass is no vertex of
     # the ratio LP, which then runs a phase 1 of its own
@@ -341,7 +337,8 @@ def _window_masses(window: _Window, maximize: bool, vertex: LpResult) -> np.ndar
         """
         if u >= cut:
             return None
-        result = sign_lp(window.lik * (window.gains - sign * u), maximize)
+        cost = window.lik * (window.gains - sign * u)
+        result = solve_lp(cost, b_ub=b_ub, maximize=maximize, start=start)
         if result.status != "optimal":
             return None
         return np.maximum(result.x, 0.0) if sign * result.value > _SIGN_TOL else None
@@ -505,19 +502,23 @@ def oracle_solve(
     a zero mass is found again on the smaller support. Each chunk's
     vertices go through ``drop_roundoff``; those that ``rows_admit``
     accepts are ranked by ``_keep_best``, as ``solve`` ranks its window
-    candidates, and the winner's carried points are the witness. With no
+    candidates, and the winner's carried points are the witness. An
+    ``"eq"`` row on grid index 0 alone with rhs above ``MASS_TOL`` admits
+    no prior without that point, so then only the supports holding it are
+    enumerated (and counted by the 1e8 guard): they open each size's
+    combinations, in the same order, so the result is the same. With no
     admitted vertex the constraints are infeasible on the grid; with
     admitted vertices but none that gives the observation positive
     probability, ``ZeroEvidenceError`` is raised.
     """
     points = coarse_grid.as_array()
     n_pts = points.size
-    cap = min(len(constraints) + 1, n_pts)
-    if math.comb(n_pts, cap) > 1e8:
-        raise ValueError(
-            f"combination guard: C({n_pts}, {cap}) exceeds 1e8; use a coarser grid"
-        )
     rows = constraint_rows(constraints, points)
+    pinned = int(any(cut == 1 and rhs > MASS_TOL for cut, rhs in equality_cuts(rows)))
+    cap = min(len(constraints) + 1, n_pts)
+    free, size = n_pts - pinned, cap - pinned
+    if math.comb(free, size) > 1e8:
+        raise ValueError(f"combination guard: C({free}, {size}) exceeds 1e8; use a coarser grid")
     log_lik = log_likelihood_vector(points, obs)
     gains = objective_gain(objective, points)
     maximize = objective.direction == CONSERVATIVE_MAX
@@ -525,7 +526,10 @@ def oracle_solve(
     best = None
     saw_feasible = False
     for m in range(1, cap + 1):
-        combos = itertools.chain.from_iterable(itertools.combinations(range(n_pts), m))
+        combos = itertools.combinations(range(pinned, n_pts), m - pinned)
+        if pinned:
+            combos = ((0, *rest) for rest in combos)
+        combos = itertools.chain.from_iterable(combos)
         while (flat := np.fromiter(itertools.islice(combos, _ORACLE_CHUNK * m), np.intp)).size:
             supports = flat.reshape(-1, m)
             masses, owners = feasible_vertices(rows, supports, exact_support=True)

@@ -220,20 +220,35 @@ def test_rank_one_pivot_matches_row_by_row(seed):
     T[rng.random((m, n + 1)) < 0.3] = 0.0
     z = rng.normal(size=n + 1)
     z[rng.random(n + 1) < 0.3] = 0.0
-    T_ref, z_ref = T.copy(), z.copy()
-    basis, basis_ref = list(range(m)), list(range(m))
+    basis = list(range(m))
+    # the tableau through _eliminate, on any nonzero entry
     for _ in range(5):
         i, j = int(rng.integers(m)), int(rng.integers(n))
         if T[i, j] == 0.0:
             continue
-        T_outer, z_outer, basis_outer = T.copy(), z.copy(), list(basis)
-        simplex._pivot(T, z, basis, i, j)
-        _pivot_by_rows(T_ref, z_ref, basis_ref, i, j)
-        _reference_pivot(T_outer, z_outer, basis_outer, i, j)
-        assert np.array_equal(T, T_ref)
-        assert np.array_equal(z, z_ref)
-        assert basis == basis_ref
+        T_rows, T_outer = T.copy(), T.copy()
+        simplex._eliminate(T, i, j)
+        _pivot_by_rows(T_rows, z.copy(), list(basis), i, j)
+        _reference_pivot(T_outer, z.copy(), list(basis), i, j)
+        assert np.array_equal(T, T_rows)
         # bytes, so that a -0.0 where the outer product gave +0.0 fails
+        assert T.tobytes() == T_outer.tobytes()
+    # the objective row through one step of the pivot loop at a time: each
+    # step, a column with a positive entry gets the steepest reduced cost
+    for _ in range(5):
+        entering = np.nonzero((T[:, :n] > simplex._PIVOT_TOL).any(axis=0))[0]
+        j = int(rng.choice(entering))
+        z[j] = 2.0 * min(z[:n].min(), -1.0)
+        i = simplex._ratio_test(T, j, basis)
+        T_rows, z_rows, basis_rows = T.copy(), z.copy(), list(basis)
+        T_outer, z_outer, basis_outer = T.copy(), z.copy(), list(basis)
+        with pytest.raises(RuntimeError, match="iteration limit"):
+            simplex._pivot_loop(T, z, basis, n_cols=n, max_iter=1)
+        _pivot_by_rows(T_rows, z_rows, basis_rows, i, j)
+        _reference_pivot(T_outer, z_outer, basis_outer, i, j)
+        assert np.array_equal(T, T_rows)
+        assert np.array_equal(z, z_rows)
+        assert basis == basis_rows == basis_outer
         assert T.tobytes() == T_outer.tobytes()
         assert z.tobytes() == z_outer.tobytes()
 
@@ -289,14 +304,14 @@ def test_pivot_loop_on_degenerate_stretch_matches_reference(monkeypatch):
     A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
     T, z, basis = _canonical(A, np.array([0.0, 0.0, 1.0]), np.array([-0.75, 20.0, -0.5, 6.0]))
     pivots = 0
-    pivot = simplex._pivot
+    eliminate = simplex._eliminate
 
-    def counting_pivot(*args):
+    def counting_eliminate(*args):
         nonlocal pivots
         pivots += 1
-        pivot(*args)
+        eliminate(*args)
 
-    monkeypatch.setattr(simplex, "_pivot", counting_pivot)
+    monkeypatch.setattr(simplex, "_eliminate", counting_eliminate)
     assert _assert_loop_matches_reference(T, z, basis, n_cols=7) == "optimal"
     assert pivots > simplex._STALL_LIMIT
 
@@ -457,14 +472,14 @@ def test_solve_from_basis_starts_there(monkeypatch):
     n, constraints = CONSTRAINT_SETS["window"]
     colds = [(c, solve_lp(c, **constraints, maximize=True)) for c in _objectives(n, 5)]
     pivots = 0
-    pivot = simplex._pivot
+    eliminate = simplex._eliminate
 
-    def counting_pivot(*args):
+    def counting_eliminate(*args):
         nonlocal pivots
         pivots += 1
-        pivot(*args)
+        eliminate(*args)
 
-    monkeypatch.setattr(simplex, "_pivot", counting_pivot)
+    monkeypatch.setattr(simplex, "_eliminate", counting_eliminate)
     for c, cold in colds:
         pivots = 0
         warm = solve_lp(c, **constraints, maximize=True, basis=cold.basis)

@@ -46,6 +46,19 @@ from relbound.priors import (
 from relbound.solver import curve, oracle_solve, solve
 
 
+#: ROADMAP item 2's probes, as ``(constraints, objective, observation)``
+PROBE_1 = (
+    [MeanBound(5.4937e-4), PerfectionConfidence(0.85821)],
+    PosteriorExpectedPfd(),
+    Observation(100_000, 44),
+)
+PROBE_2 = (
+    [PerfectionConfidence(0.70439), ConfidenceBound(2.3558e-5, 0.98517)],
+    FutureReliability(100),
+    Observation(1_000_000, 7),
+)
+
+
 def run(constraints, obs, objective, resolution=200):
     grid = build_grid(constraints, objective, resolution)
     return solve(constraints, obs, objective, grid), grid
@@ -196,6 +209,64 @@ class TestOracleAgreement:
         assert result.witness.satisfies_all(constraints)
         assert set(result.witness.support) <= set(grid.points)
         assert posterior_value(result.witness, obs, objective) == result.bound
+
+    @staticmethod
+    def every_support_oracle(constraints, obs, objective, grid):
+        """``oracle_solve``'s enumeration over every support, in the same
+        chunks, whether or not a support holds grid index 0."""
+        points = grid.as_array()
+        rows = constraint_rows(constraints, points)
+        log_lik = log_likelihood_vector(points, obs)
+        gains = objective_gain(objective, points)
+        maximize = objective.direction == CONSERVATIVE_MAX
+        best = None
+        for m in range(1, min(len(constraints) + 1, points.size) + 1):
+            every = np.array(list(itertools.combinations(range(points.size), m)), dtype=np.intp)
+            for first in range(0, len(every), solver._ORACLE_CHUNK):
+                supports = every[first : first + solver._ORACLE_CHUNK]
+                masses, owners = solver.feasible_vertices(rows, supports, exact_support=True)
+                masses, admitted = drop_roundoff(masses)
+                supports = supports[owners]
+                admitted[admitted] = rows_admit(rows, supports[admitted], masses[admitted])
+                if admitted.any():
+                    best = solver._keep_best(
+                        best, log_lik, gains, supports[admitted], masses[admitted], obs, maximize
+                    )
+        return solver._result(constraints, obs, objective, grid, best)
+
+    @pytest.mark.parametrize("probe", [PROBE_1, PROBE_2])
+    def test_pinned_oracle_is_the_every_support_oracle(self, probe):
+        # a perfection row admits no prior without grid index 0, so the
+        # oracle skips the supports without it; on a coarse grid the full
+        # enumeration gives the same result, byte for byte
+        constraints, objective, obs = probe
+        grid = build_grid(constraints, objective, 200)
+        got = oracle_solve(constraints, obs, objective, grid)
+        want = self.every_support_oracle(constraints, obs, objective, grid)
+        assert got.bound is not None
+        assert repr(got.to_dict()) == repr(want.to_dict())
+
+    @pytest.mark.parametrize(
+        "probe, points, bound", [(PROBE_1, 2002, 0.009996929), (PROBE_2, 2003, 0.98794653)]
+    )
+    def test_pinned_oracle_runs_full_grids(self, probe, points, bound):
+        # C(N, 3) supports exceed the guard; the C(N - 1, 2) that hold the
+        # perfection point pass it
+        constraints, objective, obs = probe
+        grid = build_grid(constraints, objective, 2000)
+        assert len(grid) == points
+        result = oracle_solve(constraints, obs, objective, grid)
+        assert result.bound == pytest.approx(bound, rel=1e-8)
+        assert result.witness.satisfies_all(constraints)
+        assert 0.0 in result.witness.support
+
+    def test_tiny_perfection_mass_is_not_pinned(self):
+        # theta_0 = 1e-12 lies within MASS_TOL of zero: a prior without
+        # pfd 0 meets the row, so the full enumeration's guard applies
+        constraints = [MeanBound(5.4937e-4), PerfectionConfidence(1e-12)]
+        grid = build_grid(constraints, PosteriorExpectedPfd(), 2000)
+        with pytest.raises(ValueError, match=rf"guard: C\({len(grid)}, 3\)"):
+            oracle_solve(constraints, Observation(10, 0), PosteriorExpectedPfd(), grid)
 
     def test_repeated_equality_constraint_changes_nothing(self):
         # stacked twice, the equality row would leave every square vertex
@@ -539,6 +610,21 @@ class TestOneFeasibilityProgram:
         result = solve(constraints, Observation(10**9, 1), PosteriorExpectedPfd(), grid)
         assert result.witness.satisfies_all(constraints)
 
+    def test_whole_grid_gate_refuses_a_window_feasible_set(self):
+        # --extreme seed 7 input e2738: the whole-grid phase 1 refuses the
+        # set, while the deepest window's phase 1 admits {1e-12: 1.0}, which
+        # scores 1e-12. The full-grid oracle's worst case carries 2.5e-11 on
+        # pfd 0.208 and scores 0.0815, so a bound must reach it or be none
+        constraints = [ConfidenceBound(1e-9, 1.0), MeanBound(0.0), PerfectionConfidence(1e-12)]
+        obs, objective = Observation(10, 1), PosteriorExpectedPfd()
+        grid = build_grid(constraints, objective, 50)
+        assert len(grid) == 52
+        oracle = oracle_solve(constraints, obs, objective, grid)
+        assert oracle.solver_status == "grid-limited"
+        assert oracle.bound == pytest.approx(0.0814803, rel=1e-6)
+        result = solve(constraints, obs, objective, grid)
+        assert result.solver_status == solver.STATUS_INFEASIBLE or result.bound >= oracle.bound
+
     #: the sets of the seeded draw below where the two do not agree, with
     #: the reason. "no witness": the simplex's phase 1 declares the whole
     #: grid feasible from a basis whose roundoff leaves a basic value below
@@ -817,16 +903,16 @@ class TestWindowRatioLp:
         objective = PosteriorExpectedPfd()
         grid = build_grid(constraints, objective, 1000)
         pivots = 0
-        pivot = simplex._pivot
+        eliminate = simplex._eliminate
 
-        def counting_pivot(*args):
+        def counting_eliminate(*args):
             nonlocal pivots
             pivots += 1
             if pivots > 5000:  # a relapse into the spin fails here, not after seconds
                 raise AssertionError("pivot budget exceeded")
-            return pivot(*args)
+            return eliminate(*args)
 
-        monkeypatch.setattr(simplex, "_pivot", counting_pivot)
+        monkeypatch.setattr(simplex, "_eliminate", counting_eliminate)
         result = solve(constraints, obs, objective, grid)
         self._assert_witness_attains_bound(constraints, obs, objective, result)
         assert result.bound == pytest.approx(0.0061539877, rel=1e-8)
