@@ -63,7 +63,6 @@ from .verification import (
     DiscreteCoverage,
     IntervalCoverage,
     PiecewiseDensity,
-    TrustedBound,
     VerifiedCoverage,
     coverage_bound,
     prior_from_verification,
@@ -106,7 +105,6 @@ __all__ = [
     "RelboundError",
     "SafetyCase",
     "SamplingFailureError",
-    "TrustedBound",
     "VerifiedCoverage",
     "Violation",
     "ZeroEvidenceError",

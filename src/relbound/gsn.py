@@ -25,6 +25,7 @@ from .priors import (
     DEFAULT_RESOLUTION,
     PartialPriorConstraint,
     build_grid,
+    check_unit,
     constraint_to_dict,
     constraints_from_list,
     number_field,
@@ -63,8 +64,7 @@ class QuantClaim:
     comparison: str  # ">=" | "<="
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold!r}")
+        check_unit("threshold", self.threshold)
         if self.comparison not in (">=", "<="):
             raise ValueError(f"comparison must be '>=' or '<=', got {self.comparison!r}")
         conservative = "<=" if self.objective.direction == CONSERVATIVE_MAX else ">="

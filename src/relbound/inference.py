@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParseError, ZeroEvidenceError, parsing
 from .numerics import EXP_UNDERFLOW, survive_prob
-from .priors import PriorDistribution, as_count, count_field, number_field
+from .priors import PriorDistribution, as_count, check_unit, count_field, number_field
 
 CONSERVATIVE_MAX = "conservative-max"
 CONSERVATIVE_MIN = "conservative-min"
@@ -52,8 +52,7 @@ class PosteriorConfidence:
     direction: ClassVar[str] = CONSERVATIVE_MIN
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_req <= 1.0:
-            raise ValueError(f"p_req must lie in [0, 1], got {self.p_req!r}")
+        check_unit("p_req", self.p_req)
 
 
 @dataclass(frozen=True)
@@ -113,8 +112,7 @@ def likelihood(p: float, obs: Observation) -> float:
     in every posterior ratio. It is evaluated in log space, so failure-free
     runs of ~1e6 demands do not underflow pointwise arithmetic prematurely.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    check_unit("p", p)
     return float(np.exp(log_likelihood_vector(np.array([p]), obs)[0]))
 
 

@@ -12,15 +12,14 @@ def survive_prob(p, t):
     """(1 - p)**t via log1p, so tiny p and large t keep full precision.
 
     Follows the 0**0 == 1 convention: t == 0 yields 1 even at p == 1.
-    Accepts scalars or arrays; returns the matching shape.
+    Accepts p in [0, 1], a scalar or an array; returns the matching shape.
     """
     p_arr = np.asarray(p, dtype=float)
     if t == 0:
         out = np.ones_like(p_arr)
     else:
         with np.errstate(divide="ignore"):
-            log_surv = np.log1p(-np.minimum(p_arr, 1.0))
-        out = np.where(p_arr >= 1.0, 0.0, np.exp(t * log_surv))
+            out = np.exp(t * np.log1p(-p_arr))
     return float(out) if np.ndim(p) == 0 else out
 
 

@@ -50,6 +50,7 @@ from .priors import (
     PriorDistribution,
     as_count,
     carried_prior,
+    check_unit,
     constraint_rows,
     drop_roundoff,
     equality_cuts,
@@ -115,8 +116,7 @@ def save_demand_log(log: DemandLog, path: str) -> None:
 
 def simulate_demands(true_pfd: float, n: int, seed: int) -> DemandLog:
     """n i.i.d. Bernoulli(true_pfd) demands; reproducible per seed (PCG64)."""
-    if not 0.0 <= true_pfd <= 1.0:
-        raise ValueError(f"true_pfd must lie in [0, 1], got {true_pfd!r}")
+    check_unit("true_pfd", true_pfd)
     n = as_count(n, "n", least=0)
     from .seeding import streams  # loads numpy.random (see ``seeding``)
 

@@ -50,7 +50,8 @@ GRID_LOG_FLOOR = 1e-9
 GRID_LOG_KNEE = 1e-2
 
 
-def _check_unit(name: str, value: float) -> None:
+def check_unit(name: str, value: float) -> None:
+    """Refuse a probability ``value`` outside [0, 1] (NaN fails too)."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
@@ -62,7 +63,7 @@ class MeanBound:
     m: float
 
     def __post_init__(self) -> None:
-        _check_unit("m", self.m)
+        check_unit("m", self.m)
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,8 @@ class ConfidenceBound:
     theta: float
 
     def __post_init__(self) -> None:
-        _check_unit("epsilon", self.epsilon)
-        _check_unit("theta", self.theta)
+        check_unit("epsilon", self.epsilon)
+        check_unit("theta", self.theta)
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class PerfectionConfidence:
     theta: float
 
     def __post_init__(self) -> None:
-        _check_unit("theta", self.theta)
+        check_unit("theta", self.theta)
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class PriorReliability:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n0", as_count(self.n0, "n0", least=0))
-        _check_unit("gamma", self.gamma)
+        check_unit("gamma", self.gamma)
 
 
 PartialPriorConstraint = Union[MeanBound, ConfidenceBound, PerfectionConfidence, PriorReliability]
@@ -389,12 +390,10 @@ def homogeneous_ub(rows: Sequence[ConstraintRow], scale=1.0) -> np.ndarray | Non
         rhs = row.rhs / scale
         if row.sense == "le":
             a_list.append(coeffs - rhs)
-        elif row.sense == "eq":
+        else:
             delta = EQUALITY_SLACK / scale
             a_list.append(coeffs - rhs - delta)
             a_list.append(rhs - delta - coeffs)
-        else:
-            raise ValueError(f"unknown sense {row.sense!r}")
     if not a_list:
         return None
     return np.vstack(a_list)

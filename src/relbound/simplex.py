@@ -283,8 +283,7 @@ def _pivot_loop(T, z, basis, n_cols, max_iter=100_000, stop_value=None, path=Non
             if path is not None and len(path) < _PATH_CAP:
                 path.append((j, i, row.copy(), rhs.copy()))
         before = z[-1]
-        if z[j] != 0.0:
-            z -= z[j] * row
+        z -= z[j] * row
         basis[i] = j
         stalled = stalled + 1 if z[-1] <= before + 1e-15 else 0
     else:

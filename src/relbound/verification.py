@@ -89,27 +89,6 @@ class DiscreteCoverage:
 VerifiedCoverage = Union[IntervalCoverage, DiscreteCoverage]
 
 
-@dataclass(frozen=True)
-class TrustedBound:
-    """A verified pfd bound together with the assessor's trust in it.
-
-    The verifier's result alone says pfd <= epsilon; doubt about the
-    tool and its assumptions (ground-truth-invariant neighbourhoods,
-    tool soundness) discounts it to confidence theta.
-    """
-
-    epsilon: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        for name, value in (("epsilon", self.epsilon), ("theta", self.theta)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-
-    def as_constraint(self) -> ConfidenceBound:
-        return prior_from_verification(self.epsilon, self.theta)
-
-
 def merge_intervals(
     intervals: Sequence[tuple[float, float]]
 ) -> list[tuple[float, float]]:
@@ -137,7 +116,10 @@ def coverage_bound(cov: VerifiedCoverage) -> float:
 
 
 def prior_from_verification(epsilon: float, theta: float) -> ConfidenceBound:
-    """Package a verified bound and the trust in it as a prior constraint."""
+    """Package a verified bound and the trust in it as a prior constraint:
+    the verifier alone says pfd <= epsilon, and doubt about the tool and
+    its assumptions (ground-truth-invariant neighbourhoods, tool
+    soundness) discounts that to confidence theta."""
     return ConfidenceBound(epsilon=epsilon, theta=theta)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relbound.errors import ZeroEvidenceError
+from relbound.errors import ParseError, ZeroEvidenceError
 from relbound.inference import (
     FutureReliability,
     Observation,
@@ -19,7 +19,7 @@ from relbound.inference import (
     score_rows,
 )
 from relbound.numerics import EXP_UNDERFLOW
-from relbound.priors import PriorDistribution
+from relbound.priors import MeanBound, PriorDistribution
 
 
 class TestObservation:
@@ -111,6 +111,20 @@ class TestObjectives:
     def test_future_reliability_rejects_counts_beyond_the_float_range(self):
         with pytest.raises(ValueError, match="t must be a count within the float range"):
             FutureReliability(10**400)
+
+    @pytest.mark.parametrize("p_req", [-0.1, 1.5, float("nan")])
+    def test_posterior_confidence_rejects_p_req_outside_unit(self, p_req):
+        with pytest.raises(ValueError) as err:
+            PosteriorConfidence(p_req)
+        assert str(err.value) == f"p_req must lie in [0, 1], got {p_req!r}"
+
+    def test_unknown_objective_type_rejected(self):
+        with pytest.raises(ParseError, match="unknown objective type 'median'"):
+            objective_from_dict({"type": "median"})
+
+    def test_gain_of_unknown_objective_rejected(self):
+        with pytest.raises(TypeError, match="unknown objective"):
+            objective_gain(MeanBound(0.1), np.array([0.0, 0.5]))
 
 
 class TestPosteriorValue:

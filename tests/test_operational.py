@@ -71,6 +71,10 @@ class TestIngest:
         with pytest.raises(ValueError):
             DemandLog(((2, "pass"), (1, "pass")))
 
+    def test_outcome_must_be_pass_or_fail(self):
+        with pytest.raises(ValueError, match="record 2: outcome must be pass or fail"):
+            DemandLog(((1, "pass"), (2, "ok")))
+
     def test_prefix_plus_suffix_counts_add(self):
         outcomes = ["pass", "fail", "pass", "fail", "pass"]
         full = DemandLog(tuple(enumerate(outcomes)))
@@ -146,6 +150,12 @@ class TestSimulate:
     def test_counts_checked(self, n, seed, message):
         with pytest.raises(ValueError, match=message):
             simulate_demands(0.1, n, seed)
+
+    @pytest.mark.parametrize("true_pfd", [-0.1, 1.5, float("nan")])
+    def test_true_pfd_checked(self, true_pfd):
+        with pytest.raises(ValueError) as err:
+            simulate_demands(true_pfd, 5, 0)
+        assert str(err.value) == f"true_pfd must lie in [0, 1], got {true_pfd!r}"
 
     @pytest.mark.parametrize("seed", [0, 42, 2**40])
     def test_stream_is_seed_sequence_pcg64(self, seed):

@@ -86,6 +86,19 @@ class TestPriorDistribution:
         with pytest.raises(InvalidDistributionError):
             PriorDistribution((0.1, 0.1), (0.5, 0.5))
 
+    @pytest.mark.parametrize(
+        "support, masses, message",
+        [
+            ((0.1, 0.5), (1.0,), "support and masses differ in length"),
+            ((), (), "empty distribution"),
+            ((0.1, 1.5), (0.5, 0.5), r"support values must lie in \[0, 1\]"),
+            ((-0.1, 0.5), (0.5, 0.5), r"support values must lie in \[0, 1\]"),
+        ],
+    )
+    def test_rejects_malformed_support(self, support, masses, message):
+        with pytest.raises(InvalidDistributionError, match=message):
+            PriorDistribution(support, masses)
+
     def test_boundary_mass_counts_toward_confidence(self):
         prior = PriorDistribution((0.1, 1.0), (0.9, 0.1))
         assert prior.prob_at_most(0.1) == pytest.approx(0.9, abs=1e-15)

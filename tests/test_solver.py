@@ -284,6 +284,32 @@ class TestOracleAgreement:
         assert solve(twice, obs, objective, grid).bound == pytest.approx(got.bound, rel=1e-9)
 
 
+class TestOpenDefects:
+    """ROADMAP item 2's named defects: ``solve`` returns a claim more
+    optimistic than one an admissible prior on the same grid attains.
+    Strict xfails, so the fix that closes the bracket flips them."""
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: solve reads 8.3146e-4")
+    def test_probe_1_reaches_the_full_grid_oracle(self):
+        constraints, objective, obs = PROBE_1
+        result = solve(constraints, obs, objective, build_grid(constraints, objective, 2000))
+        assert result.bound >= 0.009996929 * (1.0 - 1e-8)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: solve reads 0.98909")
+    def test_probe_2_reaches_the_full_grid_oracle(self):
+        constraints, objective, obs = PROBE_2
+        result = solve(constraints, obs, objective, build_grid(constraints, objective, 2000))
+        assert result.bound <= 0.98794653 * (1.0 + 1e-8)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: solve reads 0.69508")
+    def test_seed_7_s83_reaches_the_oracle(self):
+        constraints = [PriorReliability(2243, 0.6532931732149766)]
+        objective, obs = PosteriorExpectedPfd(), Observation(101, 43)
+        grid = build_grid(constraints, objective, 500)
+        oracle = oracle_solve(constraints, obs, objective, grid)
+        assert solve(constraints, obs, objective, grid).bound >= oracle.bound * (1.0 - 1e-8)
+
+
 class TestOracleAdmission:
     """``oracle_solve`` cleans, admits and scores whatever vertices
     ``feasible_vertices`` hands it; here a stub hands it chosen ones."""

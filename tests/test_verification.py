@@ -9,11 +9,13 @@ from relbound.verification import (
     DiscreteCoverage,
     IntervalCoverage,
     PiecewiseDensity,
-    TrustedBound,
     coverage_bound,
+    density_from_dict,
     load_coverage,
+    load_discrete_coverage,
     merge_intervals,
     prior_from_verification,
+    profile_from_dict,
 )
 
 import numpy as np
@@ -84,6 +86,15 @@ class TestCoverageBound:
         with pytest.raises(InvalidCoverageError):
             DiscreteCoverage((("a", True),), profile)
 
+    def test_duplicate_cell_ids_rejected(self):
+        profile = OperationalProfile((("a", 0.5), ("b", 0.5)))
+        with pytest.raises(InvalidCoverageError, match="duplicate cell ids"):
+            DiscreteCoverage((("a", True), ("a", False), ("b", True)), profile)
+
+    def test_unknown_coverage_type_rejected(self):
+        with pytest.raises(TypeError, match="unknown coverage"):
+            coverage_bound(PiecewiseDensity.uniform())
+
     @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=8))
     def test_monotone_and_partition(self, raw):
         cells = [tuple(sorted(pair)) for pair in raw]
@@ -121,12 +132,8 @@ class TestPriorFromVerification:
     def test_bad_trust_rejected(self):
         with pytest.raises(ValueError):
             prior_from_verification(0.1, 1.2)
-
-    def test_trusted_bound_wraps_the_pair(self):
-        bound = TrustedBound(epsilon=0.1, theta=0.9)
-        assert bound.as_constraint() == ConfidenceBound(0.1, 0.9)
         with pytest.raises(ValueError):
-            TrustedBound(epsilon=-0.1, theta=0.9)
+            prior_from_verification(-0.1, 0.9)
 
 
 class TestLoaders:
@@ -162,6 +169,25 @@ class TestLoaders:
         with pytest.raises(ParseError, match=":3"):
             load_coverage(str(path))
 
+    def test_discrete_flag_must_be_zero_or_one(self, tmp_path):
+        path = tmp_path / "cov.csv"
+        path.write_text("point_id,covered\na,1\nb,yes\n")
+        profile = OperationalProfile((("a", 0.5), ("b", 0.5)))
+        with pytest.raises(ParseError) as err:
+            load_discrete_coverage(str(path), profile)
+        assert str(err.value) == f"{path}:3: covered must be 0 or 1, got 'yes'"
+
+    def test_uniform_density_document(self):
+        assert density_from_dict({"kind": "uniform"}) == PiecewiseDensity.uniform()
+
+    def test_unknown_density_kind_rejected(self):
+        with pytest.raises(ParseError, match="unknown density kind 'gaussian'"):
+            density_from_dict({"kind": "gaussian"})
+
+    def test_profile_document_must_be_discrete(self):
+        with pytest.raises(ParseError, match="expected a discrete profile, got kind 'uniform'"):
+            profile_from_dict({"kind": "uniform", "weights": {"a": 1.0}})
+
     def test_density_document(self, tmp_path):
         cov_path = tmp_path / "cov.csv"
         cov_path.write_text("lo,hi\n0.0,0.5\n")
@@ -179,3 +205,8 @@ class TestPiecewiseDensity:
     def test_overlapping_pieces_rejected(self):
         with pytest.raises(InvalidCoverageError):
             PiecewiseDensity(((0.0, 0.6, 1.0), (0.5, 1.0, 1.0)))
+
+    @pytest.mark.parametrize("pieces", [((-0.5, 0.5, 1.0), (0.5, 1.0, 1.0)), ((0.0, 1.5, 1.0),)])
+    def test_piece_outside_unit_rejected(self, pieces):
+        with pytest.raises(InvalidCoverageError, match=r"density piece .* outside \[0, 1\]"):
+            PiecewiseDensity(pieces)
